@@ -2,14 +2,13 @@
 sets in two variables, over prime fields or the rationals."""
 
 from .bm import (BMResult, NotLowerSetError, UnsupportedOrderError, bm_run,
-                 border, gpbm_run, reduce_vector, spbm_run)
+                 border, gpbm_run, spbm_run)
 from .cartesian import is_cartesian, max_cartesian_subset, order_points_gpbm
-from .engine import NUMBA_AVAILABLE, numba_enabled
 from .fields import (BadFieldSpecError, DivisionByZeroError, Field,
                      FieldError, NotPrimeError, PrimeField, RationalField,
                      ZeroDenominatorError, make_field)
-from .newton import (EchelonMatrix, NewtonBasis, evaluation_matrix,
-                     interpolate, newton_basis_cols, newton_basis_rows)
+from .newton import (NewtonBasis, evaluation_matrix, interpolate,
+                     newton_basis_cols, newton_basis_rows)
 from .orders import (INLEX, LEX, ORDERS, TDINLEX, TermOrder, exp_degree,
                      exp_divides, order_by_name)
 from .points import (DuplicatePointError, EmptySetError, LineCover, LowerSet,

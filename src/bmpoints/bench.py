@@ -2,8 +2,7 @@
 
 Each (size, repetition) cell draws one point set that every algorithm in
 the grid shares, so wall-time ratios compare like against like.  Only the
-algorithm call is timed; the jit kernel is warmed up beforehand so no cell
-pays compilation cost.
+algorithm call is timed; drawing the points is not.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 from statistics import median
 
 from .bm import bm_run, gpbm_run, spbm_run
-from .engine import warmup_jit
 from .fields import Field
 from .orders import TermOrder
 from .randgen import SplitMix64, gen_points
@@ -38,7 +36,6 @@ def run_bench(field: Field, order: TermOrder, sizes, reps: int, algos,
     for a in algos:
         if a not in RUNNERS:
             raise ValueError(f"unknown algorithm {a!r}")
-    warmup_jit()
     seeder = SplitMix64(seed)
     records = []
     for size in sizes:

@@ -18,8 +18,7 @@ import numpy as np
 from .cartesian import max_cartesian_subset, order_points_gpbm
 from .engine import PrimeEngine, engine_for
 from .fields import Field
-from .newton import (EchelonMatrix, evaluation_matrix, newton_basis_cols,
-                     newton_basis_rows)
+from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
 from .orders import TermOrder, exp_divides
 from .points import (EmptySetError, LineCover, PointSet, is_lower, line_cover,
                      lower_set_of)
@@ -55,23 +54,6 @@ class BMResult:
     point_permutation: list
     seeded_count: int
     processed: int
-
-
-def reduce_vector(matrix: EchelonMatrix, v):
-    """Forward-reduce v against the rows of an echelon matrix.
-
-    Returns (residual, coeffs) where coeffs lists the nonzero
-    (row index, coefficient) pairs consumed left to right.
-    """
-    f = matrix.field
-    v = [f.convert(c) for c in v]
-    coeffs = []
-    for r, (row, piv) in enumerate(zip(matrix.rows, matrix.pivots)):
-        a = v[piv]
-        if not f.is_zero(a):
-            v = [f.sub(c, f.mul(a, rc)) for c, rc in zip(v, row)]
-            coeffs.append((r, a))
-    return v, coeffs
 
 
 def border(exponents, order: TermOrder) -> list:
@@ -217,15 +199,14 @@ def _seed(st: BMState, cover: LineCover, slots: list) -> None:
 def _seed_via_basis(eng, basis, slots: list, run_points: list) -> None:
     """Desk-scale seeding: evaluate the Newton basis and read the
     coefficient half straight off the polynomials."""
-    emat = evaluation_matrix(basis, run_points)
     col = {e: c for c, e in enumerate(slots)}
     aug = []
-    for poly, evals in zip(basis.polys, emat.rows):
+    for poly, evals in zip(basis.polys, evaluation_matrix(basis, run_points)):
         row = eng.new_vector(evals)
         for e, c in poly.terms.items():
             row[eng.mu + col[e]] = c
         aug.append(row)
-    eng.bulk_load(aug, list(range(len(aug))))
+    eng.bulk_load(aug)
 
 
 def _advance(vec_b, vec_c, coords, shift, c: int, p: int):
@@ -235,7 +216,9 @@ def _advance(vec_b, vec_c, coords, shift, c: int, p: int):
     moved = np.zeros_like(vec_c)
     src = np.nonzero(vec_c)[0]
     tgt = shift[src]
-    assert not (tgt < 0).any()  # every live coefficient has a slot above it
+    if (tgt < 0).any():
+        raise RuntimeError("seeding shifted a live coefficient out of the "
+                           "lower set")
     moved[tgt] = vec_c[src]
     return b, (moved + (p - c) * vec_c) % p
 
@@ -278,4 +261,4 @@ def _seed_fast_prime(eng: PrimeEngine, cover: LineCover, slots: list) -> None:
             aug[row, :mu] = cur_b * s % p
             aug[row, mu:mu + k] = cur_c * s % p
             row += 1
-    eng.bulk_load(aug, np.arange(k, dtype=np.int64))
+    eng.bulk_load(aug)

@@ -6,73 +6,17 @@ basis slot).  A single row operation serves both halves, so the polynomial
 combination t - sum a_i q_i materializes from C for free at the end instead
 of costing a symbolic pass per reduction.
 
-F_p rows are int64 numpy arrays (moduli < 2**31 keep products inside int64);
-the inner loop is a numba kernel with a pure-numpy fallback selected by the
-BMPOINTS_NO_NUMBA environment variable, checked per call so tests can flip
-it.  Q rows are Fraction lists.
+F_p rows are int64 numpy arrays (moduli < 2**31 keep products inside int64)
+reduced by a per-row numpy loop; Q rows are Fraction lists.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-NO_NUMBA_ENV = "BMPOINTS_NO_NUMBA"
-
-
-def numba_enabled() -> bool:
-    """True when the jitted kernel should be used (env flag not set)."""
-    return NUMBA_AVAILABLE and not os.environ.get(NO_NUMBA_ENV)
-
-
-@njit(cache=True)
-def _reduce_njit(mat, pivots, nrows, v, p):  # pragma: no cover - jitted
-    coeffs = np.zeros(nrows, dtype=np.int64)
-    width = v.shape[0]
-    for r in range(nrows):
-        a = v[pivots[r]]
-        if a != 0:
-            na = p - a
-            row = mat[r]
-            for c in range(width):
-                v[c] = (v[c] + na * row[c]) % p
-            coeffs[r] = a
-    return coeffs
-
-
-def _reduce_numpy(mat, pivots, nrows, v, p):
-    coeffs = np.zeros(nrows, dtype=np.int64)
-    for r in range(nrows):
-        a = int(v[pivots[r]])
-        if a:
-            v += (p - a) * mat[r]
-            v %= p
-            coeffs[r] = a
-    return coeffs
-
-
-def warmup_jit() -> None:
-    """Trigger kernel compilation so timed runs exclude it."""
-    if numba_enabled():
-        mat = np.ones((1, 2), dtype=np.int64)
-        piv = np.zeros(1, dtype=np.int64)
-        _reduce_njit(mat, piv, 1, np.ones(2, dtype=np.int64), 3)
 
 
 class PrimeEngine:
-    """Augmented echelon matrix over F_p with numpy/numba row kernels."""
+    """Augmented echelon matrix over F_p with numpy row operations."""
 
     def __init__(self, field, points):
         mu = len(points)
@@ -107,10 +51,15 @@ class PrimeEngine:
 
     def reduce_into(self, v: np.ndarray):
         """Reduce v in place against all rows; returns the row coefficients."""
-        if self.nrows == 0:
-            return np.zeros(0, dtype=np.int64)
-        kernel = _reduce_njit if numba_enabled() else _reduce_numpy
-        return kernel(self.mat, self.pivots, self.nrows, v, self.p)
+        mat, pivots, p = self.mat, self.pivots, self.p
+        coeffs = np.zeros(self.nrows, dtype=np.int64)
+        for r in range(self.nrows):
+            a = int(v[pivots[r]])
+            if a:
+                v += (p - a) * mat[r]
+                v %= p
+                coeffs[r] = a
+        return coeffs
 
     def pivot_of(self, v: np.ndarray):
         """First nonzero coordinate of the evaluation half, or None."""
@@ -126,10 +75,11 @@ class PrimeEngine:
         self.pivots[self.nrows] = pivot
         self.nrows += 1
 
-    def bulk_load(self, aug_rows, pivots) -> None:
+    def bulk_load(self, aug_rows) -> None:
+        """Store unitriangular rows: row r has its pivot at column r."""
         k = len(aug_rows)
         self.mat[:k] = aug_rows
-        self.pivots[:k] = pivots
+        self.pivots[:k] = np.arange(k)
         self.nrows = k
 
     def tail_terms(self, v: np.ndarray, slot_exponents):
@@ -142,9 +92,6 @@ class PrimeEngine:
 
     def pivot_indices(self) -> list:
         return [int(p) for p in self.pivots[:self.nrows]]
-
-    def residual_is_zero(self, v: np.ndarray) -> bool:
-        return not v[:self.mu].any()
 
 
 class RationalEngine:
@@ -206,9 +153,9 @@ class RationalEngine:
         self.mat.append(v)
         self.pivots.append(pivot)
 
-    def bulk_load(self, aug_rows: list, pivots) -> None:
+    def bulk_load(self, aug_rows: list) -> None:
         self.mat = [list(r) for r in aug_rows]
-        self.pivots = list(pivots)
+        self.pivots = list(range(len(aug_rows)))
 
     def tail_terms(self, v: list, slot_exponents):
         return [(slot_exponents[c], v[self.mu + c])
@@ -219,9 +166,6 @@ class RationalEngine:
 
     def pivot_indices(self) -> list:
         return list(self.pivots)
-
-    def residual_is_zero(self, v: list) -> bool:
-        return all(c == 0 for c in v[:self.mu])
 
 
 def engine_for(field, points):

@@ -32,24 +32,6 @@ class NewtonBasis:
         return len(self.polys)
 
 
-class EchelonMatrix:
-    """Rows over a field, each with a designated unit pivot column.
-
-    Later rows vanish at the pivot columns of earlier rows, so reducing a
-    vector by the rows in storage order zeroes every pivot coordinate.
-    """
-
-    __slots__ = ("field", "rows", "pivots")
-
-    def __init__(self, field: Field, rows, pivots):
-        self.field = field
-        self.rows = rows
-        self.pivots = pivots
-
-    def __len__(self):
-        return len(self.rows)
-
-
 def _poly_mul_linear(p: Polynomial, var: int, shift) -> Polynomial:
     """p * (x - shift) for var 0, p * (y - shift) for var 1."""
     f = p.field
@@ -108,13 +90,12 @@ def newton_basis_cols(cover: LineCover) -> NewtonBasis:
     return _build(cover, "columns")
 
 
-def evaluation_matrix(basis: NewtonBasis, all_points: PointSet) -> EchelonMatrix:
+def evaluation_matrix(basis: NewtonBasis, all_points: PointSet) -> list:
     """Rows = basis evaluations at all points; leading block unitriangular."""
     n = len(basis)
     if list(all_points)[:n] != basis.point_order:
         raise ValueError("point list does not start with the basis points")
-    rows = [[p.evaluate(pt) for pt in all_points] for p in basis.polys]
-    return EchelonMatrix(basis.field, rows, list(range(n)))
+    return [[p.evaluate(pt) for pt in all_points] for p in basis.polys]
 
 
 def interpolate(basis: NewtonBasis, values) -> Polynomial:

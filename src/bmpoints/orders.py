@@ -30,9 +30,6 @@ class TermOrder:
             return GT
         return EQ
 
-    def min(self, exps):
-        return min(exps, key=self.key)
-
     def sorted(self, exps, reverse: bool = False):
         return sorted(exps, key=self.key, reverse=reverse)
 
@@ -58,11 +55,6 @@ def order_by_name(name: str) -> TermOrder:
         return ORDERS[name]
     except KeyError:
         raise ValueError(f"unknown term order {name!r}") from None
-
-
-def cmp_exponents(order: TermOrder, a: Exponent, b: Exponent) -> int:
-    """Compare two exponents under the order; returns LT, EQ or GT."""
-    return order.cmp(a, b)
 
 
 def exp_mul(a: Exponent, b: Exponent) -> Exponent:

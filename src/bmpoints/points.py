@@ -11,7 +11,13 @@ class EmptySetError(ValueError):
 
 
 class DuplicatePointError(ValueError):
-    """Point set contains a repeated point."""
+    """Point set contains a repeated point; first and second locate its two
+    occurrences (list positions, or file lines from parse_point_file)."""
+
+    def __init__(self, message: str, first: int, second: int):
+        super().__init__(message)
+        self.first = first
+        self.second = second
 
 
 Point = tuple  # (x, y) with coordinates in some Field
@@ -28,7 +34,8 @@ class PointSet:
         for k, pt in enumerate(pts):
             if pt in seen:
                 raise DuplicatePointError(
-                    f"duplicate point {pt} at positions {seen[pt]} and {k}")
+                    f"duplicate point {pt} at positions {seen[pt]} and {k}",
+                    seen[pt], k)
             seen[pt] = k
         self.field = field
         self.points = pts
@@ -67,13 +74,13 @@ def parse_point_file(field: Field, text: str) -> PointSet:
             raise ValueError(f"line {lineno}: expected \"x,y\", got {raw!r}")
         pts.append((field.parse(coords[0]), field.parse(coords[1])))
         lines.append(lineno)
-    seen: dict = {}
-    for k, pt in enumerate(pts):
-        if pt in seen:
-            raise DuplicatePointError(
-                f"duplicate point on lines {seen[pt]} and {lines[k]}")
-        seen[pt] = lines[k]
-    return PointSet(field, pts)
+    try:
+        return PointSet(field, pts)
+    except DuplicatePointError as err:
+        first, second = lines[err.first], lines[err.second]
+        raise DuplicatePointError(
+            f"duplicate point on lines {first} and {second}",
+            first, second) from None
 
 
 def format_point_file(ps: PointSet) -> str:
@@ -103,10 +110,6 @@ class LineCover:
     def flatten(self) -> list:
         """All points in cover order: group by group, u_{0j}, u_{1j}, ..."""
         return [pt for _, grp in self.groups for pt in grp]
-
-    def point_at(self, i: int, j: int):
-        """u_{ij}: the i-th point of the j-th group."""
-        return self.groups[j][1][i]
 
 
 def line_cover(ps: PointSet, axis: str) -> LineCover:

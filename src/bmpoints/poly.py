@@ -149,32 +149,6 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
-# -- free-function aliases for the method API ---------------------------
-
-def leading_term(p: Polynomial, order: TermOrder):
-    return p.leading_term(order)
-
-
-def poly_eval(p: Polynomial, point):
-    return p.evaluate(point)
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p.add(q)
-
-
-def poly_scale(c, p: Polynomial) -> Polynomial:
-    return p.scale(c)
-
-
-def poly_mul_monomial(e: Exponent, p: Polynomial) -> Polynomial:
-    return p.mul_monomial(e)
-
-
-def make_monic(p: Polynomial, order: TermOrder) -> Polynomial:
-    return p.make_monic(order)
-
-
 # -- rendering ----------------------------------------------------------
 
 def monomial_text(e: Exponent) -> str:

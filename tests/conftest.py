@@ -1,10 +1,9 @@
-"""Shared fixtures: fields, frozen example instances, and a jit warmup."""
+"""Shared fixtures: fields and frozen example instances."""
 
 from fractions import Fraction as Fr
 
 import pytest
 
-from bmpoints.engine import warmup_jit
 from bmpoints.fields import make_field
 from bmpoints.points import PointSet
 
@@ -83,12 +82,6 @@ EX5_G_XY5 = ("xy^5+x^4y+6x^3y^2+x^2y^3+5xy^4+6y^5+6x^4+2x^3y+6x^2y^2+3xy^3"
              "+3y^4+6x^3+6x^2y+2xy^2+6y^3+x^2+2xy+6y^2+x")
 EX5_G_X2Y4 = ("x^2y^4+x^4y+3x^2y^3+3xy^4+5y^5+x^4+6x^3y+3x^2y^2+2xy^3+4y^4"
               "+6x^3+4y^3+6x^2+2xy+3y^2+x+5y")
-
-
-@pytest.fixture(scope="session")
-def warm():
-    """Compile the jit kernel once so timed assertions exclude it."""
-    warmup_jit()
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ def criterion(num: int, label: str):
     print(f"PASS criterion {num}: {label}")
 
 
-def test_criterion_1_first_example_exact(warm, ex1):
+def test_criterion_1_first_example_exact(ex1):
     with criterion(1, "9 rational points, inlex: N, Q, G all coefficient-exact"):
         t0 = time.perf_counter()
         res = spbm_run(ex1, INLEX)
@@ -45,7 +45,7 @@ def test_criterion_1_first_example_exact(warm, ex1):
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
-def test_criterion_2_second_example_exact(warm, ex2):
+def test_criterion_2_second_example_exact(ex2):
     with criterion(2, "9 rational points, lex: N and G exact, Q triangular"):
         t0 = time.perf_counter()
         res = spbm_run(ex2, LEX)
@@ -58,7 +58,7 @@ def test_criterion_2_second_example_exact(warm, ex2):
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
-def test_criterion_3_prime_field_subset_run(warm, ex5):
+def test_criterion_3_prime_field_subset_run(ex5):
     with criterion(3, "20 points over q:7, tdinlex: subset, seed basis, G"):
         t0 = time.perf_counter()
         subset, _ = max_cartesian_subset(ex5)
@@ -75,7 +75,7 @@ def test_criterion_3_prime_field_subset_run(warm, ex5):
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
-def test_criterion_4_oracle_equivalence(warm):
+def test_criterion_4_oracle_equivalence():
     with criterion(4, "216 random instances agree with the dense oracle"):
         t0 = time.perf_counter()
         count = 0
@@ -103,7 +103,7 @@ def test_criterion_4_oracle_equivalence(warm):
         assert elapsed < 60.0, f"took {elapsed:.3f}s"
 
 
-def test_criterion_5_subset_maximality_exhaustive(warm):
+def test_criterion_5_subset_maximality_exhaustive():
     with criterion(5, "maximal cartesian subset exhaustive over q:3 plane"):
         t0 = time.perf_counter()
         plane = [(x, y) for x in range(3) for y in range(3)]
@@ -128,7 +128,7 @@ def test_criterion_5_subset_maximality_exhaustive(warm):
         assert elapsed < 30.0, f"took {elapsed:.3f}s"
 
 
-def test_criterion_6_seeded_run_speedup(warm):
+def test_criterion_6_seeded_run_speedup():
     with criterion(6, "500 points over q:23, lex: seeded run at least 2x"):
         records = run_bench(F23, LEX, sizes=[500], reps=5,
                             algos=["bm", "spbm"], seed=11)
@@ -139,7 +139,7 @@ def test_criterion_6_seeded_run_speedup(warm):
             f"bm {med['bm']/1e6:.1f}ms vs spbm {med['spbm']/1e6:.1f}ms")
 
 
-def test_criterion_7_subset_ratio(warm):
+def test_criterion_7_subset_ratio():
     with criterion(7, "median cartesian-subset ratio at 250 points in q:17"):
         t0 = time.perf_counter()
         ratios = []
@@ -153,7 +153,7 @@ def test_criterion_7_subset_ratio(warm):
         assert elapsed < 60.0, f"took {elapsed:.3f}s"
 
 
-def test_criterion_8_invariant_suites(warm):
+def test_criterion_8_invariant_suites():
     with criterion(8, "order, field, basis, subset and generator invariants"):
         exps = [(i, j) for i in range(4) for j in range(4)]
         for order in (LEX, INLEX, TDINLEX):

@@ -1,12 +1,12 @@
 """BM runs: golden outputs, algorithm agreement, structural invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, bm_run,
-                         border, gpbm_run, reduce_vector, spbm_run)
+from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, _advance,
+                         bm_run, border, gpbm_run, spbm_run)
 from bmpoints.cartesian import max_cartesian_subset
-from bmpoints.newton import EchelonMatrix
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import (EmptySetError, PointSet, line_cover,
                              lower_set_of)
@@ -19,18 +19,11 @@ from conftest import (EX1_BORDER, EX1_G_TEXT, EX1_N, EX1_Q_TEXT, EX1_U,
 ALL_ORDERS = (LEX, INLEX, TDINLEX)
 
 
-def test_reduce_vector_examples():
-    B = EchelonMatrix(F7, [[1, 1, 1], [0, 1, 2]], [0, 1])
-    resid, coeffs = reduce_vector(B, [3, 4, 5])
-    assert resid == [0, 0, 0]
-    assert coeffs == [(0, 3), (1, 1)]
-
-    resid, coeffs = reduce_vector(B, [1, 1, 1])
-    assert resid == [0, 0, 0] and coeffs == [(0, 1)]
-
-    empty = EchelonMatrix(F7, [], [])
-    resid, coeffs = reduce_vector(empty, [3, 4, 5])
-    assert resid == [3, 4, 5] and coeffs == []
+def test_advance_rejects_coefficient_without_slot():
+    # the live coefficient in slot 0 has no slot above it (shift -1)
+    with pytest.raises(RuntimeError):
+        _advance(np.ones(2, dtype=np.int64), np.array([1, 0]),
+                 np.array([0, 1]), np.array([-1, -1]), 0, 7)
 
 
 def test_border_goldens():
@@ -158,10 +151,3 @@ def test_cartesian_subset_monomials_inside_escalier(seed, size):
     for order in ALL_ORDERS:
         assert sx <= set(bm_run(ps, order).N)
 
-
-def test_backends_match(monkeypatch, ex5):
-    jit = gpbm_run(ex5, TDINLEX)
-    monkeypatch.setenv("BMPOINTS_NO_NUMBA", "1")
-    plain = gpbm_run(ex5, TDINLEX)
-    assert plain.G == jit.G and plain.N == jit.N and plain.Q == jit.Q
-    assert plain.point_permutation == jit.point_permutation

@@ -55,21 +55,21 @@ def test_evaluation_matrix_goldens():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
     B = evaluation_matrix(basis, basis.point_order)
-    assert B.rows[0][:3] == [1, 1, 1]
-    assert B.rows[1][:3] == [0, 1, Fr(3, 2)]
-    assert B.rows[2][:3] == [0, 0, 1]
-    assert B.pivots == list(range(9))
+    assert B[0][:3] == [1, 1, 1]
+    assert B[1][:3] == [0, 1, Fr(3, 2)]
+    assert B[2][:3] == [0, 0, 1]
+    assert len(B) == 9
 
     sub = PointSet(F7, EX5_MCS_ORDER)
     basis5 = newton_basis_rows(line_cover(sub, "rows"))
     B5 = evaluation_matrix(basis5, basis5.point_order)
-    assert B5.rows[0][:3] == [1, 1, 1]
-    assert B5.rows[1][:3] == [0, 1, 2]
-    assert B5.rows[2][:3] == [0, 0, 1]
+    assert B5[0][:3] == [1, 1, 1]
+    assert B5[1][:3] == [0, 1, 2]
+    assert B5[2][:3] == [0, 0, 1]
 
     single = PointSet(F7, [(2, 2)])
     bs = newton_basis_rows(line_cover(single, "rows"))
-    assert evaluation_matrix(bs, bs.point_order).rows == [[1]]
+    assert evaluation_matrix(bs, bs.point_order) == [[1]]
 
 
 def test_evaluation_matrix_checks_prefix():
@@ -86,8 +86,8 @@ def test_unitriangular_square():
     B = evaluation_matrix(basis, basis.point_order)
     n = len(basis)
     for k in range(n):
-        assert B.rows[k][k] == 1
-        assert all(B.rows[k][m] == 0 for m in range(k))
+        assert B[k][k] == 1
+        assert all(B[k][m] == 0 for m in range(k))
 
 
 def test_interpolate_goldens():

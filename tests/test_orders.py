@@ -72,9 +72,3 @@ def test_exp_helpers(a, b):
     assert exp_divides(a, exp_mul(a, b))
     if exp_divides(a, b) and exp_divides(b, a):
         assert a == b
-
-
-@given(order=orders, exps=st.lists(exponents, max_size=20))
-def test_min_matches_sorted(order, exps):
-    if exps:
-        assert order.min(exps) == order.sorted(exps)[0]

@@ -39,8 +39,12 @@ def test_parse_errors():
         parse_point_file(F7, "1,2,3\n")
     with pytest.raises(DuplicatePointError):
         parse_point_file(F7, "1,2\n8,2\n")  # same point after reduction mod 7
-    with pytest.raises(DuplicatePointError):
-        PointSet(F7, [(1, 2), (1, 2)])
+    with pytest.raises(DuplicatePointError, match="lines 1 and 3") as info:
+        parse_point_file(F7, "1,2\n# c\n8,2\n")
+    assert (info.value.first, info.value.second) == (1, 3)
+    with pytest.raises(DuplicatePointError) as info:
+        PointSet(F7, [(0, 0), (1, 2), (1, 2)])
+    assert (info.value.first, info.value.second) == (1, 2)
 
 
 def test_empty_cover_raises():
