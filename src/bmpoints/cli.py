@@ -3,8 +3,9 @@
 Subcommands: compute (run an algorithm on a point file and print or
 serialize the result after verifying it), gen (seeded point-set files),
 bench (algorithm grid with CSV output), verify (re-check a stored result
-against its point file).  Exit codes: 0 success, 1 failed verification,
-2 usage error.
+against its point file).  F_p results are checked by exact modular matrix
+products, rational results by direct evaluation.  Exit codes: 0 success,
+1 failed verification, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .bench import bench_csv, run_bench
@@ -172,6 +174,10 @@ def run_cli(argv) -> int:
             json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault in bmpoints, not in its input
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:

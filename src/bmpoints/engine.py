@@ -78,7 +78,7 @@ class PrimeEngine:
     def bulk_load(self, aug_rows) -> None:
         """Store unitriangular rows: row r has its pivot at column r."""
         k = len(aug_rows)
-        self.mat[:k] = aug_rows
+        self.mat[:k] = np.reshape(aug_rows, (k, self.width))
         self.pivots[:k] = np.arange(k)
         self.nrows = k
 

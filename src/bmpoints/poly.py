@@ -194,5 +194,8 @@ def poly_json_terms(p: Polynomial, order: TermOrder) -> list:
 
 
 def poly_from_json_terms(field: Field, triples) -> Polynomial:
-    return Polynomial.from_pairs(
-        field, (((int(i), int(j)), field.parse(str(c))) for i, j, c in triples))
+    """Inverse of poly_json_terms; a negative exponent is a ValueError."""
+    pairs = [((int(i), int(j)), field.parse(str(c))) for i, j, c in triples]
+    if any(min(e) < 0 for e, _ in pairs):
+        raise ValueError("negative exponent in a stored polynomial")
+    return Polynomial.from_pairs(field, pairs)

@@ -1,6 +1,10 @@
 """Independent validation: structural checks on computed bases and a dense
 brute-force oracle.
 
+Over F_p the vanishing and Newton checks evaluate every polynomial at every
+point with a few exact modular matrix products; over Q they evaluate one
+polynomial at one point at a time.  Neither path uses the engine code.
+
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
 solves one dense linear system per basis element.  It exists as desk-scale
@@ -10,6 +14,8 @@ ground truth, hence the size cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .orders import LEX, TermOrder, exp_divides
 from .points import PointSet, is_lower
@@ -51,17 +57,97 @@ class VerifyReport:
                            for n, ok, d in self.checks]}
 
 
+# float64 holds every integer below this bound exactly
+_FLOAT_EXACT = 2**53
+
+
+def _power_rows(base: np.ndarray, exps, p: int) -> np.ndarray:
+    """rows[r] = base ** exps[r] mod p, for ascending exponents >= 0."""
+    rows = np.empty((len(exps), base.size), dtype=np.int64)
+    cur = np.ones_like(base)
+    prev = 0
+    for r, e in enumerate(exps):
+        step, n, sq = np.ones_like(base), e - prev, base
+        while n:
+            if n & 1:
+                step = step * sq % p
+            n >>= 1
+            if n:
+                sq = sq * sq % p
+        cur = cur * step % p
+        rows[r] = cur
+        prev = e
+    return rows
+
+
+def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """coeffs @ table mod p, exactly, for int64 entries in [0, p).
+
+    The monomial axis is cut into chunks and the coefficients into base-2^b
+    limbs, with b as large as keeps every float64 sum below 2^53.
+    """
+    out = np.zeros((coeffs.shape[0], table.shape[1]), dtype=np.int64)
+    width = (p - 1).bit_length()
+    span = (_FLOAT_EXACT - 1) // (p - 1)  # monomials per chunk: b >= 1
+    for t0 in range(0, table.shape[0], span):
+        c = coeffs[:, t0:t0 + span]
+        t = table[t0:t0 + span].astype(np.float64)
+        limb_max = (_FLOAT_EXACT - 1) // (t.shape[0] * (p - 1))
+        bits = (limb_max + 1).bit_length() - 1
+        mask = (1 << bits) - 1
+        for shift in range(0, width, bits):
+            limb = ((c >> shift) & mask).astype(np.float64)
+            part = (limb @ t).astype(np.int64) % p
+            out = (out + part * pow(2, shift, p)) % p
+    return out
+
+
+def _values_mod_p(polys, points, p: int) -> np.ndarray:
+    """values[k, m] = polys[k](points[m]) mod p.
+
+    The monomial table covers exactly the exponents that occur in polys,
+    whether or not they lie in N, so corrupt input is evaluated as is.
+    """
+    exps = sorted({e for q in polys for e in q.terms})
+    xs = sorted({i for i, _ in exps})
+    ys = sorted({j for _, j in exps})
+    if (xs and xs[0] < 0) or (ys and ys[0] < 0):
+        raise ValueError("cannot evaluate a negative exponent")
+    pts = np.array(points, dtype=np.int64).reshape(-1, 2) % p
+    xrow = {i: r for r, i in enumerate(xs)}
+    yrow = {j: r for r, j in enumerate(ys)}
+    table = (_power_rows(pts[:, 0], xs, p)[[xrow[i] for i, _ in exps]]
+             * _power_rows(pts[:, 1], ys, p)[[yrow[j] for _, j in exps]]
+             % p)
+    col = {e: t for t, e in enumerate(exps)}
+    rows, cols, vals = [], [], []
+    for k, q in enumerate(polys):
+        for e, c in q.terms.items():
+            rows.append(k)
+            cols.append(col[e])
+            vals.append(c % p)
+    coeffs = np.zeros((len(polys), len(exps)), dtype=np.int64)
+    coeffs[rows, cols] = vals
+    return _matmul_mod(coeffs, table, p)
+
+
 def check_vanishing(G, ps: PointSet) -> VerifyReport:
     """Every polynomial must evaluate to zero at every point."""
     rep = VerifyReport()
     bad = None
-    for g in G:
-        for pt in ps:
-            if not g.field.is_zero(g.evaluate(pt)):
-                bad = (g, pt)
+    if ps.field.char:
+        nonzero = np.flatnonzero(_values_mod_p(G, ps.points, ps.field.char))
+        if nonzero.size:
+            k, m = divmod(int(nonzero[0]), len(ps))
+            bad = (G[k], ps[m])
+    else:
+        for g in G:
+            for pt in ps:
+                if not g.field.is_zero(g.evaluate(pt)):
+                    bad = (g, pt)
+                    break
+            if bad:
                 break
-        if bad:
-            break
     detail = ""
     if bad:
         detail = f"{poly_text(bad[0], LEX)} is nonzero at {bad[1]}"
@@ -73,19 +159,19 @@ def check_reduced_gb(G, N, order: TermOrder, n_points=None) -> VerifyReport:
     """Shape checks pinning the reduced basis and its escalier."""
     rep = VerifyReport()
 
-    monic = all(g.leading_term(order)[1] == g.field.one for g in G)
+    lms = [g.leading_monomial(order) for g in G]
+    monic = all(g.terms[lm] == g.field.one for g, lm in zip(G, lms))
     rep.add("monic", monic)
 
-    lms = [g.leading_monomial(order) for g in G]
     clash = next(((a, b) for a in lms for b in lms
                   if a != b and exp_divides(a, b)), None)
     rep.add("leading monomials pairwise non-divisible", clash is None,
             f"{clash[0]} divides {clash[1]}" if clash else "")
 
     nset = set(N)
-    stray = next(((g, e) for g in G
+    stray = next(((g, e) for g, lm in zip(G, lms)
                   for e in g.terms
-                  if e != g.leading_monomial(order) and e not in nset), None)
+                  if e != lm and e not in nset), None)
     rep.add("tails supported in N", stray is None,
             f"monomial {stray[1]} outside N" if stray else "")
 
@@ -118,16 +204,23 @@ def check_newton(Q, ordered_points) -> VerifyReport:
             f"{len(Q)} polynomials against {len(ordered_points)} points")
     rep = VerifyReport()
     bad = None
-    for k, q in enumerate(Q):
-        f = q.field
-        for m in range(k + 1):
-            v = q.evaluate(ordered_points[m])
-            want = f.one if m == k else f.zero
-            if v != want:
-                bad = f"Q[{k}] at point {m} gave {v}"
+    if Q and Q[0].field.char:
+        vals = _values_mod_p(Q, ordered_points, Q[0].field.char)
+        wrong = np.flatnonzero(np.tril(vals != np.eye(len(Q), dtype=np.int64)))
+        if wrong.size:
+            k, m = divmod(int(wrong[0]), len(Q))
+            bad = f"Q[{k}] at point {m} gave {vals[k, m]}"
+    else:
+        for k, q in enumerate(Q):
+            f = q.field
+            for m in range(k + 1):
+                v = q.evaluate(ordered_points[m])
+                want = f.one if m == k else f.zero
+                if v != want:
+                    bad = f"Q[{k}] at point {m} gave {v}"
+                    break
+            if bad:
                 break
-        if bad:
-            break
     rep.add("newton triangularity", bad is None, bad or "")
     return rep
 
@@ -242,7 +335,9 @@ def oracle_dense(ps: PointSet, order: TermOrder, cap: int = 64):
             cols.append(vec)
         else:
             g_lms.append(t)
-    assert len(N) == mu  # the degree bound above was not exhausted
+    if len(N) != mu:
+        raise RuntimeError(f"degree bound exhausted with {len(N)} of {mu} "
+                           "staircase monomials")
 
     l_x = {}
     for i, j in N:

@@ -7,16 +7,19 @@ from hypothesis import given, settings, strategies as st
 from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, _advance,
                          bm_run, border, gpbm_run, spbm_run)
 from bmpoints.cartesian import max_cartesian_subset
+from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import (EmptySetError, PointSet, line_cover,
                              lower_set_of)
 from bmpoints.poly import poly_text
 from bmpoints.randgen import gen_points
+from bmpoints.verify import verify_result
 from conftest import (EX1_BORDER, EX1_G_TEXT, EX1_N, EX1_Q_TEXT, EX1_U,
                       EX2_G_TEXT, EX2_N, EX5_G_LTS, EX5_G_Y6, EX5_MCS_ORDER,
                       EX5_N_SET, EX5_SEED_N, F5, F7, F17, QQ)
 
 ALL_ORDERS = (LEX, INLEX, TDINLEX)
+BIG = make_field("q:2147483647")
 
 
 def test_advance_rejects_coefficient_without_slot():
@@ -151,3 +154,27 @@ def test_cartesian_subset_monomials_inside_escalier(seed, size):
     for order in ALL_ORDERS:
         assert sx <= set(bm_run(ps, order).N)
 
+
+
+@pytest.mark.parametrize("field, points", [
+    (BIG, [(x, y) for x in range(7) for y in range(7)]),
+    (F7, [(x, y) for x in range(7) for y in range(7)]),
+    (BIG, [(2**31 - 2, 12345)]),
+    (BIG, [(x * 104729, 2**30) for x in range(12)]),
+    (BIG, [(2**31 - 2, y * y + 1) for y in range(12)]),
+    (BIG, list(gen_points(BIG, 40, seed=8))),
+], ids=["grid-7x7", "plane-F7", "single-point", "one-row", "one-column",
+        "random-40"])
+def test_extreme_sets_agree_and_certify(field, points):
+    ps = PointSet(field, points)
+    for order in ALL_ORDERS:
+        runs = [bm_run(ps, order), gpbm_run(ps, order)]
+        if order is not TDINLEX:
+            runs.append(spbm_run(ps, order))
+        for res in runs:
+            assert res.G == runs[0].G, res.algorithm
+            assert set(res.N) == set(runs[0].N), res.algorithm
+            assert verify_result(res).passed, res.algorithm
+    if field is F7 and len(points) == 49:
+        # the ideal of the whole plane F_7^2 is (x^7 - x, y^7 - y)
+        assert {poly_text(g, LEX) for g in runs[0].G} == {"x^7+6x", "y^7+6y"}

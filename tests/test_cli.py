@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bmpoints
+from bmpoints import cli
 from bmpoints.cli import run_cli
+from bmpoints.poly import Polynomial
 from conftest import EX1_POINTS
 
 
@@ -123,3 +130,63 @@ def test_missing_subcommand(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 3)])
+    args = ["compute", "--field", "q:7", "--order", "lex",
+            "--points", str(pts)]
+    assert run_cli(args) == 0
+    assert run_cli(["compute", "--field", "q:8"] + args[3:]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    real_spbm = cli.spbm_run
+
+    def corrupted(ps, order):
+        res = real_spbm(ps, order)
+        res.G[0] = res.G[0].add(Polynomial.constant(ps.field, 1))
+        return res
+
+    monkeypatch.setattr(cli, "spbm_run", corrupted)
+    assert run_cli(args) == 1
+    assert "verify: FAIL" in capsys.readouterr().out
+
+    def broken(ps, order):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli, "spbm_run", broken)
+    assert run_cli(args) == 3
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: invariant broken" in err
+
+
+def test_verify_rejects_negative_exponent(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0)])
+    res = tmp_path / "res.json"
+    assert run_cli(["compute", "--field", "q:7", "--order", "lex",
+                    "--points", str(pts), "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["G"][0].append([0, -1, "1"])
+    res.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 2
+    assert "negative exponent" in capsys.readouterr().err
+
+
+def test_compute_under_optimize_flag(tmp_path):
+    """Invariants are checked by raising, so python -O changes nothing."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(x, (3 * x + 1) % 11) for x in range(11)]
+                  + [(0, 0), (5, 7)])
+    src = str(Path(bmpoints.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bmpoints.cli", "compute",
+         "--field", "q:11", "--order", "tdinlex", "--points", str(pts)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify: PASS" in proc.stdout

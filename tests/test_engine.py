@@ -29,3 +29,15 @@ def test_reduce_into(engine_cls, field, evals, rows, coeffs, tail):
     assert [field.convert(int(a)) for a in got] == coeffs
     want = evals + [0, 0, 0] if tail is None else [0, 0, 0] + tail
     assert list(v) == [field.convert(c) for c in want]
+
+
+@pytest.mark.parametrize("engine_cls, field",
+                         [(PrimeEngine, F7), (RationalEngine, QQ)],
+                         ids=["prime", "rational"])
+def test_bulk_load_empty(engine_cls, field):
+    eng = engine_cls(field, [tuple(map(field.convert, pt)) for pt in POINTS])
+    eng.bulk_load([])
+    assert eng.nrows == 0
+    v = eng.new_vector([field.convert(c) for c in (3, 4, 5)])
+    assert len(eng.reduce_into(v)) == 0
+    assert list(v) == [field.convert(c) for c in (3, 4, 5, 0, 0, 0)]

@@ -1,17 +1,26 @@
 """Verification checks and the dense-elimination oracle."""
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
+import bmpoints.verify
 from bmpoints.bm import bm_run, gpbm_run, spbm_run
+from bmpoints.fields import make_field
 from bmpoints.newton import newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
 from bmpoints.poly import Polynomial, poly_text
 from bmpoints.randgen import gen_points
-from bmpoints.verify import (CapExceededError, VerifyReport, check_newton,
-                             check_reduced_gb, check_vanishing, oracle_dense,
-                             verify_parts, verify_result)
+from bmpoints.verify import (CapExceededError, VerifyReport, _values_mod_p,
+                             check_newton, check_reduced_gb, check_vanishing,
+                             oracle_dense, verify_parts, verify_result)
 from conftest import EX5_MCS_ORDER, F5, F7, QQ
+
+F23 = make_field("q:23")
+BIG = make_field("q:2147483647")
 
 
 def test_oracle_single_point():
@@ -128,3 +137,98 @@ def test_verify_rational(ex1):
     rep = verify_parts(ex1, INLEX, res.G, res.N, res.Q,
                        res.point_permutation)
     assert rep.passed and res.field is QQ
+
+
+def _random_case(field, rng, n_polys, n_terms, n_points, max_exp):
+    """Polynomials with exponents up to max_exp (not a lower set) and points
+    that include zero coordinates."""
+    p = field.p
+    polys = [Polynomial(field, {(rng.randrange(max_exp), rng.randrange(max_exp)):
+                                rng.randrange(1, p) for _ in range(n_terms)})
+             for _ in range(n_polys)]
+    points = [(0, 0), (0, rng.randrange(p))]
+    points += [(rng.randrange(p), rng.randrange(p)) for _ in range(n_points)]
+    return polys, points
+
+
+@pytest.mark.parametrize("field", [F23, BIG], ids=["p=23", "p=2^31-1"])
+@pytest.mark.parametrize("n_polys, n_terms", [(0, 0), (1, 0), (4, 3), (6, 150)],
+                         ids=["no-polys", "zero-poly", "sparse", "dense"])
+def test_values_mod_p_matches_evaluate(field, n_polys, n_terms):
+    # "dense" at p = 2^31-1 has over 64 monomials, which takes three limbs
+    rng = random.Random(n_polys * 1000 + n_terms)
+    polys, points = _random_case(field, rng, n_polys, n_terms, 9, 90)
+    got = _values_mod_p(polys, points, field.p)
+    assert got.shape == (len(polys), len(points))
+    assert got.tolist() == [[q.evaluate(pt) for pt in points] for q in polys]
+
+
+def test_values_mod_p_chunks_monomial_axis(monkeypatch):
+    # with a 2^10 exactness bound, 200 monomials at p = 23 need chunks of
+    # at most 46 monomials, each split into one-bit limbs
+    monkeypatch.setattr(bmpoints.verify, "_FLOAT_EXACT", 2**10)
+    polys, points = _random_case(F23, random.Random(3), 5, 200, 12, 40)
+    assert len({e for q in polys for e in q.terms}) > 46
+    got = _values_mod_p(polys, points, F23.p)
+    assert got.tolist() == [[q.evaluate(pt) for pt in points] for q in polys]
+
+
+def test_values_mod_p_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        _values_mod_p([Polynomial(F7, {(0, -1): 1})], [(1, 2)], 7)
+
+
+def _first_vanishing_failure(G, ps):
+    """The vanishing check's detail, by one evaluate call per entry."""
+    for g in G:
+        for pt in ps:
+            if g.evaluate(pt) != 0:
+                return f"{poly_text(g, LEX)} is nonzero at {pt}"
+    return ""
+
+
+def _first_newton_failure(Q, points):
+    """The triangularity check's detail, by one evaluate call per entry."""
+    for k, q in enumerate(Q):
+        for m in range(k + 1):
+            v = q.evaluate(points[m])
+            if v != (1 if m == k else 0):
+                return f"Q[{k}] at point {m} gave {v}"
+    return ""
+
+
+def test_corrupted_reports_at_big_prime():
+    ps = gen_points(BIG, 30, seed=11)
+    res = gpbm_run(ps, TDINLEX)
+    rng = random.Random(4)
+    for _ in range(8):
+        G, Q, perm = list(res.G), list(res.Q), list(res.point_permutation)
+        k = rng.randrange(len(G))
+        G[k] = G[k].add(Polynomial.monomial(BIG, (rng.randrange(40), 1), 5))
+        k = rng.randrange(len(Q))
+        Q[k] = Q[k].scale(rng.randrange(2, 10**9))
+        a, b = rng.sample(range(len(perm)), 2)
+        perm[a], perm[b] = perm[b], perm[a]
+        ordered = [ps[i] for i in res.point_permutation]
+        swapped = [ps[i] for i in perm]
+        details = {name: detail for name, _, detail in
+                   verify_parts(ps, TDINLEX, G, res.N, res.Q, perm).checks}
+        assert details["vanishing"] == _first_vanishing_failure(G, ps) != ""
+        assert details["newton triangularity"] == \
+            _first_newton_failure(res.Q, swapped) != ""
+        newton = check_newton(Q, ordered).checks[0]
+        assert newton[1] is False
+        assert newton[2] == _first_newton_failure(Q, ordered)
+
+
+def test_verify_imports_no_checked_code():
+    """The certificate must stay independent of the code it checks."""
+    tree = ast.parse(Path(bmpoints.verify.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported |= {a.name for a in node.names}
+    assert not imported & {"engine", "bm", "newton"}
