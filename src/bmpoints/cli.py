@@ -4,8 +4,10 @@ Subcommands: compute (run an algorithm on a point file and print or
 serialize the result after verifying it), gen (seeded point-set files),
 bench (algorithm grid with CSV output), verify (re-check a stored result
 against its point file).  F_p results are checked by exact modular matrix
-products, rational results by direct evaluation.  Exit codes: 0 success,
-1 failed verification, 2 usage error, 3 internal error.
+products, rational results by exact evaluation as integer sums over one
+common denominator.  Exit codes: 0 success, 1 failed verification, 2 usage
+error (arguments or input files), 3 internal error (an exception raised by
+the runner, the checks or the output code).
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bench import bench_csv, run_bench
 from .bm import BMResult, bm_run, gpbm_run, spbm_run
-from .fields import FieldError, make_field
+from .fields import make_field
 from .orders import ORDERS, order_by_name
 from .points import format_point_file, parse_point_file
 from .poly import (monomial_text, poly_from_json_terms, poly_json_terms,
@@ -54,6 +57,22 @@ def result_text(result: BMResult) -> str:
     lines.append("pointPermutation: "
                  + " ".join(str(k) for k in result.point_permutation))
     return "\n".join(lines)
+
+
+class UsageError(Exception):
+    """Bad arguments or a malformed input file (exit 2)."""
+
+
+@contextmanager
+def _input_stage():
+    """Blame errors raised in the block on the input, not on bmpoints.
+
+    FieldError and json.JSONDecodeError are ValueErrors.
+    """
+    try:
+        yield
+    except (ValueError, KeyError, OSError) as e:
+        raise UsageError(e) from e
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,10 +123,11 @@ def _resolve_algo(algo: str, order_name: str) -> str:
 
 
 def _cmd_compute(args) -> int:
-    field = make_field(args.field)
-    order = order_by_name(args.order)
-    algo = _resolve_algo(args.algo, order.name)
-    ps = parse_point_file(field, Path(args.points).read_text())
+    with _input_stage():
+        field = make_field(args.field)
+        order = order_by_name(args.order)
+        algo = _resolve_algo(args.algo, order.name)
+        ps = parse_point_file(field, Path(args.points).read_text())
     result = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}[algo](ps, order)
     report = verify_result(result)
     if args.out == "json":
@@ -123,39 +143,43 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    field = make_field(args.field)
-    ps = gen_points(field, args.n, args.seed)
-    header = f"# field {field.name} n {args.n} seed {args.seed}\n"
-    Path(args.output).write_text(header + format_point_file(ps))
-    return 0
+    with _input_stage():
+        field = make_field(args.field)
+        ps = gen_points(field, args.n, args.seed)
+        header = f"# field {field.name} n {args.n} seed {args.seed}\n"
+        Path(args.output).write_text(header + format_point_file(ps))
+        return 0
 
 
 def _cmd_bench(args) -> int:
-    field = make_field(args.field)
-    order = order_by_name(args.order)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    algos = [a for a in args.algos.split(",") if a]
-    for a in algos:
-        _resolve_algo(a, order.name)
-    records = run_bench(field, order, sizes, args.reps, algos, args.seed)
-    text = bench_csv(records)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    with _input_stage():
+        field = make_field(args.field)
+        order = order_by_name(args.order)
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+        algos = [a for a in args.algos.split(",") if a]
+        for a in algos:
+            _resolve_algo(a, order.name)
+        records = run_bench(field, order, sizes, args.reps, algos, args.seed)
+        text = bench_csv(records)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
 
 
 def _cmd_verify(args) -> int:
-    doc = json.loads(Path(args.result).read_text())
-    field = make_field(doc["field"])
-    order = order_by_name(doc["order"])
-    ps = parse_point_file(field, Path(args.points).read_text())
-    G = [poly_from_json_terms(field, t) for t in doc["G"]]
-    N = [(int(i), int(j)) for i, j in doc["N"]]
-    Q = [poly_from_json_terms(field, t) for t in doc["Q"]]
-    perm = [int(k) for k in doc["pointPermutation"]]
-    report = verify_parts(ps, order, G, N, Q, perm)
+    with _input_stage():
+        doc = json.loads(Path(args.result).read_text())
+        field = make_field(doc["field"])
+        order = order_by_name(doc["order"])
+        ps = parse_point_file(field, Path(args.points).read_text())
+        G = [poly_from_json_terms(field, t) for t in doc["G"]]
+        N = [(int(i), int(j)) for i, j in doc["N"]]
+        Q = [poly_from_json_terms(field, t) for t in doc["Q"]]
+        perm = [int(k) for k in doc["pointPermutation"]]
+        # a stored result can be malformed past parsing, e.g. a zero G entry
+        report = verify_parts(ps, order, G, N, Q, perm)
     print(report.text())
     return 0 if report.passed else 1
 
@@ -170,8 +194,7 @@ def run_cli(argv) -> int:
                 "bench": _cmd_bench, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except (FieldError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a fault in bmpoints, not in its input

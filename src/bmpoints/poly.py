@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .fields import Field
 from .orders import Exponent, TermOrder, exp_mul
 
@@ -70,24 +73,35 @@ class Polynomial:
         return self.leading_term(order)[0]
 
     def evaluate(self, point):
-        """Exact value at point = (x, y)."""
+        """Exact value at point = (x, y).
+
+        Powers of x and y are built once, up to the largest exponents I and
+        J.  Over F_p they are reduced mod p.  Over Q, with x = a/b, y = c/d
+        and L the lcm of the coefficient denominators, the value is the
+        integer sum of (coefficient * L) * a^i b^(I-i) * c^j d^(J-j) over
+        L b^I d^J, so the only gcd is the final Fraction's.  A negative
+        exponent is a ValueError.
+        """
         f = self.field
+        terms = self.terms
+        if not terms:
+            return f.zero
+        xs, ys = zip(*terms)
+        I, J = max(xs), max(ys)
+        if min(xs) < 0 or min(ys) < 0:
+            raise ValueError("cannot evaluate a negative exponent")
         x, y = point
-        xpow = {0: f.one}
-        ypow = {0: f.one}
-
-        def power(cache, base, n):
-            v = cache.get(n)
-            if v is None:
-                v = f.mul(power(cache, base, n - 1), base)
-                cache[n] = v
-            return v
-
-        acc = f.zero
-        for (i, j), c in self.terms.items():
-            acc = f.add(acc, f.mul(c, f.mul(power(xpow, x, i),
-                                            power(ypow, y, j))))
-        return acc
+        if f.char:
+            p = f.char
+            xp, yp = _powers(x, I, p), _powers(y, J, p)
+            return sum(c * xp[i] * yp[j] for (i, j), c in terms.items()) % p
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        xp = [u * v for u, v in zip(_powers(a, I), _powers(b, I)[::-1])]
+        yp = [u * v for u, v in zip(_powers(c, J), _powers(d, J)[::-1])]
+        L = lcm(*(v.denominator for v in terms.values()))
+        s = sum(v.numerator * (L // v.denominator) * xp[i] * yp[j]
+                for (i, j), v in terms.items())
+        return Fraction(s, L * b**I * d**J)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -147,6 +161,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
+
+
+def _powers(base, n: int, p: int = 0) -> list:
+    """[base^0, ..., base^n], each reduced mod p when p is given."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * base % p if p else out[-1] * base)
+    return out
 
 
 # -- rendering ----------------------------------------------------------

@@ -3,7 +3,8 @@ brute-force oracle.
 
 Over F_p the vanishing and Newton checks evaluate every polynomial at every
 point with a few exact modular matrix products; over Q they evaluate one
-polynomial at one point at a time.  Neither path uses the engine code.
+polynomial at one point at a time, as one integer sum over a common
+denominator.  Neither path uses the engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and

@@ -84,6 +84,18 @@ EX5_G_X2Y4 = ("x^2y^4+x^4y+3x^2y^3+3xy^4+5y^5+x^4+6x^3y+3x^2y^2+2xy^3+4y^4"
               "+6x^3+4y^3+6x^2+2xy+3y^2+x+5y")
 
 
+def reference_value(q, pt):
+    """q at pt, term by term with no shared powers: the reference
+    Polynomial.evaluate is tested against."""
+    x, y = pt
+    p = q.field.char
+    if p:
+        return sum(c * pow(x, i, p) * pow(y, j, p)
+                   for (i, j), c in q.terms.items()) % p
+    return sum((c * Fr(x) ** i * Fr(y) ** j for (i, j), c in q.terms.items()),
+               Fr(0))
+
+
 @pytest.fixture
 def ex1():
     return PointSet(QQ, EX1_POINTS)

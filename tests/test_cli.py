@@ -161,6 +161,22 @@ def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: invariant broken" in err
 
 
+def test_internal_value_and_key_errors_exit_3(tmp_path, capsys, monkeypatch):
+    """Only reading the input may give 2; the runner's errors are faults."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 3)])
+    args = ["compute", "--field", "q:7", "--order", "tdinlex",
+            "--points", str(pts)]
+    for exc in (ValueError("bad pivot"), KeyError("row")):
+        def broken(ps, order, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "gpbm_run", broken)
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert f"internal error: {type(exc).__name__}" in err
+
+
 def test_verify_rejects_negative_exponent(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     _write_points(pts, [(0, 0), (1, 0)])

@@ -1,5 +1,6 @@
 """Sparse polynomials: arithmetic against evaluation, rendering, JSON."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,11 @@ from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.poly import (Polynomial, ZeroPolynomialError, monomial_text,
                            poly_from_json_terms, poly_json_terms, poly_text)
+from conftest import reference_value
 
 F7 = make_field("q:7")
+F23 = make_field("q:23")
+BIG = make_field("q:2147483647")
 QQ = make_field("rational")
 
 exponents = st.tuples(st.integers(min_value=0, max_value=6),
@@ -88,3 +92,55 @@ def test_from_pairs_accumulates():
     assert p.terms == {(0, 0): 2}  # 3 + 4 = 0 mod 7
     assert Polynomial.monomial(F7, (1, 0), 0).is_zero()
     assert Polynomial.constant(F7, 7).is_zero()
+
+
+def _random_coefficient(field, rng):
+    if field.char:
+        return rng.randrange(1, field.char)
+    return Fraction(rng.randrange(1, 10**6) * rng.choice((-1, 1)),
+                    rng.randrange(1, 10**4))
+
+
+def _random_coordinate(field, rng):
+    if field.char:
+        return rng.randrange(field.char)
+    return Fraction(rng.randrange(-99, 100), rng.randrange(1, 60))
+
+
+@pytest.mark.parametrize("field", [QQ, F23, BIG],
+                         ids=["rational", "p=23", "p=2^31-1"])
+def test_evaluate_matches_reference(field):
+    rng = random.Random(field.char + 17)
+    coords = [field.zero, field.one, field.convert(-3)]
+    if not field.char:
+        coords += [Fraction(-7, 3), Fraction(5, 12)]
+    for n_terms in (0, 1, 4, 30):
+        for _ in range(12):
+            q = Polynomial.from_pairs(
+                field, [((rng.randrange(20), rng.randrange(20)),
+                         _random_coefficient(field, rng))
+                        for _ in range(n_terms)])
+            pts = [(rng.choice(coords), rng.choice(coords)),
+                   (_random_coordinate(field, rng), rng.choice(coords))]
+            pts += [(_random_coordinate(field, rng),
+                     _random_coordinate(field, rng)) for _ in range(4)]
+            for pt in pts:
+                assert q.evaluate(pt) == reference_value(q, pt)
+    zero = Polynomial.zero(field).evaluate((field.one, field.one))
+    assert zero == field.zero and type(zero) is type(field.zero)
+
+
+def test_evaluate_high_exponent():
+    assert Polynomial.monomial(QQ, (1200, 0)).evaluate(
+        (Fraction(1, 2), Fraction(3))) == Fraction(1, 2**1200)
+    p = BIG.char
+    assert Polynomial.monomial(BIG, (1200, 0)).evaluate((123456789, 5)) \
+        == pow(123456789, 1200, p)
+
+
+@pytest.mark.parametrize("field", [QQ, F23], ids=["rational", "p=23"])
+@pytest.mark.parametrize("e", [(-1, 0), (2, -3)], ids=["x", "y"])
+def test_evaluate_rejects_negative_exponent(field, e):
+    q = Polynomial(field, {e: field.one, (1, 1): field.one})
+    with pytest.raises(ValueError):
+        q.evaluate((field.convert(2), field.convert(3)))
