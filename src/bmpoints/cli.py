@@ -13,13 +13,15 @@ the runner, the checks or the output code).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .bench import bench_csv, run_bench
+from .bench import RUNNERS, bench_csv, run_bench
 from .bm import BMResult, bm_run, gpbm_run, spbm_run
 from .fields import make_field
 from .orders import ORDERS, order_by_name
@@ -41,6 +43,41 @@ def result_to_json(result: BMResult) -> dict:
         "Q": [poly_json_terms(q, order) for q in result.Q],
         "pointPermutation": list(result.point_permutation),
     }
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2) for a result_to_json document.
+
+    dumps uses its C encoder only without indent, so with indent=2 it walks
+    every term in Python.  Here each term and each N pair is one f-string
+    and each array one join.  Keys other than G, N, Q and pointPermutation
+    (the strings, and a "verify" block) go through dumps itself.
+    """
+    enc = encode_basestring_ascii
+    items = []
+    for key, value in doc.items():
+        if key in ("G", "Q"):
+            polys = [_json_array([f"[\n        {i},\n        {j},\n        "
+                                  f"{enc(c)}\n      ]" for i, j, c in terms],
+                                 "    ")
+                     for terms in value]
+            text = _json_array(polys, "  ")
+        elif key == "N":
+            text = _json_array([f"[\n      {i},\n      {j}\n    ]"
+                                for i, j in value], "  ")
+        elif key == "pointPermutation":
+            text = _json_array([str(k) for k in value], "  ")
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {enc(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _json_array(items: list, pad: str) -> str:
+    """Rendered items as a JSON array whose closing bracket sits at pad."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
 def result_text(result: BMResult) -> str:
@@ -75,6 +112,7 @@ def _input_stage():
         raise UsageError(e) from e
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bmpoints",
@@ -133,7 +171,7 @@ def _cmd_compute(args) -> int:
     if args.out == "json":
         doc = result_to_json(result)
         doc["verify"] = report.to_json()
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         print(result_text(result))
         print("verify: " + ("PASS" if report.passed else "FAIL"))
@@ -157,15 +195,49 @@ def _cmd_bench(args) -> int:
         order = order_by_name(args.order)
         sizes = [int(s) for s in args.sizes.split(",") if s]
         algos = [a for a in args.algos.split(",") if a]
+        if not sizes or not algos:
+            raise ValueError("the grid needs at least one size and algorithm")
         for a in algos:
+            if a not in RUNNERS:
+                raise ValueError(f"unknown algorithm {a!r}")
             _resolve_algo(a, order.name)
-        records = run_bench(field, order, sizes, args.reps, algos, args.seed)
-        text = bench_csv(records)
-        if args.output:
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
+        for n in sizes:
+            if n < 1:
+                raise ValueError(f"size {n} is below 1")
+            if field.char and n > field.char ** 2:
+                raise ValueError(f"size {n} exceeds the {field.char}x"
+                                 f"{field.char} grid of {field.name}")
+    text = bench_csv(run_bench(field, order, sizes, args.reps, algos,
+                               args.seed))
+    if args.output:
+        with _input_stage():
             Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _stored_polys(field, doc: dict, key: str) -> list:
+    """doc[key] as polynomials; a zero entry is named."""
+    polys = [poly_from_json_terms(field, t) for t in doc[key]]
+    for k, q in enumerate(polys):
+        if q.is_zero():
+            raise ValueError(f"{key}[{k}] is the zero polynomial")
+    return polys
+
+
+def _stored_pairs(entries) -> list:
+    """The stored N as exponent pairs; an entry that is not a pair of
+    integers is named."""
+    N = []
+    for k, e in enumerate(entries):
+        if not (isinstance(e, list) and len(e) == 2
+                and all(type(v) is int for v in e)):
+            raise ValueError(f"N[{k}] is not a pair of integers: {e!r}")
+        N.append((e[0], e[1]))
+    return N
 
 
 def _cmd_verify(args) -> int:
@@ -174,12 +246,11 @@ def _cmd_verify(args) -> int:
         field = make_field(doc["field"])
         order = order_by_name(doc["order"])
         ps = parse_point_file(field, Path(args.points).read_text())
-        G = [poly_from_json_terms(field, t) for t in doc["G"]]
-        N = [(int(i), int(j)) for i, j in doc["N"]]
-        Q = [poly_from_json_terms(field, t) for t in doc["Q"]]
+        G = _stored_polys(field, doc, "G")
+        N = _stored_pairs(doc["N"])
+        Q = _stored_polys(field, doc, "Q")
         perm = [int(k) for k in doc["pointPermutation"]]
-        # a stored result can be malformed past parsing, e.g. a zero G entry
-        report = verify_parts(ps, order, G, N, Q, perm)
+    report = verify_parts(ps, order, G, N, Q, perm)
     print(report.text())
     return 0 if report.passed else 1
 

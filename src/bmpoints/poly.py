@@ -60,8 +60,9 @@ class Polynomial:
 
     def terms_sorted(self, order: TermOrder):
         """Terms as (exponent, coefficient) pairs, descending under order."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
-                      reverse=True)
+        terms = self.terms
+        return [(e, terms[e])
+                for e in sorted(terms, key=order.key, reverse=True)]
 
     def leading_term(self, order: TermOrder):
         if not self.terms:
@@ -212,7 +213,8 @@ def poly_text(p: Polynomial, order: TermOrder) -> str:
 
 def poly_json_terms(p: Polynomial, order: TermOrder) -> list:
     """JSON form: [i, j, "coeff"] triples descending under order."""
-    return [[e[0], e[1], p.field.format(c)] for e, c in p.terms_sorted(order)]
+    fmt = p.field.format
+    return [[i, j, fmt(c)] for (i, j), c in p.terms_sorted(order)]
 
 
 def poly_from_json_terms(field: Field, triples) -> Polynomial:

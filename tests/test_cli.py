@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import bmpoints
-from bmpoints import cli
+from bmpoints import bench, cli
 from bmpoints.cli import run_cli
 from bmpoints.poly import Polynomial
 from conftest import EX1_POINTS
@@ -22,7 +22,9 @@ def test_compute_json(tmp_path, capsys):
     _write_points(pts, EX1_POINTS)
     code = run_cli(["compute", "--field", "rational", "--order", "inlex",
                     "--points", str(pts), "--out", "json"])
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
     assert code == 0
     assert doc["field"] == "rational" and doc["order"] == "inlex"
     assert doc["algorithm"] == "spbm"  # auto picks the seeded path for inlex
@@ -126,6 +128,69 @@ def test_bench_stdout(capsys):
     assert 0.0 < ratio <= 1.0
 
 
+def test_bench_rejects_empty_or_impossible_grid(capsys):
+    base = ["bench", "--field", "q:3", "--order", "lex", "--algos", "bm"]
+    for extra in (["--sizes", "4", "--reps", "0"],
+                  ["--sizes", "4", "--reps", "-3"],
+                  ["--sizes", "0", "--reps", "1"],
+                  ["--sizes", "4,-1", "--reps", "1"],
+                  ["--sizes", "10", "--reps", "1"],
+                  ["--sizes", ",", "--reps", "1"],
+                  ["--sizes", "4", "--reps", "1", "--algos", "qbm"]):
+        assert run_cli(base + extra) == 2, extra
+        assert "error:" in capsys.readouterr().err
+    assert run_cli(base + ["--sizes", "9", "--reps", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_bench_runner_fault_exits_3(capsys, monkeypatch):
+    def broken(ps, order):
+        raise ValueError("bad pivot")
+
+    monkeypatch.setitem(bench.RUNNERS, "bm", broken)
+    assert run_cli(["bench", "--field", "q:7", "--order", "lex",
+                    "--sizes", "5", "--reps", "1", "--algos", "bm"]) == 3
+    assert "internal error: ValueError: bad pivot" in capsys.readouterr().err
+
+
+def _stored_result(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 3)])
+    assert run_cli(["compute", "--field", "q:7", "--order", "lex",
+                    "--points", str(pts), "--out", "json"]) == 0
+    return pts, json.loads(capsys.readouterr().out)
+
+
+def test_verify_names_malformed_entries(tmp_path, capsys):
+    pts, doc = _stored_result(tmp_path, capsys)
+    res = tmp_path / "res.json"
+    for key, entry, want in (("G", [], "G[0] is the zero polynomial"),
+                             ("Q", [[0, 0, "7"]],
+                              "Q[0] is the zero polynomial"),
+                             ("N", [0, 0, 1], "N[0] is not a pair"),
+                             ("N", 3, "N[0] is not a pair")):
+        bad = json.loads(json.dumps(doc))
+        bad[key][0] = entry
+        res.write_text(json.dumps(bad))
+        assert run_cli(["verify", "--result", str(res),
+                        "--points", str(pts)]) == 2, key
+        assert want in capsys.readouterr().err
+
+
+def test_verify_check_fault_exits_3(tmp_path, capsys, monkeypatch):
+    pts, doc = _stored_result(tmp_path, capsys)
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps(doc))
+
+    def broken(*args):
+        raise ValueError("bad table")
+
+    monkeypatch.setattr(cli, "verify_parts", broken)
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 3
+    assert "internal error: ValueError: bad table" in capsys.readouterr().err
+
+
 def test_missing_subcommand(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
@@ -151,6 +216,12 @@ def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "spbm_run", corrupted)
     assert run_cli(args) == 1
     assert "verify: FAIL" in capsys.readouterr().out
+    assert run_cli(args + ["--out", "json"]) == 1
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert doc["verify"]["passed"] is False
+    assert any(c["detail"] for c in doc["verify"]["checks"])
 
     def broken(ps, order):
         raise RuntimeError("invariant broken")

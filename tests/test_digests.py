@@ -1,4 +1,5 @@
-"""`compute` output stays bit-identical to the benchmark's recorded digests."""
+"""`compute` output stays bit-identical to the benchmark's recorded digests,
+in the layout of json.dumps(..., indent=2)."""
 
 import hashlib
 import json
@@ -33,7 +34,9 @@ def test_compute_matches_recorded_digests(name, tmp_path, capsys):
     for path in wl.write(tmp_path, DIGEST_SEED):
         assert run_cli(["compute", "--field", wl.field, "--order", wl.order,
                         "--points", str(path), "--out", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
         keep = {k: doc[k] for k in ("G", "N", "Q", "pointPermutation")}
         got.append(hashlib.sha256(
             json.dumps(keep, sort_keys=True).encode()).hexdigest())

@@ -130,6 +130,28 @@ def test_evaluate_matches_reference(field):
     assert zero == field.zero and type(zero) is type(field.zero)
 
 
+@pytest.mark.parametrize("order", [LEX, INLEX, TDINLEX],
+                         ids=lambda o: o.name)
+@pytest.mark.parametrize("field", [QQ, F23, BIG],
+                         ids=["rational", "p=23", "p=2^31-1"])
+def test_term_order_matches_reference(field, order):
+    rng = random.Random(field.char + 29)
+    for n_terms in (0, 1, 4, 30):
+        for _ in range(12):
+            q = Polynomial.from_pairs(
+                field, [((rng.randrange(20), rng.randrange(20)),
+                         _random_coefficient(field, rng))
+                        for _ in range(n_terms)])
+            ref = sorted(q.terms.items(), key=lambda t: order.key(t[0]),
+                         reverse=True)
+            assert q.terms_sorted(order) == ref
+            chunks = [poly_text(Polynomial(field, {e: c}), order)
+                      for e, c in ref]
+            text = "".join(c if k == 0 or c.startswith("-") else "+" + c
+                           for k, c in enumerate(chunks))
+            assert poly_text(q, order) == (text or "0")
+
+
 def test_evaluate_high_exponent():
     assert Polynomial.monomial(QQ, (1200, 0)).evaluate(
         (Fraction(1, 2), Fraction(3))) == Fraction(1, 2**1200)
