@@ -6,6 +6,12 @@ points share one elimination loop: bm_run starts from an empty staircase;
 spbm_run (lex/inlex) preloads every point through a line cover and its
 Newton basis, leaving only the Groebner elements to discover; gpbm_run
 (any order) preloads a maximal cartesian subset and lets the loop finish.
+
+Both seeded runs, over either field, preload through one path: the newton
+module builds the cover's basis as rows of values and coefficients, and
+evaluation_matrix extends the values to the run points.  The basis index
+order is the slot order, so the seeded slots are exactly the cover's lower
+set.
 """
 
 from __future__ import annotations
@@ -16,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartesian import max_cartesian_subset, order_points_gpbm
-from .engine import PrimeEngine, engine_for
+from .engine import engine_for
 from .fields import Field
 from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
 from .orders import TermOrder, exp_divides
-from .points import (EmptySetError, LineCover, PointSet, is_lower, line_cover,
-                     lower_set_of)
+from .points import EmptySetError, LineCover, PointSet, is_lower, line_cover
 from .poly import Polynomial
 
 
@@ -160,11 +165,8 @@ def spbm_run(ps: PointSet, order: TermOrder) -> BMResult:
         raise UnsupportedOrderError(
             f"spbm supports lex and inlex, not {order.name}")
     cover = line_cover(ps, axis)
-    lows = lower_set_of(cover)
-    slots = lows.row_major() if axis == "rows" else lows.column_major()
     st = _new_state(ps, order, cover.flatten())
-    _seed(st, cover, slots)
-    st.L = border(slots, st.order)
+    _seed(st, cover)
     _loop(st)
     return _finish(st, "spbm")
 
@@ -177,88 +179,23 @@ def gpbm_run(ps: PointSet, order: TermOrder) -> BMResult:
     subset, _removed = max_cartesian_subset(ps)
     cover = line_cover(subset, "rows")
     st = _new_state(ps, order, order_points_gpbm(ps, subset, cover))
-    _seed(st, cover, lower_set_of(cover).row_major())
-    st.L = border(st.N, st.order)
+    _seed(st, cover)
     _loop(st)
     return _finish(st, "gpbm")
 
 
-def _seed(st: BMState, cover: LineCover, slots: list) -> None:
-    """Preload the engine with the Newton rows of a cover: slot k's row is
-    zero at run points before k and one at run point k."""
-    st.N = list(slots)
-    st.seeded = len(slots)
-    if isinstance(st.engine, PrimeEngine):
-        _seed_fast_prime(st.engine, cover, slots)
-    else:
-        basis = (newton_basis_rows(cover) if cover.axis == "rows"
-                 else newton_basis_cols(cover))
-        _seed_via_basis(st.engine, basis, slots, st.run_points)
-
-
-def _seed_via_basis(eng, basis, slots: list, run_points: list) -> None:
-    """Desk-scale seeding: evaluate the Newton basis and read the
-    coefficient half straight off the polynomials."""
-    col = {e: c for c, e in enumerate(slots)}
-    aug = []
-    for poly, evals in zip(basis.polys, evaluation_matrix(basis, run_points)):
-        row = eng.new_vector(evals)
-        for e, c in poly.terms.items():
-            row[eng.mu + col[e]] = c
-        aug.append(row)
+def _seed(st: BMState, cover: LineCover) -> None:
+    """Preload the engine with the Newton rows of a cover and queue the
+    border: row k holds the values of basis element k at the run points
+    (zero before run point k, one at it), then its coefficients over the
+    slots, which are the basis index order."""
+    basis = (newton_basis_rows(cover) if cover.axis == "rows"
+             else newton_basis_cols(cover))
+    eng, k = st.engine, len(basis)
+    aug = np.full((k, eng.width), st.field.zero, dtype=basis.coeffs.dtype)
+    evaluation_matrix(basis, st.run_points, out=aug[:, :eng.mu])
+    aug[:, eng.mu:eng.mu + k] = basis.coeffs
     eng.bulk_load(aug)
-
-
-def _advance(vec_b, vec_c, coords, shift, c: int, p: int):
-    """Multiply a tracked product by (var - c): point-wise on the evaluation
-    half, exponent-shift minus c-scale on the coefficient half."""
-    b = vec_b * ((coords - c) % p) % p
-    moved = np.zeros_like(vec_c)
-    src = np.nonzero(vec_c)[0]
-    tgt = shift[src]
-    if (tgt < 0).any():
-        raise RuntimeError("seeding shifted a live coefficient out of the "
-                           "lower set")
-    moved[tgt] = vec_c[src]
-    return b, (moved + (p - c) * vec_c) % p
-
-
-def _seed_fast_prime(eng: PrimeEngine, cover: LineCover, slots: list) -> None:
-    """Vectorized prime-field seeding, equivalent to _seed_via_basis but
-    without building any polynomial: evaluation rows grow by multiplying
-    running linear factors, coefficient rows by shift-and-scale."""
-    p = eng.p
-    mu = eng.mu
-    k = len(slots)
-    col = {e: c for c, e in enumerate(slots)}
-    inner = 0 if cover.axis == "rows" else 1
-    shift_in = np.full(k, -1, dtype=np.int64)
-    shift_out = np.full(k, -1, dtype=np.int64)
-    for c, (i, j) in enumerate(slots):
-        up_in = (i + 1, j) if inner == 0 else (i, j + 1)
-        up_out = (i, j + 1) if inner == 0 else (i + 1, j)
-        shift_in[c] = col.get(up_in, -1)
-        shift_out[c] = col.get(up_out, -1)
-    coords_in = eng.xs if inner == 0 else eng.ys
-    coords_out = eng.ys if inner == 0 else eng.xs
-    aug = np.zeros((k, eng.width), dtype=np.int64)
-    head_b = np.ones(mu, dtype=np.int64) % p
-    head_c = np.zeros(k, dtype=np.int64)
-    head_c[col[(0, 0)]] = 1 % p
-    row = 0
-    for gidx, (_, grp) in enumerate(cover.groups):
-        if gidx:
-            prev_key = cover.groups[gidx - 1][0]
-            head_b, head_c = _advance(head_b, head_c, coords_out, shift_out,
-                                      int(prev_key), p)
-        cur_b, cur_c = head_b, head_c
-        for pidx, pt in enumerate(grp):
-            if pidx:
-                prev_pt = grp[pidx - 1]
-                cur_b, cur_c = _advance(cur_b, cur_c, coords_in, shift_in,
-                                        int(prev_pt[inner]), p)
-            s = eng.field.inv(int(cur_b[row]))
-            aug[row, :mu] = cur_b * s % p
-            aug[row, mu:mu + k] = cur_c * s % p
-            row += 1
-    eng.bulk_load(aug)
+    st.N = list(basis.index_order)
+    st.seeded = k
+    st.L = border(st.N, st.order)

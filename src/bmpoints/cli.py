@@ -219,37 +219,56 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _each(entries, name: str, ok=None, what: str = "") -> list:
+    """entries, named if it is not a list; given ok, the first entry that
+    fails it is named."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{name} is not a list: {entries!r}")
+    for k, e in enumerate(entries):
+        if ok and not ok(e):
+            raise ValueError(f"{name}[{k}] is not {what}: {e!r}")
+    return entries
+
+
+def _is_pair(e) -> bool:
+    return (isinstance(e, list) and len(e) == 2
+            and all(type(v) is int for v in e))
+
+
+def _is_term(t) -> bool:
+    return (isinstance(t, list) and len(t) == 3 and _is_pair(t[:2])
+            and isinstance(t[2], str))
+
+
 def _stored_polys(field, doc: dict, key: str) -> list:
-    """doc[key] as polynomials; a zero entry is named."""
-    polys = [poly_from_json_terms(field, t) for t in doc[key]]
-    for k, q in enumerate(polys):
+    """doc[key] as polynomials; a malformed term or a zero entry is named."""
+    polys = []
+    for k, terms in enumerate(_each(doc[key], key)):
+        q = poly_from_json_terms(field, _each(terms, f"{key}[{k}]", _is_term,
+                                              'an [i, j, "c"] triple'))
         if q.is_zero():
             raise ValueError(f"{key}[{k}] is the zero polynomial")
+        polys.append(q)
     return polys
-
-
-def _stored_pairs(entries) -> list:
-    """The stored N as exponent pairs; an entry that is not a pair of
-    integers is named."""
-    N = []
-    for k, e in enumerate(entries):
-        if not (isinstance(e, list) and len(e) == 2
-                and all(type(v) is int for v in e)):
-            raise ValueError(f"N[{k}] is not a pair of integers: {e!r}")
-        N.append((e[0], e[1]))
-    return N
 
 
 def _cmd_verify(args) -> int:
     with _input_stage():
         doc = json.loads(Path(args.result).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("the stored result is not a JSON object")
+        for key in ("field", "order"):
+            if not isinstance(doc[key], str):
+                raise ValueError(f"{key} is not a string: {doc[key]!r}")
         field = make_field(doc["field"])
         order = order_by_name(doc["order"])
         ps = parse_point_file(field, Path(args.points).read_text())
         G = _stored_polys(field, doc, "G")
-        N = _stored_pairs(doc["N"])
+        N = [tuple(e) for e in _each(doc["N"], "N", _is_pair,
+                                     "a pair of integers")]
         Q = _stored_polys(field, doc, "Q")
-        perm = [int(k) for k in doc["pointPermutation"]]
+        perm = _each(doc["pointPermutation"], "pointPermutation",
+                     lambda v: type(v) is int, "an integer")
     report = verify_parts(ps, order, G, N, Q, perm)
     print(report.text())
     return 0 if report.passed else 1

@@ -229,20 +229,3 @@ def make_field(spec: str) -> Field:
         return PrimeField(p)
     raise BadFieldSpecError(f"bad field spec {spec!r}")
 
-
-def canonicalize(field: Field, raw):
-    """Canonical element of `field` from a raw int/fraction."""
-    return field.convert(raw)
-
-
-def arith(field: Field, op: str, a, b=None):
-    """Dispatch a named field operation: add|sub|mul|div|inv|neg."""
-    if op in ("inv", "neg"):
-        if b is not None:
-            raise FieldError(f"{op} takes a single operand")
-        return getattr(field, op)(a)
-    if op in ("add", "sub", "mul", "div"):
-        if b is None:
-            raise FieldError(f"{op} needs two operands")
-        return getattr(field, op)(a, b)
-    raise FieldError(f"unknown field op {op!r}")

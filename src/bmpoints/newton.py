@@ -8,76 +8,131 @@ cover) the basis element indexed by (i, j) is
 with c normalizing phi_ij(u_ij) to 1; evaluations against the cover-ordered
 points form an upper unitriangular matrix.  The column-cover construction
 mirrors this with the roles of x and y swapped.
+
+One recurrence builds every product, one linear factor at a time, as a row
+of values at a list of points and as a row of coefficients over the index
+order.  A factor (v - c) multiplies the values point by point and maps the
+coefficients to their shift by one in v minus c times themselves.  Rows are
+int64 arrays reduced mod p over F_p and object arrays of Fraction over Q.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .fields import Field
-from .points import EmptySetError, LineCover, PointSet
+from .points import EmptySetError, LineCover
 from .poly import Polynomial
 
 
+def _full(field: Field, shape, value) -> np.ndarray:
+    return np.full(shape, value, dtype=np.int64 if field.char else object)
+
+
+def _mod(field: Field, a: np.ndarray) -> np.ndarray:
+    """a reduced mod p in place over F_p, a itself over Q."""
+    if field.char:
+        a %= field.char
+    return a
+
+
 class NewtonBasis:
-    """Basis polynomials with their index exponents and matching points."""
+    """A Newton basis over a line cover, kept as rows: values[r] holds
+    element r's values at point_order (upper unitriangular), coeffs[r] its
+    coefficients over index_order."""
 
-    __slots__ = ("field", "polys", "index_order", "point_order")
+    __slots__ = ("field", "cover", "index_order", "point_order", "values",
+                 "coeffs", "_polys")
 
-    def __init__(self, field: Field, polys, index_order, point_order):
-        self.field = field
-        self.polys = polys
+    def __init__(self, cover: LineCover, index_order: list, rows):
+        self.field = cover.field
+        self.cover = cover
         self.index_order = index_order
-        self.point_order = point_order
+        self.point_order = cover.flatten()
+        self.values, self.coeffs = np.hsplit(rows, 2)
+        self._polys = None
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.index_order)
+
+    @property
+    def polys(self) -> list:
+        """The basis elements as polynomials, built once from coeffs."""
+        if self._polys is None:
+            self._polys = [Polynomial(self.field, {
+                e: c for e, c in zip(self.index_order, row) if c})
+                for row in self.coeffs.tolist()]
+        return self._polys
 
 
-def _poly_mul_linear(p: Polynomial, var: int, shift) -> Polynomial:
-    """p * (x - shift) for var 0, p * (y - shift) for var 1."""
-    f = p.field
-    terms: dict = {}
-    neg = f.neg(shift)
-    for (i, j), c in p.terms.items():
-        up = (i + 1, j) if var == 0 else (i, j + 1)
-        s = f.add(terms.get(up, f.zero), c)
-        if s == f.zero:  # an up-shift can cancel an earlier cross term
-            terms.pop(up, None)
-        else:
-            terms[up] = s
-        if neg != f.zero:
-            s = f.add(terms.get((i, j), f.zero), f.mul(c, neg))
-            if s == f.zero:
-                terms.pop((i, j), None)
-            else:
-                terms[(i, j)] = s
-    return Polynomial(f, terms)
+def _variable(field: Field, points: list, index_order: list,
+              var: int) -> tuple:
+    """Multiplication by variable var (0 for x, 1 for y) on a row of values
+    at points followed by coefficients over index_order: the row maps to
+    row[gather] * weight.  dead lists the coefficients whose exponent times
+    the variable has no slot."""
+    m, k = len(points), len(index_order)
+    col = {e: m + s for s, e in enumerate(index_order)}
+    up = [col.get((i + 1, j) if var == 0 else (i, j + 1))
+          for i, j in index_order]
+    gather = np.arange(m + k)
+    weight = _full(field, m + k, field.zero)
+    weight[:m] = [pt[var] for pt in points]
+    for s, t in enumerate(up):
+        if t is not None:
+            gather[t], weight[t] = m + s, field.one
+    dead = [m + s for s, t in enumerate(up) if t is None]
+    return gather, weight, np.array(dead, dtype=np.intp)
+
+
+def _times_linear(field: Field, row: np.ndarray, variable: tuple, c):
+    """The product in row times (v - c), v the variable of _variable."""
+    gather, weight, dead = variable
+    if row[dead].any():
+        raise RuntimeError("a Newton product shifted a live coefficient out "
+                           "of the lower set")
+    return _mod(field, row[gather] * weight - c * row)
+
+
+def _products(cover: LineCover, points: list, index_order=()):
+    """Each basis element's product before normalization, in cover order,
+    as one row: its values at points, then its coefficients over
+    index_order."""
+    field = cover.field
+    inner = 0 if cover.axis == "rows" else 1
+    var_in = _variable(field, points, index_order, inner)
+    var_out = _variable(field, points, index_order, 1 - inner)
+    head = _full(field, len(points) + len(index_order), field.zero)
+    head[:len(points)] = field.one
+    if index_order:
+        head[len(points)] = field.one  # slot 0 is the exponent (0, 0)
+    groups = cover.groups
+    for gidx, (_, grp) in enumerate(groups):
+        if gidx:
+            head = _times_linear(field, head, var_out, groups[gidx - 1][0])
+        cur = head
+        for pidx in range(len(grp)):
+            if pidx:
+                cur = _times_linear(field, cur, var_in, grp[pidx - 1][inner])
+            yield cur
 
 
 def _build(cover: LineCover, axis: str) -> NewtonBasis:
     if cover.axis != axis:
         raise ValueError(f"expected a {axis} cover, got {cover.axis}")
-    groups = cover.groups
-    if not groups:
+    if not cover.groups:
         raise EmptySetError("empty cover")
     field = cover.field
-    inner_var = 0 if axis == "rows" else 1
-    outer_var = 1 - inner_var
-    polys = []
-    index_order = []
-    point_order = []
-    head = Polynomial.constant(field, 1)  # product over earlier group keys
-    for gidx, (gkey, grp) in enumerate(groups):
-        cur = head
-        for pidx, pt in enumerate(grp):
-            c = field.inv(cur.evaluate(pt))
-            polys.append(cur.scale(c))
-            index_order.append((pidx, gidx) if axis == "rows"
-                               else (gidx, pidx))
-            point_order.append(pt)
-            cur = _poly_mul_linear(cur, inner_var, pt[inner_var])
-        if gidx + 1 < len(groups):
-            head = _poly_mul_linear(head, outer_var, gkey)
-    return NewtonBasis(field, polys, index_order, point_order)
+    index_order = [(pidx, gidx) if axis == "rows" else (gidx, pidx)
+                   for gidx, (_, grp) in enumerate(cover.groups)
+                   for pidx in range(len(grp))]
+    k = len(index_order)
+    rows = _full(field, (k, 2 * k), field.zero)
+    for r, row in enumerate(_products(cover, cover.flatten(), index_order)):
+        rows[r] = row
+    rows *= np.array([[field.inv(field.convert(rows[r, r]))]
+                      for r in range(k)], dtype=rows.dtype)
+    return NewtonBasis(cover, index_order, _mod(field, rows))
 
 
 def newton_basis_rows(cover: LineCover) -> NewtonBasis:
@@ -90,35 +145,40 @@ def newton_basis_cols(cover: LineCover) -> NewtonBasis:
     return _build(cover, "columns")
 
 
-def evaluation_matrix(basis: NewtonBasis, all_points: PointSet) -> list:
-    """Rows = basis evaluations at all points; leading block unitriangular."""
+def evaluation_matrix(basis: NewtonBasis, all_points, out=None) -> np.ndarray:
+    """Rows = basis evaluations at all points, written into out if given.
+
+    all_points must start with the basis points, whose values the basis
+    holds (a unitriangular block); the recurrence runs only after them.
+    """
+    pts = list(all_points)
     n = len(basis)
-    if list(all_points)[:n] != basis.point_order:
+    if pts[:n] != basis.point_order:
         raise ValueError("point list does not start with the basis points")
-    return [[p.evaluate(pt) for pt in all_points] for p in basis.polys]
+    f = basis.field
+    if out is None:
+        out = _full(f, (n, len(pts)), f.zero)
+    out[:, :n] = basis.values
+    if len(pts) > n:
+        # a product is monic at its own index, so coeffs[r, r] normalizes it
+        for r, row in enumerate(_products(basis.cover, pts[n:])):
+            out[r, n:] = _mod(f, row * basis.coeffs[r, r])
+    return out
 
 
 def interpolate(basis: NewtonBasis, values) -> Polynomial:
     """The unique combination of the basis matching the values on its points.
 
-    Forward substitution against the triangular evaluation matrix.
+    Forward substitution against the triangular evaluation rows.
     """
     f = basis.field
-    n = len(basis)
-    values = [f.convert(v) for v in values]
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
-    resid = list(values)
-    coeffs = []
-    for k, p in enumerate(basis.polys):
-        c = resid[k]
-        coeffs.append(c)
-        if c != f.zero:
-            for m in range(k + 1, n):
-                resid[m] = f.sub(resid[m],
-                                 f.mul(c, p.evaluate(basis.point_order[m])))
-    out = Polynomial.zero(f)
-    for c, p in zip(coeffs, basis.polys):
-        if c != f.zero:
-            out = out.add(p.scale(c))
-    return out
+    resid = np.array([f.convert(v) for v in values], dtype=basis.values.dtype)
+    if len(resid) != len(basis):
+        raise ValueError(f"expected {len(basis)} values, got {len(resid)}")
+    total = _full(f, len(basis), f.zero)
+    for k in range(len(basis)):
+        if c := resid[k]:
+            resid = _mod(f, resid - c * basis.values[k])
+            total = _mod(f, total + c * basis.coeffs[k])
+    return Polynomial(f, {e: c for e, c in zip(basis.index_order,
+                                               total.tolist()) if c})

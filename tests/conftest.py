@@ -6,6 +6,7 @@ import pytest
 
 from bmpoints.fields import make_field
 from bmpoints.points import PointSet
+from bmpoints.poly import Polynomial
 
 QQ = make_field("rational")
 F3 = make_field("q:3")
@@ -94,6 +95,36 @@ def reference_value(q, pt):
                    for (i, j), c in q.terms.items()) % p
     return sum((c * Fr(x) ** i * Fr(y) ** j for (i, j), c in q.terms.items()),
                Fr(0))
+
+
+def reference_newton(cover):
+    """The Newton elements of a cover, each built as a Polynomial product of
+    linear factors term by term and normalized at its point: the reference
+    the newton recurrence is tested against."""
+    f = cover.field
+    inner = 0 if cover.axis == "rows" else 1
+
+    def times_linear(terms, var, c):  # terms * (x - c) or (y - c)
+        out = {}
+        for (i, j), a in terms.items():
+            for e, b in (((i + 1, j) if var == 0 else (i, j + 1), f.one),
+                         ((i, j), f.neg(f.convert(c)))):
+                out[e] = f.add(out.get(e, f.zero), f.mul(a, b))
+        return {e: a for e, a in out.items() if a != f.zero}
+
+    polys = []
+    head = {(0, 0): f.one}
+    for gidx, (_, grp) in enumerate(cover.groups):
+        if gidx:
+            head = times_linear(head, 1 - inner, cover.groups[gidx - 1][0])
+        for pidx, pt in enumerate(grp):
+            terms = head
+            for prev in grp[:pidx]:
+                terms = times_linear(terms, inner, prev[inner])
+            s = f.inv(reference_value(Polynomial(f, terms), pt))
+            polys.append(Polynomial(f, {e: f.mul(s, a)
+                                        for e, a in terms.items()}))
+    return polys
 
 
 @pytest.fixture

@@ -1,15 +1,15 @@
 """BM runs: golden outputs, algorithm agreement, structural invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, _advance,
-                         bm_run, border, gpbm_run, spbm_run)
+from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, bm_run,
+                         border, gpbm_run, spbm_run)
 from bmpoints.cartesian import max_cartesian_subset
 from bmpoints.fields import make_field
+from bmpoints.newton import newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
-from bmpoints.points import (EmptySetError, PointSet, line_cover,
+from bmpoints.points import (EmptySetError, LineCover, PointSet, line_cover,
                              lower_set_of)
 from bmpoints.poly import poly_text
 from bmpoints.randgen import gen_points
@@ -23,10 +23,11 @@ BIG = make_field("q:2147483647")
 
 
 def test_advance_rejects_coefficient_without_slot():
-    # the live coefficient in slot 0 has no slot above it (shift -1)
+    # rows of sizes 1 then 2 index no lower set: the product (y - 1) * x
+    # moves the live constant coefficient to (1, 0), which has no slot
+    cover = LineCover("rows", [(1, [(0, 1)]), (2, [(0, 2), (1, 2)])], F7)
     with pytest.raises(RuntimeError):
-        _advance(np.ones(2, dtype=np.int64), np.array([1, 0]),
-                 np.array([0, 1]), np.array([-1, -1]), 0, 7)
+        newton_basis_rows(cover)
 
 
 def test_border_goldens():

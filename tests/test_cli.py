@@ -177,6 +177,34 @@ def test_verify_names_malformed_entries(tmp_path, capsys):
         assert want in capsys.readouterr().err
 
 
+def test_verify_names_wrong_json_types(tmp_path, capsys):
+    pts, doc = _stored_result(tmp_path, capsys)
+    res = tmp_path / "res.json"
+    perm = doc["pointPermutation"]
+    for bad, want in (
+            (dict(doc, G=3), "G is not a list: 3"),
+            (dict(doc, N=None), "N is not a list: None"),
+            (dict(doc, field=7), "field is not a string: 7"),
+            (dict(doc, order=["lex"]), "order is not a string"),
+            ([doc], "the stored result is not a JSON object"),
+            (dict(doc, pointPermutation=[None] + perm[1:]),
+             "pointPermutation[0] is not an integer: None"),
+            (dict(doc, pointPermutation=[1.9] + perm[1:]),
+             "pointPermutation[0] is not an integer: 1.9"),
+            (dict(doc, pointPermutation=["1"] + perm[1:]),
+             "pointPermutation[0] is not an integer: '1'"),
+            (dict(doc, G=[5] + doc["G"][1:]),
+             "G[0] is not a list: 5"),
+            (dict(doc, Q=[[[0, 0]]] + doc["Q"][1:]),
+             'Q[0][0] is not an [i, j, "c"] triple: [0, 0]'),
+            (dict(doc, G=[[[1, 0, 1]]] + doc["G"][1:]),
+             'G[0][0] is not an [i, j, "c"] triple: [1, 0, 1]')):
+        res.write_text(json.dumps(bad))
+        assert run_cli(["verify", "--result", str(res),
+                        "--points", str(pts)]) == 2, want
+        assert want in capsys.readouterr().err
+
+
 def test_verify_check_fault_exits_3(tmp_path, capsys, monkeypatch):
     pts, doc = _stored_result(tmp_path, capsys)
     res = tmp_path / "res.json"

@@ -1,17 +1,42 @@
 """Newton bases: construction goldens, triangularity, interpolation."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bmpoints.fields import make_field
 from bmpoints.newton import (evaluation_matrix, interpolate,
                              newton_basis_cols, newton_basis_rows)
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
 from bmpoints.poly import Polynomial, poly_text
+from bmpoints.randgen import gen_points
 from conftest import (EX1_N, EX1_POINTS, EX1_Q_TEXT, EX1_U, EX2_POINTS,
-                      EX5_MCS_ORDER, EX5_SEED_N, EX5_SEED_Q_TEXT, F5, F7, QQ)
+                      EX5_MCS_ORDER, EX5_SEED_N, EX5_SEED_Q_TEXT, F5, F7, QQ,
+                      reference_newton, reference_value)
+
+F23 = make_field("q:23")
+BIG = make_field("q:2147483647")
+BUILDS = ((newton_basis_rows, "rows"), (newton_basis_cols, "columns"))
+
+
+def _point_sets(field):
+    """Seeded sets with several points per line: random points of F_23^2,
+    and subsets of grids of large or fractional coordinates."""
+    if field is F23:
+        return [gen_points(F23, n, seed) for n, seed in
+                ((1, 1), (9, 2), (40, 3), (120, 4))]
+    pool = ([0, 1, 2**30, 123456789, BIG.p - 2, BIG.p - 1] if field is BIG
+            else [0, 1, -1, Fr(5, 2), Fr(-7, 3), Fr(1, 9)])
+    rng = random.Random(7)
+    grid = [(x, y) for x in pool for y in pool]
+    return [PointSet(field, rng.sample(grid, n)) for n in (1, 7, 20, 36)]
+
+
+FIELDS = pytest.mark.parametrize("field", [F23, BIG, QQ],
+                                 ids=["p=23", "p=2^31-1", "rational"])
 
 
 def test_cols_basis_first_example():
@@ -55,21 +80,54 @@ def test_evaluation_matrix_goldens():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
     B = evaluation_matrix(basis, basis.point_order)
-    assert B[0][:3] == [1, 1, 1]
-    assert B[1][:3] == [0, 1, Fr(3, 2)]
-    assert B[2][:3] == [0, 0, 1]
+    assert B[0][:3].tolist() == [1, 1, 1]
+    assert B[1][:3].tolist() == [0, 1, Fr(3, 2)]
+    assert B[2][:3].tolist() == [0, 0, 1]
     assert len(B) == 9
 
     sub = PointSet(F7, EX5_MCS_ORDER)
     basis5 = newton_basis_rows(line_cover(sub, "rows"))
     B5 = evaluation_matrix(basis5, basis5.point_order)
-    assert B5[0][:3] == [1, 1, 1]
-    assert B5[1][:3] == [0, 1, 2]
-    assert B5[2][:3] == [0, 0, 1]
+    assert B5[0][:3].tolist() == [1, 1, 1]
+    assert B5[1][:3].tolist() == [0, 1, 2]
+    assert B5[2][:3].tolist() == [0, 0, 1]
 
     single = PointSet(F7, [(2, 2)])
     bs = newton_basis_rows(line_cover(single, "rows"))
-    assert evaluation_matrix(bs, bs.point_order) == [[1]]
+    assert evaluation_matrix(bs, bs.point_order).tolist() == [[1]]
+
+
+@FIELDS
+def test_recurrence_matches_reference(field):
+    for ps in _point_sets(field):
+        for build, axis in BUILDS:
+            cover = line_cover(ps, axis)
+            basis = build(cover)
+            ref = reference_newton(cover)
+            assert len(basis) == len(ref) == len(ps)
+            for r, want in enumerate(ref):
+                got = dict(zip(basis.index_order, basis.coeffs[r].tolist()))
+                assert {e: c for e, c in got.items() if c} == want.terms
+                assert basis.polys[r] == want
+                assert basis.values[r].tolist() == [
+                    reference_value(want, pt) for pt in basis.point_order]
+
+
+@FIELDS
+def test_evaluation_matrix_beyond_basis(field):
+    for ps in _point_sets(field):
+        half = len(ps) // 2
+        if half == 0:
+            continue
+        for build, axis in BUILDS:
+            basis = build(line_cover(PointSet(field, ps[:half]), axis))
+            points = basis.point_order + ps.points[half:]
+            B = evaluation_matrix(basis, points)
+            assert B.shape == (half, len(ps))
+            assert B[:, :half].tolist() == basis.values.tolist()
+            for r, q in enumerate(basis.polys):
+                assert B[r, half:].tolist() == [q.evaluate(pt)
+                                                for pt in points[half:]]
 
 
 def test_evaluation_matrix_checks_prefix():
