@@ -2,21 +2,88 @@
 
 Each engine owns an augmented matrix [E | C] of width 2*mu: the evaluation
 half E (one column per point) and the coefficient half C (one column per
-basis slot).  A single row operation serves both halves, so the polynomial
+basis slot).  Every reduction acts on both halves at once, so the polynomial
 combination t - sum a_i q_i materializes from C for free at the end instead
 of costing a symbolic pass per reduction.
 
-F_p rows are int64 numpy arrays (moduli < 2**31 keep products inside int64)
-reduced by a per-row numpy loop; Q rows are Fraction lists.
+Over F_p, row r is zero at the pivots of the rows before it and one at its
+own, so the pivot block A = mat[:r, pivots[:r]] is unit upper triangular,
+and the engine keeps its inverse.  A vector reduces by two exact modular
+products, c = v[pivots] A^-1 and v - c mat, instead of a loop over the rows;
+appending a row borders A^-1 in O(r^2), and a seeded block is inverted by
+2x2 block recursion.  The products run in float64 on base-2^b limbs, so
+every sum stays exact.  Vectors are int64 numpy arrays; Q rows are Fraction
+lists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# float64 holds every integer below this bound exactly
+_FLOAT_EXACT = 2**53
+# unitriangular blocks up to this size are inverted by a product of powers
+_BASE_BLOCK = 32
+
+
+def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """x @ m mod p, exactly, for int64 x and float64 m with entries in [0, p).
+
+    x is cut into base-2^b limbs, with b as large as keeps every float64 sum
+    below 2^53, and all limbs go through m in one product.  verify keeps its
+    own copy of this scheme, so the certificate shares no code with the
+    engine.
+    """
+    depth = m.shape[0]
+    bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1
+    if bits < 1:
+        raise ValueError(f"a product of depth {depth} mod {p} is not exact "
+                         "in float64")
+    width = (p - 1).bit_length()
+    if bits >= width:
+        return (x.astype(np.float64) @ m).astype(np.int64) % p
+    shifts = np.arange(0, width, bits).reshape(-1, *(1,) * x.ndim)
+    limbs = (x >> shifts) & ((1 << bits) - 1)
+    parts = (limbs.reshape(-1, depth).astype(np.float64) @ m
+             ).astype(np.int64) % p
+    parts = parts.reshape(len(shifts), *x.shape[:-1], m.shape[1])
+    out = parts[0]
+    for s, part in zip(range(bits, width, bits), parts[1:]):
+        out += part * pow(2, s, p)
+        out %= p
+    return out
+
+
+def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a unit upper triangular int64 matrix.
+
+    By 2x2 blocks: [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]].
+    A small block is I + N with N nilpotent, whose inverse is the product
+    (I - N)(I + N^2)(I + N^4)... over the powers below its size.
+    """
+    n = a.shape[0]
+    if n > _BASE_BLOCK:
+        h = n // 2
+        out = np.zeros_like(a)
+        out[:h, :h] = _unitri_inverse(a[:h, :h], p)
+        out[h:, h:] = _unitri_inverse(a[h:, h:], p)
+        right = _mul_mod(out[:h, :h], a[:h, h:].astype(np.float64), p)
+        right = _mul_mod(right, out[h:, h:].astype(np.float64), p)
+        out[:h, h:] = (p - right) % p
+        return out
+    power = (np.eye(n, dtype=np.int64) - a) % p
+    out = power + np.eye(n, dtype=np.int64)
+    span = 2
+    while span < n:
+        power = _mul_mod(power, power.astype(np.float64), p)
+        out = (out + _mul_mod(out, power.astype(np.float64), p)) % p
+        span *= 2
+    return out
+
 
 class PrimeEngine:
-    """Augmented echelon matrix over F_p with numpy row operations."""
+    """Augmented echelon matrix over F_p, reduced through the inverse of
+    its pivot block."""
 
     def __init__(self, field, points):
         mu = len(points)
@@ -26,9 +93,15 @@ class PrimeEngine:
         self.width = 2 * mu
         self.xs = np.array([x for x, _ in points], dtype=np.int64)
         self.ys = np.array([y for _, y in points], dtype=np.int64)
-        self.mat = np.zeros((mu, self.width), dtype=np.int64)
+        # rows and the pivot block's inverse are float64, the right operands
+        # of every product; their entries lie in [0, p), so they are exact
+        self.mat = np.zeros((mu, self.width))
+        self.inv = np.zeros((mu, mu))
         self.pivots = np.zeros(mu, dtype=np.int64)
         self.nrows = 0
+        # columns that may be nonzero in a row: the evaluation half and the
+        # slots stored so far
+        self.ncols = mu
 
     def monomial_vector(self, e, cache):
         """Evaluations of x^i y^j at all points, built from cached divisors."""
@@ -50,16 +123,18 @@ class PrimeEngine:
         return v
 
     def reduce_into(self, v: np.ndarray):
-        """Reduce v in place against all rows; returns the row coefficients."""
-        mat, pivots, p = self.mat, self.pivots, self.p
-        coeffs = np.zeros(self.nrows, dtype=np.int64)
-        for r in range(self.nrows):
-            a = int(v[pivots[r]])
-            if a:
-                v += (p - a) * mat[r]
-                v %= p
-                coeffs[r] = a
-        return coeffs
+        """Reduce v in place against all rows; returns the row coefficients.
+
+        The residual that is zero at every pivot is unique, so c equals the
+        coefficients of a sequential row-by-row reduction.
+        """
+        r, cols = self.nrows, self.ncols
+        if not r:
+            return np.zeros(0, dtype=np.int64)
+        c = _mul_mod(v[self.pivots[:r]], self.inv[:r, :r], self.p)
+        v[:cols] -= _mul_mod(c, self.mat[:r, :cols], self.p)
+        v[:cols] %= self.p
+        return c
 
     def pivot_of(self, v: np.ndarray):
         """First nonzero coordinate of the evaluation half, or None."""
@@ -67,25 +142,44 @@ class PrimeEngine:
         return int(nz[0]) if nz.size else None
 
     def append_row(self, v: np.ndarray, slot: int, pivot: int):
-        """Normalize the pivot to 1, record the slot's own coefficient, store."""
+        """Normalize the pivot to 1, record the slot's own coefficient, store,
+        and border the inverse: the pivot block gains the column
+        a = mat[:r, pivot] and the row e_r, so its inverse gains the column
+        -A^-1 a and a one on the diagonal."""
+        r, p = self.nrows, self.p
         s = self.field.inv(int(v[pivot]))
-        v = v * s % self.p
+        v = v * s % p
         v[self.mu + slot] = s
-        self.mat[self.nrows] = v
-        self.pivots[self.nrows] = pivot
+        if r:
+            a = self.mat[:r, pivot].astype(np.int64)
+            self.inv[:r, r] = (p - _mul_mod(a, self.inv[:r, :r].T, p)) % p
+        self.inv[r, r] = 1
+        self.mat[r] = v
+        self.ncols = max(self.ncols, self.mu + slot + 1)
+        self.pivots[r] = pivot
         self.nrows += 1
 
     def bulk_load(self, aug_rows) -> None:
-        """Store unitriangular rows: row r has its pivot at column r."""
+        """Store unitriangular rows with entries in [0, p): row r has its
+        pivot, a one, at column r and is zero at the columns before it."""
         k = len(aug_rows)
-        self.mat[:k] = np.reshape(aug_rows, (k, self.width))
+        block = np.reshape(aug_rows, (k, self.width))
+        square = block[:, :k]
+        if (np.diagonal(square) != 1).any() or np.tril(square, -1).any():
+            raise RuntimeError("seeded rows are not unit upper triangular")
+        self.mat[:k] = block
+        self.inv[:k, :k] = _unitri_inverse(square, self.p)
+        self.ncols = (self.width if block[:, self.mu + k:].any()
+                      else self.mu + k)
         self.pivots[:k] = np.arange(k)
         self.nrows = k
 
     def tail_terms(self, v: np.ndarray, slot_exponents):
         """Nonzero coefficient-half entries of v as (exponent, int) pairs."""
         tail = v[self.mu:]
-        return [(slot_exponents[c], int(tail[c])) for c in np.nonzero(tail)[0]]
+        nz = np.flatnonzero(tail)
+        return list(zip([slot_exponents[c] for c in nz.tolist()],
+                        tail[nz].astype(np.int64).tolist()))
 
     def coeff_terms(self, r: int, slot_exponents):
         return self.tail_terms(self.mat[r], slot_exponents)

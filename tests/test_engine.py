@@ -1,8 +1,10 @@
 """Row-reduction engines: bulk-loaded rows reduce a vector in place."""
 
+import numpy as np
 import pytest
 
-from bmpoints.engine import PrimeEngine, RationalEngine
+from bmpoints.engine import PrimeEngine, RationalEngine, _unitri_inverse
+from bmpoints.fields import make_field
 from conftest import F7, QQ
 
 # three points give evaluation and coefficient halves of width 3 each
@@ -41,3 +43,76 @@ def test_bulk_load_empty(engine_cls, field):
     v = eng.new_vector([field.convert(c) for c in (3, 4, 5)])
     assert len(eng.reduce_into(v)) == 0
     assert list(v) == [field.convert(c) for c in (3, 4, 5, 0, 0, 0)]
+
+
+def _reference_reduce(rows, pivots, v, p):
+    """Sequential row-by-row reduction on Python ints: (coeffs, residual)."""
+    coeffs = []
+    for row, piv in zip(rows, pivots):
+        a = v[piv]
+        coeffs.append(a)
+        if a:
+            v = [(x - a * y) % p for x, y in zip(v, row)]
+    return coeffs, v
+
+
+def _matmul_mod_py(a, b, p):
+    """a @ b mod p on lists of Python ints."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+            for row in a]
+
+
+@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
+@pytest.mark.parametrize("mu, seeded, appended", [
+    (80, 58, 14),    # reductions at depths 58..71 cross r = 64
+    (1000, 999, 1),  # depth 999, then a full pivot block
+], ids=["r=58..72", "r=999..1000"])
+def test_prime_engine_matches_reference(p, mu, seeded, appended):
+    """Bulk-loaded rows, then appends: every reduction returns the
+    coefficients and residual of a sequential reduction on Python ints, and
+    the bordered inverse equals the inverse of the pivot block."""
+    rng = np.random.default_rng(p * mu + seeded)
+    field = make_field(f"q:{p}")
+    eng = PrimeEngine(field, [(0, 0)] * mu)
+    block = np.triu(rng.integers(0, p, (seeded, mu)), 1)
+    block[:, :seeded] += np.eye(seeded, dtype=np.int64)
+    slots = np.tril(rng.integers(0, p, (seeded, mu)))
+    seed_rows = np.hstack([block, slots])
+    eng.bulk_load(seed_rows)
+    rows = seed_rows.tolist()
+    pivots = list(range(seeded))
+    while eng.nrows < seeded + appended:
+        evals = rng.integers(0, p, mu).tolist()
+        want_c, want_v = _reference_reduce(rows, pivots, evals + [0] * mu, p)
+        v = eng.new_vector(evals)
+        assert eng.reduce_into(v).tolist() == want_c
+        assert v.tolist() == want_v
+        piv = eng.pivot_of(v)
+        slot = eng.nrows
+        eng.append_row(v, slot, piv)
+        s = pow(want_v[piv], -1, p)
+        rows.append([x * s % p for x in want_v])
+        rows[-1][mu + slot] = s
+        pivots.append(piv)
+    r = eng.nrows
+    assert eng.mat[:r].astype(np.int64).tolist() == rows
+    assert eng.pivot_indices() == pivots
+    block = np.array(rows, dtype=np.int64)[:, pivots]
+    inv = eng.inv[:r, :r].astype(np.int64)
+    assert (inv == _unitri_inverse(block, p)).all()
+    if r < 100:
+        eye = [[int(i == j) for j in range(r)] for i in range(r)]
+        assert _matmul_mod_py(inv.tolist(), block.tolist(), p) == eye
+
+
+@pytest.mark.parametrize("bad", ["diagonal", "below"])
+def test_bulk_load_rejects_non_unitriangular(bad):
+    rows = [list(row) for row in ROWS]
+    if bad == "diagonal":
+        rows[1][1] = 2
+    else:
+        rows[1][0] = 3
+    eng = PrimeEngine(F7, POINTS)
+    with pytest.raises(RuntimeError, match="unit upper triangular"):
+        eng.bulk_load(rows)

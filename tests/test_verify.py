@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import bmpoints.engine
 import bmpoints.verify
 from bmpoints.bm import bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
@@ -223,9 +224,9 @@ def test_corrupted_reports(field, n):
         assert newton[2] == _first_newton_failure(Q, ordered)
 
 
-def test_verify_imports_no_checked_code():
-    """The certificate must stay independent of the code it checks."""
-    tree = ast.parse(Path(bmpoints.verify.__file__).read_text())
+def _imported_names(module) -> set:
+    """Module and object names a module's source imports."""
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -233,4 +234,14 @@ def test_verify_imports_no_checked_code():
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[-1])
             imported |= {a.name for a in node.names}
-    assert not imported & {"engine", "bm", "newton"}
+    return imported
+
+
+def test_verify_imports_no_checked_code():
+    """The certificate must stay independent of the code it checks."""
+    assert not _imported_names(bmpoints.verify) & {"engine", "bm", "newton"}
+
+
+def test_engine_imports_no_checker():
+    """Nor may the engine lean on the checks or on the loop that drives it."""
+    assert not _imported_names(bmpoints.engine) & {"verify", "bm", "newton"}
