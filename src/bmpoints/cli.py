@@ -3,11 +3,12 @@
 Subcommands: compute (run an algorithm on a point file and print or
 serialize the result after verifying it), gen (seeded point-set files),
 bench (algorithm grid with CSV output), verify (re-check a stored result
-against its point file).  F_p results are checked by exact modular matrix
-products, rational results by exact evaluation as integer sums over one
-common denominator.  Exit codes: 0 success, 1 failed verification, 2 usage
-error (arguments or input files), 3 internal error (an exception raised by
-the runner, the checks or the output code).
+against its point file).  Results are checked by evaluating every
+polynomial at every point at once: over F_p by exact modular matrix
+products, over Q by one integer matrix product over common denominators.
+Exit codes: 0 success, 1 failed verification, 2 usage error (arguments or
+input files), 3 internal error (an exception raised by the runner, the
+checks or the output code).
 """
 
 from __future__ import annotations

@@ -30,9 +30,9 @@ def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     """x @ m mod p, exactly, for int64 x and float64 m with entries in [0, p).
 
     x is cut into base-2^b limbs, with b as large as keeps every float64 sum
-    below 2^53, and all limbs go through m in one product.  verify keeps its
-    own copy of this scheme, so the certificate shares no code with the
-    engine.
+    below 2^53, and all limbs go through m in one product.  The certificate's
+    evaluator (poly.values_at) keeps its own copy of this scheme, so it
+    shares no code with the engine.
     """
     depth = m.shape[0]
     bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1

@@ -35,18 +35,26 @@ class ZeroDenominatorError(FieldError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check, valid for n < 2**31."""
+    """Deterministic Miller-Rabin on the bases 2, 7 and 61, which is exact
+    for n < 4,759,123,141 and so for every modulus below 2**31."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

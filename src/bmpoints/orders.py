@@ -57,11 +57,6 @@ def order_by_name(name: str) -> TermOrder:
         raise ValueError(f"unknown term order {name!r}") from None
 
 
-def exp_mul(a: Exponent, b: Exponent) -> Exponent:
-    """Exponent of the product monomial."""
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True iff x^a divides x^b componentwise."""
     return a[0] <= b[0] and a[1] <= b[1]

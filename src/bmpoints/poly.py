@@ -1,12 +1,15 @@
-"""Sparse bivariate polynomials over a Field, keyed by exponent pairs."""
+"""Sparse bivariate polynomials over a Field, keyed by exponent pairs, and
+their exact evaluation at many points at once."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from .fields import Field
-from .orders import Exponent, TermOrder, exp_mul
+from .orders import Exponent, TermOrder
 
 
 class ZeroPolynomialError(ValueError):
@@ -74,35 +77,8 @@ class Polynomial:
         return self.leading_term(order)[0]
 
     def evaluate(self, point):
-        """Exact value at point = (x, y).
-
-        Powers of x and y are built once, up to the largest exponents I and
-        J.  Over F_p they are reduced mod p.  Over Q, with x = a/b, y = c/d
-        and L the lcm of the coefficient denominators, the value is the
-        integer sum of (coefficient * L) * a^i b^(I-i) * c^j d^(J-j) over
-        L b^I d^J, so the only gcd is the final Fraction's.  A negative
-        exponent is a ValueError.
-        """
-        f = self.field
-        terms = self.terms
-        if not terms:
-            return f.zero
-        xs, ys = zip(*terms)
-        I, J = max(xs), max(ys)
-        if min(xs) < 0 or min(ys) < 0:
-            raise ValueError("cannot evaluate a negative exponent")
-        x, y = point
-        if f.char:
-            p = f.char
-            xp, yp = _powers(x, I, p), _powers(y, J, p)
-            return sum(c * xp[i] * yp[j] for (i, j), c in terms.items()) % p
-        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
-        xp = [u * v for u, v in zip(_powers(a, I), _powers(b, I)[::-1])]
-        yp = [u * v for u, v in zip(_powers(c, J), _powers(d, J)[::-1])]
-        L = lcm(*(v.denominator for v in terms.values()))
-        s = sum(v.numerator * (L // v.denominator) * xp[i] * yp[j]
-                for (i, j), v in terms.items())
-        return Fraction(s, L * b**I * d**J)
+        """Exact value at point = (x, y): an int over F_p, a Fraction over Q."""
+        return values_at([self], [point], self.field).item(0)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -131,20 +107,6 @@ class Polynomial:
             return Polynomial.zero(f)
         return Polynomial(f, {e: f.mul(c, v) for e, v in self.terms.items()})
 
-    def mul_monomial(self, e: Exponent, c=1) -> "Polynomial":
-        f = self.field
-        c = f.convert(c)
-        if c == f.zero:
-            return Polynomial.zero(f)
-        return Polynomial(f, {exp_mul(e, e0): f.mul(c, v)
-                              for e0, v in self.terms.items()})
-
-    def make_monic(self, order: TermOrder) -> "Polynomial":
-        _, lc = self.leading_term(order)
-        if lc == self.field.one:
-            return self
-        return self.scale(self.field.inv(lc))
-
     # -- dunders --------------------------------------------------------
 
     def __add__(self, other):
@@ -164,12 +126,109 @@ class Polynomial:
         return f"Polynomial({self.terms!r})"
 
 
-def _powers(base, n: int, p: int = 0) -> list:
-    """[base^0, ..., base^n], each reduced mod p when p is given."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * base % p if p else out[-1] * base)
+# -- exact evaluation ---------------------------------------------------
+
+# float64 holds every integer below this bound exactly
+_FLOAT_EXACT = 2**53
+
+
+def _power_rows(base: np.ndarray, exps, p: int) -> np.ndarray:
+    """rows[r] = base ** exps[r] mod p, for ascending exponents >= 0."""
+    rows = np.empty((len(exps), base.size), dtype=np.int64)
+    cur = np.ones_like(base)
+    prev = 0
+    for r, e in enumerate(exps):
+        step, n, sq = np.ones_like(base), e - prev, base
+        while n:
+            if n & 1:
+                step = step * sq % p
+            n >>= 1
+            if n:
+                sq = sq * sq % p
+        cur = cur * step % p
+        rows[r] = cur
+        prev = e
+    return rows
+
+
+def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """coeffs @ table mod p, exactly, for int64 entries in [0, p).
+
+    The monomial axis is cut into chunks and the coefficients into base-2^b
+    limbs, with b as large as keeps every float64 sum below 2^53.
+    """
+    out = np.zeros((coeffs.shape[0], table.shape[1]), dtype=np.int64)
+    width = (p - 1).bit_length()
+    span = (_FLOAT_EXACT - 1) // (p - 1)  # monomials per chunk: b >= 1
+    for t0 in range(0, table.shape[0], span):
+        c = coeffs[:, t0:t0 + span]
+        t = table[t0:t0 + span].astype(np.float64)
+        limb_max = (_FLOAT_EXACT - 1) // (t.shape[0] * (p - 1))
+        bits = (limb_max + 1).bit_length() - 1
+        mask = (1 << bits) - 1
+        for shift in range(0, width, bits):
+            limb = ((c >> shift) & mask).astype(np.float64)
+            part = (limb @ t).astype(np.int64) % p
+            out = (out + part * pow(2, shift, p)) % p
     return out
+
+
+def _scaled_powers(coords, exps, top: int) -> np.ndarray:
+    """rows[r, m] = a^exps[r] * b^(top - exps[r]) for coords[m] = a/b."""
+    rows = np.empty((len(exps), len(coords)), dtype=object)
+    for r, e in enumerate(exps):
+        rows[r] = [v.numerator**e * v.denominator**(top - e) for v in coords]
+    return rows
+
+
+def values_at(polys, points, field: Field) -> np.ndarray:
+    """values[k, m] = polys[k](points[m]), exactly, over field.
+
+    The monomial table covers exactly the exponents that occur in polys,
+    whether or not they lie in N, so corrupt input is evaluated as is; a
+    negative exponent is a ValueError.  Over F_p the values are one exact
+    modular matrix product, as int64.  Over Q, with x = a/b, y = c/d and
+    I, J the largest exponents, the table holds the integers
+    a^i b^(I-i) c^j d^(J-j) and each polynomial's coefficients are scaled
+    by L, the lcm of their denominators; one integer matrix product then
+    gives every value as a sum over L b^I d^J, so the only gcds are the
+    Fractions' own.  The result is then an object array of Fractions.
+    """
+    exps = sorted({e for q in polys for e in q.terms})
+    xs = sorted({i for i, _ in exps})
+    ys = sorted({j for _, j in exps})
+    if (xs and xs[0] < 0) or (ys and ys[0] < 0):
+        raise ValueError("cannot evaluate a negative exponent")
+    xrow = {i: r for r, i in enumerate(xs)}
+    yrow = {j: r for r, j in enumerate(ys)}
+    xsel = [xrow[i] for i, _ in exps]
+    ysel = [yrow[j] for _, j in exps]
+    col = {e: t for t, e in enumerate(exps)}
+    rows, cols, vals = [], [], []
+    for k, q in enumerate(polys):
+        for e, c in q.terms.items():
+            rows.append(k)
+            cols.append(col[e])
+            vals.append(c)
+    p = field.char
+    if p:
+        pts = np.array(points, dtype=np.int64).reshape(-1, 2) % p
+        table = (_power_rows(pts[:, 0], xs, p)[xsel]
+                 * _power_rows(pts[:, 1], ys, p)[ysel] % p)
+        coeffs = np.zeros((len(polys), len(exps)), dtype=np.int64)
+        coeffs[rows, cols] = [c % p for c in vals]
+        return _matmul_mod(coeffs, table, p)
+    L = [lcm(*(c.denominator for c in q.terms.values())) for q in polys]
+    coeffs = np.zeros((len(polys), len(exps)), dtype=object)
+    coeffs[rows, cols] = [c.numerator * (L[k] // c.denominator)
+                          for k, c in zip(rows, vals)]
+    I, J = max(xs, default=0), max(ys, default=0)
+    table = (_scaled_powers([x for x, _ in points], xs, I)[xsel]
+             * _scaled_powers([y for _, y in points], ys, J)[ysel])
+    dens = np.outer(np.array(L, dtype=object),
+                    np.array([x.denominator**I * y.denominator**J
+                              for x, y in points], dtype=object))
+    return np.frompyfunc(Fraction, 2, 1)(coeffs @ table, dens)
 
 
 # -- rendering ----------------------------------------------------------

@@ -1,10 +1,10 @@
 """Independent validation: structural checks on computed bases and a dense
 brute-force oracle.
 
-Over F_p the vanishing and Newton checks evaluate every polynomial at every
-point with a few exact modular matrix products; over Q they evaluate one
-polynomial at one point at a time, as one integer sum over a common
-denominator.  Neither path uses the engine code.
+The vanishing and Newton checks evaluate every polynomial at every point
+at once with `poly.values_at`: over F_p by a few exact modular matrix
+products, over Q by one integer matrix product over common denominators.
+Neither field's path uses the engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
@@ -20,7 +20,7 @@ import numpy as np
 
 from .orders import LEX, TermOrder, exp_divides
 from .points import PointSet, is_lower
-from .poly import Polynomial, poly_text
+from .poly import Polynomial, poly_text, values_at
 
 
 class CapExceededError(ValueError):
@@ -58,101 +58,15 @@ class VerifyReport:
                            for n, ok, d in self.checks]}
 
 
-# float64 holds every integer below this bound exactly
-_FLOAT_EXACT = 2**53
-
-
-def _power_rows(base: np.ndarray, exps, p: int) -> np.ndarray:
-    """rows[r] = base ** exps[r] mod p, for ascending exponents >= 0."""
-    rows = np.empty((len(exps), base.size), dtype=np.int64)
-    cur = np.ones_like(base)
-    prev = 0
-    for r, e in enumerate(exps):
-        step, n, sq = np.ones_like(base), e - prev, base
-        while n:
-            if n & 1:
-                step = step * sq % p
-            n >>= 1
-            if n:
-                sq = sq * sq % p
-        cur = cur * step % p
-        rows[r] = cur
-        prev = e
-    return rows
-
-
-def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """coeffs @ table mod p, exactly, for int64 entries in [0, p).
-
-    The monomial axis is cut into chunks and the coefficients into base-2^b
-    limbs, with b as large as keeps every float64 sum below 2^53.
-    """
-    out = np.zeros((coeffs.shape[0], table.shape[1]), dtype=np.int64)
-    width = (p - 1).bit_length()
-    span = (_FLOAT_EXACT - 1) // (p - 1)  # monomials per chunk: b >= 1
-    for t0 in range(0, table.shape[0], span):
-        c = coeffs[:, t0:t0 + span]
-        t = table[t0:t0 + span].astype(np.float64)
-        limb_max = (_FLOAT_EXACT - 1) // (t.shape[0] * (p - 1))
-        bits = (limb_max + 1).bit_length() - 1
-        mask = (1 << bits) - 1
-        for shift in range(0, width, bits):
-            limb = ((c >> shift) & mask).astype(np.float64)
-            part = (limb @ t).astype(np.int64) % p
-            out = (out + part * pow(2, shift, p)) % p
-    return out
-
-
-def _values_mod_p(polys, points, p: int) -> np.ndarray:
-    """values[k, m] = polys[k](points[m]) mod p.
-
-    The monomial table covers exactly the exponents that occur in polys,
-    whether or not they lie in N, so corrupt input is evaluated as is.
-    """
-    exps = sorted({e for q in polys for e in q.terms})
-    xs = sorted({i for i, _ in exps})
-    ys = sorted({j for _, j in exps})
-    if (xs and xs[0] < 0) or (ys and ys[0] < 0):
-        raise ValueError("cannot evaluate a negative exponent")
-    pts = np.array(points, dtype=np.int64).reshape(-1, 2) % p
-    xrow = {i: r for r, i in enumerate(xs)}
-    yrow = {j: r for r, j in enumerate(ys)}
-    table = (_power_rows(pts[:, 0], xs, p)[[xrow[i] for i, _ in exps]]
-             * _power_rows(pts[:, 1], ys, p)[[yrow[j] for _, j in exps]]
-             % p)
-    col = {e: t for t, e in enumerate(exps)}
-    rows, cols, vals = [], [], []
-    for k, q in enumerate(polys):
-        for e, c in q.terms.items():
-            rows.append(k)
-            cols.append(col[e])
-            vals.append(c % p)
-    coeffs = np.zeros((len(polys), len(exps)), dtype=np.int64)
-    coeffs[rows, cols] = vals
-    return _matmul_mod(coeffs, table, p)
-
-
 def check_vanishing(G, ps: PointSet) -> VerifyReport:
     """Every polynomial must evaluate to zero at every point."""
     rep = VerifyReport()
-    bad = None
-    if ps.field.char:
-        nonzero = np.flatnonzero(_values_mod_p(G, ps.points, ps.field.char))
-        if nonzero.size:
-            k, m = divmod(int(nonzero[0]), len(ps))
-            bad = (G[k], ps[m])
-    else:
-        for g in G:
-            for pt in ps:
-                if not g.field.is_zero(g.evaluate(pt)):
-                    bad = (g, pt)
-                    break
-            if bad:
-                break
+    nonzero = np.flatnonzero(values_at(G, ps.points, ps.field) != 0)
     detail = ""
-    if bad:
-        detail = f"{poly_text(bad[0], LEX)} is nonzero at {bad[1]}"
-    rep.add("vanishing", bad is None, detail)
+    if nonzero.size:
+        k, m = divmod(int(nonzero[0]), len(ps))
+        detail = f"{poly_text(G[k], LEX)} is nonzero at {ps[m]}"
+    rep.add("vanishing", not nonzero.size, detail)
     return rep
 
 
@@ -204,25 +118,14 @@ def check_newton(Q, ordered_points) -> VerifyReport:
         raise ValueError(
             f"{len(Q)} polynomials against {len(ordered_points)} points")
     rep = VerifyReport()
-    bad = None
-    if Q and Q[0].field.char:
-        vals = _values_mod_p(Q, ordered_points, Q[0].field.char)
+    detail = ""
+    if Q:
+        vals = values_at(Q, ordered_points, Q[0].field)
         wrong = np.flatnonzero(np.tril(vals != np.eye(len(Q), dtype=np.int64)))
         if wrong.size:
             k, m = divmod(int(wrong[0]), len(Q))
-            bad = f"Q[{k}] at point {m} gave {vals[k, m]}"
-    else:
-        for k, q in enumerate(Q):
-            f = q.field
-            for m in range(k + 1):
-                v = q.evaluate(ordered_points[m])
-                want = f.one if m == k else f.zero
-                if v != want:
-                    bad = f"Q[{k}] at point {m} gave {v}"
-                    break
-            if bad:
-                break
-    rep.add("newton triangularity", bad is None, bad or "")
+            detail = f"Q[{k}] at point {m} gave {vals[k, m]}"
+    rep.add("newton triangularity", not detail, detail)
     return rep
 
 

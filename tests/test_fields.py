@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, canonical forms, parsing, error paths."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,11 +37,36 @@ def test_make_field_specs():
         make_field("q:abc")
 
 
+def _is_prime_trial(n: int) -> bool:
+    """Trial division: the reference is_prime is checked against."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
     assert is_prime(2**31 - 1)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        assert is_prime(n) == _is_prime_trial(n), n
+    rng = random.Random(31)
+    sample = [rng.randrange(2**30, 2**31) for _ in range(300)] + [2**31 - 1]
+    # the least composites that pass the bases {2, 7}, {2, 61} and {7, 61},
+    # so each base is needed, and strong pseudoprimes to 2 (and to 2, 3, 5)
+    sample += [2269093, 916327, 79381, 2047, 1373653, 25326001]
+    verdicts = [is_prime(n) for n in sample]
+    assert verdicts == [_is_prime_trial(n) for n in sample]
+    assert any(verdicts) and not all(verdicts)
 
 
 @given(a=st.integers(), b=st.integers())

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.poly import (Polynomial, ZeroPolynomialError, monomial_text,
-                           poly_from_json_terms, poly_json_terms, poly_text)
+                           poly_from_json_terms, poly_json_terms, poly_text,
+                           values_at)
 from conftest import reference_value
 
 F7 = make_field("q:7")
@@ -33,26 +34,20 @@ def test_evaluation_is_additive(p, q, pt):
 
 
 @given(p=f7_polys, c=st.integers(min_value=0, max_value=6), pt=f7_points)
-def test_scale_and_shift(p, c, pt):
+def test_scale(p, c, pt):
     assert p.scale(c).evaluate(pt) == F7.mul(c, p.evaluate(pt))
-    x, y = pt
-    shifted = p.mul_monomial((1, 2))
-    want = F7.mul(p.evaluate(pt), F7.mul(x, F7.mul(y, y)))
-    assert shifted.evaluate(pt) == want
 
 
 @given(p=f7_polys)
-def test_monic_and_leading(p):
+def test_leading_term(p):
     for order in (LEX, INLEX, TDINLEX):
         if p.is_zero():
             with pytest.raises(ZeroPolynomialError):
                 p.leading_term(order)
             continue
-        m = p.make_monic(order)
-        assert m.leading_term(order)[1] == F7.one
-        assert m.leading_monomial(order) == p.leading_monomial(order)
+        lm, lc = p.leading_term(order)
+        assert p.leading_monomial(order) == lm and p.terms[lm] == lc
         # every other monomial sits strictly below the leading one
-        lm = p.leading_monomial(order)
         for e in p.terms:
             assert order.cmp(e, lm) != 1 or e == lm
 
@@ -158,6 +153,34 @@ def test_evaluate_high_exponent():
     p = BIG.char
     assert Polynomial.monomial(BIG, (1200, 0)).evaluate((123456789, 5)) \
         == pow(123456789, 1200, p)
+
+
+@pytest.mark.parametrize("field", [QQ, F23, BIG],
+                         ids=["rational", "p=23", "p=2^31-1"])
+def test_values_at_matches_reference(field):
+    rng = random.Random(field.char + 41)
+    coords = [field.zero, field.one, -3, -1]
+    if not field.char:
+        coords = [field.convert(c) for c in coords]
+        coords += [Fraction(-7, 3), Fraction(5, 12)]
+    points = [(x, y) for x in coords for y in coords[:3]]
+    points += [(_random_coordinate(field, rng), _random_coordinate(field, rng))
+               for _ in range(6)]
+    polys = [Polynomial.zero(field), Polynomial.monomial(field, (1200, 0)),
+             Polynomial.monomial(field, (0, 0), 5)]
+    polys += [Polynomial.from_pairs(
+                  field, [((rng.randrange(20), rng.randrange(20)),
+                           _random_coefficient(field, rng))
+                          for _ in range(n_terms)])
+              for n_terms in (1, 4, 30, 30)]
+    got = values_at(polys, points, field)
+    assert got.shape == (len(polys), len(points))
+    values = got.tolist()
+    assert values == [[reference_value(q, pt) for pt in points]
+                      for q in polys]
+    assert {type(v) for row in values for v in row} == {type(field.zero)}
+    assert values_at([], points, field).shape == (0, len(points))
+    assert values_at(polys, [], field).shape == (len(polys), 0)
 
 
 @pytest.mark.parametrize("field", [QQ, F23], ids=["rational", "p=23"])

@@ -7,17 +7,18 @@ from pathlib import Path
 import pytest
 
 import bmpoints.engine
+import bmpoints.poly
 import bmpoints.verify
 from bmpoints.bm import bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
 from bmpoints.newton import newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
-from bmpoints.poly import Polynomial, poly_text
+from bmpoints.poly import Polynomial, poly_text, values_at
 from bmpoints.randgen import gen_points
-from bmpoints.verify import (CapExceededError, VerifyReport, _values_mod_p,
-                             check_newton, check_reduced_gb, check_vanishing,
-                             oracle_dense, verify_parts, verify_result)
+from bmpoints.verify import (CapExceededError, VerifyReport, check_newton,
+                             check_reduced_gb, check_vanishing, oracle_dense,
+                             verify_parts, verify_result)
 from conftest import EX5_MCS_ORDER, F5, F7, QQ, reference_value
 
 F23 = make_field("q:23")
@@ -152,31 +153,37 @@ def _random_case(field, rng, n_polys, n_terms, n_points, max_exp):
     return polys, points
 
 
+def _reference_values(polys, points):
+    return [[reference_value(q, pt) for pt in points] for q in polys]
+
+
 @pytest.mark.parametrize("field", [F23, BIG], ids=["p=23", "p=2^31-1"])
 @pytest.mark.parametrize("n_polys, n_terms", [(0, 0), (1, 0), (4, 3), (6, 150)],
                          ids=["no-polys", "zero-poly", "sparse", "dense"])
 def test_values_mod_p_matches_evaluate(field, n_polys, n_terms):
-    # "dense" at p = 2^31-1 has over 64 monomials, which takes three limbs
+    # compared with conftest.reference_value, not with Polynomial.evaluate,
+    # which delegates to values_at; "dense" at p = 2^31-1 has over 64
+    # monomials, which takes three limbs
     rng = random.Random(n_polys * 1000 + n_terms)
     polys, points = _random_case(field, rng, n_polys, n_terms, 9, 90)
-    got = _values_mod_p(polys, points, field.p)
+    got = values_at(polys, points, field)
     assert got.shape == (len(polys), len(points))
-    assert got.tolist() == [[q.evaluate(pt) for pt in points] for q in polys]
+    assert got.tolist() == _reference_values(polys, points)
 
 
 def test_values_mod_p_chunks_monomial_axis(monkeypatch):
     # with a 2^10 exactness bound, 200 monomials at p = 23 need chunks of
     # at most 46 monomials, each split into one-bit limbs
-    monkeypatch.setattr(bmpoints.verify, "_FLOAT_EXACT", 2**10)
+    monkeypatch.setattr(bmpoints.poly, "_FLOAT_EXACT", 2**10)
     polys, points = _random_case(F23, random.Random(3), 5, 200, 12, 40)
     assert len({e for q in polys for e in q.terms}) > 46
-    got = _values_mod_p(polys, points, F23.p)
-    assert got.tolist() == [[q.evaluate(pt) for pt in points] for q in polys]
+    got = values_at(polys, points, F23)
+    assert got.tolist() == _reference_values(polys, points)
 
 
 def test_values_mod_p_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        _values_mod_p([Polynomial(F7, {(0, -1): 1})], [(1, 2)], 7)
+        values_at([Polynomial(F7, {(0, -1): 1})], [(1, 2)], F7)
 
 
 def _first_vanishing_failure(G, ps):
@@ -242,6 +249,15 @@ def test_verify_imports_no_checked_code():
     assert not _imported_names(bmpoints.verify) & {"engine", "bm", "newton"}
 
 
+def test_poly_imports_no_checked_code():
+    """poly holds the certificate's evaluator, so it is held to the same rule,
+    and it must not lean on the checks that use it."""
+    assert not _imported_names(bmpoints.poly) & {"engine", "bm", "newton",
+                                                 "verify"}
+
+
 def test_engine_imports_no_checker():
-    """Nor may the engine lean on the checks or on the loop that drives it."""
-    assert not _imported_names(bmpoints.engine) & {"verify", "bm", "newton"}
+    """Nor may the engine lean on the checks, on the certificate's evaluator
+    or on the loop that drives it."""
+    assert not _imported_names(bmpoints.engine) & {"verify", "poly", "bm",
+                                                   "newton"}
