@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartesian import max_cartesian_subset, order_points_gpbm
+from .cartesian import max_cartesian_subset
 from .engine import engine_for
 from .fields import Field
 from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
@@ -173,12 +173,15 @@ def spbm_run(ps: PointSet, order: TermOrder) -> BMResult:
 
 def gpbm_run(ps: PointSet, order: TermOrder) -> BMResult:
     """Seeded run preloading a maximal cartesian subset, then finishing
-    the remaining points with the plain loop.  Works under any order."""
+    the remaining points with the plain loop.  Works under any order.
+
+    The run points are the subset in row-cover order followed by the
+    removed points in input order."""
     if len(ps) == 0:
         raise EmptySetError("no points")
-    subset, _removed = max_cartesian_subset(ps)
+    subset, removed = max_cartesian_subset(ps)
     cover = line_cover(subset, "rows")
-    st = _new_state(ps, order, order_points_gpbm(ps, subset, cover))
+    st = _new_state(ps, order, cover.flatten() + removed)
     _seed(st, cover)
     _loop(st)
     return _finish(st, "gpbm")

@@ -3,12 +3,14 @@
 A point set is cartesian when it equals {(x_i, y_j) : (i, j) in A} for a
 lower set A, distinct abscissae x_i and distinct ordinates y_j.  Cartesian
 subsets are what lets a run be seeded with a ready-made triangular block.
+max_cartesian_subset returns the subset in its row-cover order and the
+removed points in input order, so the subset followed by the removed points
+is the order in which gpbm runs.
 """
 
 from __future__ import annotations
 
-from .points import (EmptySetError, LineCover, PointSet, line_cover,
-                     lower_set_of)
+from .points import EmptySetError, PointSet, line_cover, lower_set_of
 
 
 def _nested(chain) -> bool:
@@ -22,13 +24,15 @@ def _nested(chain) -> bool:
 
 
 def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
-    """Decide cartesianness via lower-set equality or nested line chains."""
+    """Decide cartesianness by either of two equivalent criteria: the row
+    and column covers yield the same lower set (S_x = S_y), or the lines of
+    each cover form a superset chain."""
     if len(ps) == 0:
         raise EmptySetError("empty point set")
     if method == "sx_eq_sy":
         sx = lower_set_of(line_cover(ps, "rows"))
         sy = lower_set_of(line_cover(ps, "columns"))
-        return sx.exponents == sy.exponents
+        return set(sx) == set(sy)
     if method == "nested_chains":
         rows = [frozenset(x for x, _ in g)
                 for _, g in line_cover(ps, "rows").groups]
@@ -74,20 +78,3 @@ def max_cartesian_subset(ps: PointSet):
                                         "rows").flatten())
     removed = [pt for pt in ps if pt not in chosen]
     return subset, removed
-
-
-def order_points_gpbm(ps: PointSet, subset: PointSet,
-                      cover: LineCover) -> PointSet:
-    """Reorder: subset points by their row-cover indices first, then the rest
-    of `ps` in original input order."""
-    members = set(subset.points)
-    if cover.axis != "rows":
-        raise ValueError("subset cover must be a row cover")
-    index = ps.index_map()
-    if any(pt not in index for pt in members):
-        raise ValueError("subset is not contained in the point set")
-    head = cover.flatten()
-    if set(head) != members:
-        raise ValueError("cover does not match the subset")
-    tail = [pt for pt in ps if pt not in members]
-    return PointSet(ps.field, head + tail)

@@ -81,6 +81,21 @@ def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _divisor_chain(e, cache) -> list:
+    """e and its divisors down to the nearest cached one or (0, 0), lowest
+    first.
+
+    Each divisor drops one x while the x-exponent is positive, then one y,
+    so the step up to (i, j) multiplies by x when i > 0 and by y otherwise.
+    A loop rather than recursion, so any exponent is in reach.
+    """
+    chain = [e]
+    while chain[-1] not in cache and chain[-1] != (0, 0):
+        i, j = chain[-1]
+        chain.append((i - 1, j) if i else (0, j - 1))
+    return chain[::-1]
+
+
 class PrimeEngine:
     """Augmented echelon matrix over F_p, reduced through the inverse of
     its pivot block."""
@@ -105,16 +120,12 @@ class PrimeEngine:
 
     def monomial_vector(self, e, cache):
         """Evaluations of x^i y^j at all points, built from cached divisors."""
-        v = cache.get(e)
+        base, *steps = _divisor_chain(e, cache)
+        v = cache.get(base)
         if v is None:
-            i, j = e
-            if i == 0 and j == 0:
-                v = np.ones(self.mu, dtype=np.int64) % self.p
-            elif i > 0:
-                v = self.monomial_vector((i - 1, j), cache) * self.xs % self.p
-            else:
-                v = self.monomial_vector((i, j - 1), cache) * self.ys % self.p
-            cache[e] = v
+            v = cache[base] = np.ones(self.mu, dtype=np.int64) % self.p
+        for step in steps:
+            v = cache[step] = v * (self.xs if step[0] else self.ys) % self.p
         return v
 
     def new_vector(self, evals) -> np.ndarray:
@@ -206,18 +217,13 @@ class RationalEngine:
         return len(self.mat)
 
     def monomial_vector(self, e, cache):
-        v = cache.get(e)
+        base, *steps = _divisor_chain(e, cache)
+        v = cache.get(base)
         if v is None:
-            i, j = e
-            if i == 0 and j == 0:
-                v = [self.field.one] * self.mu
-            elif i > 0:
-                v = [a * b for a, b in
-                     zip(self.monomial_vector((i - 1, j), cache), self.xs)]
-            else:
-                v = [a * b for a, b in
-                     zip(self.monomial_vector((i, j - 1), cache), self.ys)]
-            cache[e] = v
+            v = cache[base] = [self.field.one] * self.mu
+        for step in steps:
+            v = cache[step] = [a * b for a, b in
+                               zip(v, self.xs if step[0] else self.ys)]
         return v
 
     def new_vector(self, evals) -> list:

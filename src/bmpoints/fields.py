@@ -58,20 +58,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        a, s0, t0 = -a, -s0, -t0
-    return a, s0, t0
-
-
 class Field:
     """Common interface of PrimeField and RationalField."""
 
@@ -168,9 +154,7 @@ class PrimeField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZeroError(f"inverse of 0 in F_{self.p}")
-        g, s, _ = xgcd(a, self.p)
-        # g == 1 since p is prime and 0 < a < p
-        return s % self.p
+        return pow(a, -1, self.p)
 
 
 class RationalField(Field):

@@ -7,7 +7,9 @@ cover) the basis element indexed by (i, j) is
 
 with c normalizing phi_ij(u_ij) to 1; evaluations against the cover-ordered
 points form an upper unitriangular matrix.  The column-cover construction
-mirrors this with the roles of x and y swapped.
+mirrors this with the roles of x and y swapped.  The basis is indexed by
+the cover's lower set as points.lower_set_of lists it: phi_ij is the r-th
+row exactly when (i, j) is the r-th exponent of that list.
 
 One recurrence builds every product, one linear factor at a time, as a row
 of values at a list of points and as a row of coefficients over the index
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
-from .points import EmptySetError, LineCover
+from .points import EmptySetError, LineCover, lower_set_of
 from .poly import Polynomial
 
 
@@ -123,9 +125,7 @@ def _build(cover: LineCover, axis: str) -> NewtonBasis:
     if not cover.groups:
         raise EmptySetError("empty cover")
     field = cover.field
-    index_order = [(pidx, gidx) if axis == "rows" else (gidx, pidx)
-                   for gidx, (_, grp) in enumerate(cover.groups)
-                   for pidx in range(len(grp))]
+    index_order = lower_set_of(cover)
     k = len(index_order)
     rows = _full(field, (k, 2 * k), field.zero)
     for r, row in enumerate(_products(cover, cover.flatten(), index_order)):

@@ -30,8 +30,8 @@ class TermOrder:
             return GT
         return EQ
 
-    def sorted(self, exps, reverse: bool = False):
-        return sorted(exps, key=self.key, reverse=reverse)
+    def sorted(self, exps):
+        return sorted(exps, key=self.key)
 
     def __repr__(self):
         return f"TermOrder({self.name})"
@@ -60,7 +60,3 @@ def order_by_name(name: str) -> TermOrder:
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True iff x^a divides x^b componentwise."""
     return a[0] <= b[0] and a[1] <= b[1]
-
-
-def exp_degree(a: Exponent) -> int:
-    return a[0] + a[1]

@@ -1,9 +1,16 @@
-"""Point sets in F^2, line covers and the lower sets S_x / S_y they induce."""
+"""Point sets in F^2, line covers and the lower sets S_x / S_y they induce.
+
+A line cover groups the points on lines parallel to one axis, largest group
+first.  Its group sizes are the staircase of a monomial basis for the
+points: lower_set_of turns a cover into that staircase, listed in cover
+order.  It is the one place that does so; the Newton basis of the cover is
+indexed by the same list, and is_cartesian compares the lists of the two
+covers.
+"""
 
 from __future__ import annotations
 
 from .fields import Field
-from .orders import Exponent
 
 
 class EmptySetError(ValueError):
@@ -130,73 +137,15 @@ def line_cover(ps: PointSet, axis: str) -> LineCover:
     return LineCover(axis, groups, ps.field)
 
 
-class LowerSet:
-    """Downward-closed finite subset of N_0^2 with L_x / L_y tuple views."""
-
-    __slots__ = ("exponents", "l_x", "l_y")
-
-    def __init__(self, exponents):
-        exps = frozenset(exponents)
-        if not exps:
-            raise EmptySetError("lower set must be nonempty")
-        row_max: dict = {}
-        col_max: dict = {}
-        for i, j in exps:
-            row_max[j] = max(row_max.get(j, -1), i)
-            col_max[i] = max(col_max.get(i, -1), j)
-        nu = max(row_max)
-        m0 = max(col_max)
-        if sorted(row_max) != list(range(nu + 1)):
-            raise ValueError("not a lower set: missing row")
-        if sorted(col_max) != list(range(m0 + 1)):
-            raise ValueError("not a lower set: missing column")
-        l_x = tuple(row_max[j] for j in range(nu + 1))
-        l_y = tuple(col_max[i] for i in range(m0 + 1))
-        if any(l_x[j] < l_x[j + 1] for j in range(nu)) or \
-           any(l_y[i] < l_y[i + 1] for i in range(m0)) or \
-           len(exps) != sum(m + 1 for m in l_x):
-            raise ValueError("not a lower set")
-        self.exponents = exps
-        self.l_x = l_x
-        self.l_y = l_y
-
-    @classmethod
-    def from_l_x(cls, ms) -> "LowerSet":
-        """L_x(m_0,...,m_nu): row j holds exponents (0..m_j, j)."""
-        return cls({(i, j) for j, m in enumerate(ms) for i in range(m + 1)})
-
-    @classmethod
-    def from_l_y(cls, ns) -> "LowerSet":
-        """L_y(n_0,...,n_m0): column i holds exponents (i, 0..n_i)."""
-        return cls({(i, j) for i, n in enumerate(ns) for j in range(n + 1)})
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __contains__(self, e: Exponent):
-        return e in self.exponents
-
-    def __eq__(self, other):
-        return isinstance(other, LowerSet) and other.exponents == self.exponents
-
-    def __repr__(self):
-        return f"LowerSet(L_x{self.l_x})"
-
-    def row_major(self) -> list:
-        """Exponents ascending under inlex: row 0 left-to-right, row 1, ..."""
-        return [(i, j) for j, m in enumerate(self.l_x) for i in range(m + 1)]
-
-    def column_major(self) -> list:
-        """Exponents ascending under lex: column 0 bottom-up, column 1, ..."""
-        return [(i, j) for i, n in enumerate(self.l_y) for j in range(n + 1)]
-
-
-def lower_set_of(cover: LineCover) -> LowerSet:
-    """S_x from a row cover, S_y from a column cover."""
-    sizes = cover.sizes()
+def lower_set_of(cover: LineCover) -> list:
+    """The staircase a cover hands over, in cover order: S_x row-major,
+    (0..m_j, j) for group j of a row cover, and S_y column-major, (i, 0..n_i)
+    for group i of a column cover.  Group sizes descend, so the list is a
+    lower set by construction; it is the index order of the cover's Newton
+    basis."""
     if cover.axis == "rows":
-        return LowerSet.from_l_x([s - 1 for s in sizes])
-    return LowerSet.from_l_y([s - 1 for s in sizes])
+        return [(i, j) for j, s in enumerate(cover.sizes()) for i in range(s)]
+    return [(i, j) for i, s in enumerate(cover.sizes()) for j in range(s)]
 
 
 def is_lower(exponents) -> bool:

@@ -40,9 +40,8 @@ class VerifyReport:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, ok, detail))
 
-    def extend(self, other: "VerifyReport", prefix: str = "") -> None:
-        for name, ok, detail in other.checks:
-            self.checks.append((prefix + name, ok, detail))
+    def extend(self, other: "VerifyReport") -> None:
+        self.checks.extend(other.checks)
 
     def text(self) -> str:
         lines = []
@@ -93,8 +92,8 @@ def check_reduced_gb(G, N, order: TermOrder, n_points=None) -> VerifyReport:
     rep.add("N is a lower set", is_lower(N))
 
     if n_points is not None:
-        rep.add("N size equals point count", len(nset) == n_points,
-                f"{len(nset)} vs {n_points}")
+        rep.add("N size equals point count", len(N) == n_points,
+                f"{len(N)} vs {n_points}")
 
     hit = next((n for n in nset
                 if any(exp_divides(m, n) for m in lms)), None)

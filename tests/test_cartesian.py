@@ -5,9 +5,10 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, strategies as st
 
-from bmpoints.cartesian import (is_cartesian, max_cartesian_subset,
-                                order_points_gpbm)
-from bmpoints.points import EmptySetError, PointSet, line_cover
+from bmpoints.bm import gpbm_run
+from bmpoints.cartesian import is_cartesian, max_cartesian_subset
+from bmpoints.orders import TDINLEX
+from bmpoints.points import EmptySetError, PointSet
 from conftest import (EX2_MCS_SET, EX2_POINTS, EX5_MCS_ORDER, EX5_POINTS, F5,
                       F7, QQ)
 
@@ -82,21 +83,11 @@ def test_mcs_partitions_input(pts):
     # maximality is checked exhaustively in the acceptance suite
 
 
-def test_order_points_gpbm():
+def test_gpbm_run_order():
+    """gpbm runs the subset in row-cover order, then the rest in input
+    order."""
     ps = PointSet(F7, EX5_POINTS)
-    subset, removed = max_cartesian_subset(ps)
-    cover = line_cover(subset, "rows")
-    run = order_points_gpbm(ps, subset, cover)
-    assert run[:9] == EX5_MCS_ORDER
-    assert run[9:] == removed
+    _, removed = max_cartesian_subset(ps)
+    run = gpbm_run(ps, TDINLEX).run_points
+    assert run == EX5_MCS_ORDER + removed
     assert sorted(run) == sorted(ps.points)
-
-
-def test_order_points_gpbm_validates():
-    ps = PointSet(F7, EX5_POINTS)
-    subset, _ = max_cartesian_subset(ps)
-    with pytest.raises(ValueError):
-        order_points_gpbm(ps, subset, line_cover(subset, "columns"))
-    other = PointSet(F7, [(0, 0), (3, 3)])
-    with pytest.raises(ValueError):
-        order_points_gpbm(ps, other, line_cover(other, "rows"))

@@ -100,6 +100,22 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_repeated_escalier_monomial(tmp_path, capsys):
+    """N must hold one monomial per point; a repeat of N[0] is not hidden
+    by counting distinct monomials."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 1), (3, 3), (4, 1), (5, 6)])
+    res = tmp_path / "res.json"
+    assert run_cli(["compute", "--field", "q:7", "--order", "lex",
+                    "--points", str(pts), "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["N"].append(doc["N"][0])
+    res.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 1
+    assert "FAIL N size equals point count: 7 vs 6" in capsys.readouterr().out
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "b.csv"
     code = run_cli(["bench", "--field", "q:17", "--order", "lex",

@@ -1,5 +1,7 @@
 """Row-reduction engines: bulk-loaded rows reduce a vector in place."""
 
+from fractions import Fraction as Fr
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ def test_bulk_load_empty(engine_cls, field):
     v = eng.new_vector([field.convert(c) for c in (3, 4, 5)])
     assert len(eng.reduce_into(v)) == 0
     assert list(v) == [field.convert(c) for c in (3, 4, 5, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("engine_cls, field",
+                         [(PrimeEngine, F7), (RationalEngine, QQ)],
+                         ids=["prime", "rational"])
+def test_monomial_vector_high_exponent(engine_cls, field):
+    """Exponents far past the recursion limit are built in a loop."""
+    pts = [tuple(map(field.convert, pt))
+           for pt in [(Fr(1, 2), Fr(3)), (Fr(2, 3), Fr(-5, 4))]]
+    eng = engine_cls(field, pts)
+    cache = {}
+    power = (lambda a, k: pow(a, k, field.p)) if field.char else pow
+    for e in [(1200, 1300), (1201, 1300), (0, 2600)]:
+        want = [field.mul(power(x, e[0]), power(y, e[1])) for x, y in pts]
+        assert list(eng.monomial_vector(e, cache)) == want, e
+    # every divisor on the way was cached: (0, 2600) grew from (0, 1300)
+    assert len(cache) == 1201 + 1300 + 1 + 1300
 
 
 def _reference_reduce(rows, pivots, v, p):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from bmpoints.fields import (BadFieldSpecError, DivisionByZeroError,
                              NotPrimeError, ZeroDenominatorError, is_prime,
-                             make_field, xgcd)
+                             make_field)
 
 F17 = make_field("q:17")
 QQ = make_field("rational")
@@ -67,14 +67,6 @@ def test_is_prime_matches_trial_division():
     verdicts = [is_prime(n) for n in sample]
     assert verdicts == [_is_prime_trial(n) for n in sample]
     assert any(verdicts) and not all(verdicts)
-
-
-@given(a=st.integers(), b=st.integers())
-def test_xgcd_bezout(a, b):
-    g, u, v = xgcd(a, b)
-    assert g == a * u + b * v
-    if a or b:
-        assert g > 0 and a % g == 0 and b % g == 0
 
 
 @pytest.mark.parametrize("field,elems", [(F17, f17_elems), (QQ, rationals)],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bmpoints.orders import (EQ, GT, INLEX, LEX, LT, ORDERS, TDINLEX,
-                             exp_degree, exp_divides, order_by_name)
+                             exp_divides, order_by_name)
 
 exponents = st.tuples(st.integers(min_value=0, max_value=40),
                       st.integers(min_value=0, max_value=40))
@@ -72,7 +72,6 @@ def test_divisibility_implies_below(order, a, b):
 
 @given(a=exponents, b=exponents)
 def test_exp_helpers(a, b):
-    assert exp_degree(a) == a[0] + a[1]
     assert exp_divides(a, _mul(a, b))
     if exp_divides(a, b) and exp_divides(b, a):
         assert a == b

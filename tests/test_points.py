@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bmpoints.fields import make_field
-from bmpoints.points import (DuplicatePointError, EmptySetError, LowerSet,
-                             PointSet, format_point_file, is_lower,
-                             line_cover, lower_set_of, parse_point_file)
+from bmpoints.newton import newton_basis_cols, newton_basis_rows
+from bmpoints.orders import INLEX, LEX
+from bmpoints.points import (DuplicatePointError, EmptySetError, PointSet,
+                             format_point_file, is_lower, line_cover,
+                             lower_set_of, parse_point_file)
 from conftest import EX1_POINTS, EX2_POINTS, F7, QQ
 
 F5 = make_field("q:5")
@@ -61,8 +63,7 @@ def test_ex1_column_cover():
     assert [key for key, _ in cover.groups] == [1, 0, 2, 3]
     assert cover.flatten() == [(1, 0), (1, 2), (1, 3), (1, 4), (0, 1), (0, 3),
                                (2, 1), (2, 2), (3, 1)]
-    lows = lower_set_of(cover)
-    assert lows.column_major() == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
+    assert lower_set_of(cover) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
                                    (1, 1), (2, 0), (2, 1), (3, 0)]
 
 
@@ -72,22 +73,8 @@ def test_ex2_row_cover():
     assert cover.sizes() == (3, 3, 2, 1)
     assert [key for key, _ in cover.groups] == [0, 2, 1, 3]
     assert cover.flatten()[:3] == [(0, 0), (Fr(5, 2), 0), (4, 0)]
-    lows = lower_set_of(cover)
-    assert lows.row_major() == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1),
-                                (0, 2), (1, 2), (0, 3)]
-
-
-def test_lower_set_validation():
-    L = LowerSet.from_l_x((3, 2, 0, 0))
-    assert len(L) == 9
-    assert (3, 0) in L and (1, 1) in L and (3, 1) not in L
-    assert L.l_y == (3, 1, 1, 0)
-    with pytest.raises(ValueError):
-        LowerSet({(0, 0), (2, 0)})  # gap in the bottom row
-    with pytest.raises(ValueError):
-        LowerSet({(0, 0), (0, 1), (1, 1)})  # row 1 longer than row 0
-    with pytest.raises(EmptySetError):
-        LowerSet(set())
+    assert lower_set_of(cover) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1),
+                                   (2, 1), (0, 2), (1, 2), (0, 3)]
 
 
 def test_is_lower():
@@ -109,8 +96,10 @@ def test_cover_partitions_and_lower(pts):
         sizes = cover.sizes()
         assert sizes == tuple(sorted(sizes, reverse=True))
         lows = lower_set_of(cover)
-        assert len(lows) == len(ps)
-        assert is_lower(lows.exponents)
-        # listings enumerate the same lower set
-        assert set(lows.row_major()) == lows.exponents
-        assert set(lows.column_major()) == lows.exponents
+        assert len(set(lows)) == len(lows) == len(ps)
+        assert is_lower(lows)
+        # row-major (inlex) from a row cover, column-major (lex) otherwise
+        order = INLEX if axis == "rows" else LEX
+        assert lows == order.sorted(lows)
+        build = newton_basis_rows if axis == "rows" else newton_basis_cols
+        assert build(cover).index_order == lows

@@ -1,11 +1,12 @@
 """Seeded runs far above the oracle's cap: the runners agree and every
-result certifies."""
+result certifies, also on collinear sets whose staircase is one long line."""
 
 import pytest
 
 from bmpoints.bm import bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
-from bmpoints.orders import LEX, TDINLEX
+from bmpoints.orders import INLEX, LEX, TDINLEX
+from bmpoints.points import PointSet
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
 
@@ -24,3 +25,18 @@ def test_runners_agree_and_certify(field, order, size, runners):
         assert set(res.N) == set(runs[0].N), res.algorithm
         report = verify_result(res)
         assert report.passed, f"{res.algorithm}\n{report.text()}"
+
+
+@pytest.mark.parametrize("line", ["vertical", "horizontal"])
+def test_collinear_seeded_runs_certify(line):
+    """1050 points on one line: the border monomial (0, 1050) or (1050, 0)
+    is built without recursing once per exponent step."""
+    size = 1050
+    pts = [(0, t) if line == "vertical" else (t, 0) for t in range(size)]
+    ps = PointSet(make_field("q:2147483647"), pts)
+    for run, order in ((spbm_run, LEX), (spbm_run, INLEX),
+                       (gpbm_run, TDINLEX)):
+        res = run(ps, order)
+        assert len(res.N) == size, (run.__name__, order.name)
+        report = verify_result(res)
+        assert report.passed, f"{run.__name__} {order.name}\n{report.text()}"

@@ -100,8 +100,8 @@ def test_report_aggregation():
     assert not rep.passed
     sub = VerifyReport()
     sub.add("c", True)
-    rep.extend(sub, prefix="inner: ")
-    assert [n for n, ok, _ in rep.checks] == ["a", "b", "inner: c"]
+    rep.extend(sub)
+    assert [n for n, ok, _ in rep.checks] == ["a", "b", "c"]
     txt = rep.text()
     assert "PASS a" in txt and "FAIL b" in txt and "FAIL" in txt.splitlines()[-1]
     doc = rep.to_json()
