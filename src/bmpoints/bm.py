@@ -1,14 +1,15 @@
 """Staircase construction for vanishing ideals of finite planar point sets.
 
 Computes the reduced Groebner basis G, the monomial escalier N, and the
-slot-aligned degree-reducing Newton interpolation basis Q.  Three entry
-points share one elimination loop: bm_run starts from an empty staircase;
-spbm_run (lex/inlex) preloads every point through a line cover and its
-Newton basis, leaving only the Groebner elements to discover; gpbm_run
-(any order) preloads a maximal cartesian subset and lets the loop finish.
+slot-aligned degree-reducing Newton interpolation basis Q.  The three
+variants differ only in the line cover they hand to one run, _run: bm_run
+hands none and starts from an empty staircase; spbm_run (lex/inlex) hands
+the cover of all points, leaving only the Groebner elements to discover;
+gpbm_run (any order) hands the row cover of a maximal cartesian subset and
+lets the loop finish the remaining points.
 
-Both seeded runs, over either field, preload through one path: the newton
-module builds the cover's basis as rows of values and coefficients, and
+A cover seeds the run through one path for either field: the newton module
+builds the cover's basis as rows of values and coefficients, and
 evaluation_matrix extends the values to the run points.  The basis index
 order is the slot order, so the seeded slots are exactly the cover's lower
 set.
@@ -22,12 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartesian import max_cartesian_subset
-from .engine import engine_for
+from .engine import PrimeEngine, RationalEngine
 from .fields import Field
 from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
 from .orders import TermOrder, exp_divides
 from .points import EmptySetError, LineCover, PointSet, is_lower, line_cover
 from .poly import Polynomial
+
+# spbm's cover axis by order: lex pairs with a row cover (monomials grouped
+# by y-degree), inlex with a column cover; other orders are unsupported
+SPBM_AXIS = {"lex": "rows", "inlex": "columns"}
 
 
 class NotLowerSetError(ValueError):
@@ -70,105 +75,85 @@ def border(exponents, order: TermOrder) -> list:
     return order.sorted(out - exps)
 
 
-class BMState:
-    """Mutable loop state shared by the plain and seeded runners."""
+def _run(ps: PointSet, order: TermOrder, algorithm: str,
+         cover: LineCover | None = None, removed=()) -> BMResult:
+    """Seed from the cover, if any, then process candidates ascending.
 
-    __slots__ = ("field", "order", "input_points", "run_points",
-                 "input_indices", "engine", "cache", "N", "L",
-                 "g_lts", "g_polys", "seeded", "processed")
-
-
-def _new_state(ps: PointSet, order: TermOrder, run_points: list) -> BMState:
-    st = BMState()
-    st.field = ps.field
-    st.order = order
-    st.input_points = ps
-    st.run_points = run_points
-    imap = ps.index_map()
-    st.input_indices = [imap[p] for p in run_points]
-    st.engine = engine_for(ps.field, run_points)
-    st.cache = {}
-    st.N = []
-    st.L = [(0, 0)]
-    st.g_lts = []
-    st.g_polys = []
-    st.seeded = 0
-    st.processed = 0
-    return st
-
-
-def _loop(st: BMState) -> None:
-    """Process candidates ascending: zero residual yields a basis element,
-    a fresh pivot extends the staircase and queues the shifted candidates."""
-    eng = st.engine
-    key = st.order.key
-    while st.L:
-        t = st.L.pop(0)
-        st.processed += 1
-        v = eng.new_vector(eng.monomial_vector(t, st.cache))
+    The run points are the cover's points in cover order followed by
+    `removed`, or the input points when there is no cover.  Seeding loads
+    the cover's Newton rows: row k holds the values of basis element k at
+    the run points (zero before run point k, one at it), then its
+    coefficients over the slots, which are the basis index order; the
+    border of that lower set starts the candidate list.  In the loop a zero
+    residual yields a basis element, and a fresh pivot extends the
+    staircase and queues the shifted candidates.
+    """
+    field = ps.field
+    run_points = (list(ps.points) if cover is None
+                  else cover.flatten() + list(removed))
+    eng = (PrimeEngine if field.char else RationalEngine)(field, run_points)
+    N, L = [], [(0, 0)]
+    if cover is not None:
+        basis = (newton_basis_rows(cover) if cover.axis == "rows"
+                 else newton_basis_cols(cover))
+        k = len(basis)
+        aug = np.full((k, eng.width), field.zero, dtype=basis.coeffs.dtype)
+        evaluation_matrix(basis, run_points, out=aug[:, :eng.mu])
+        aug[:, eng.mu:eng.mu + k] = basis.coeffs
+        eng.bulk_load(aug)
+        N = list(basis.index_order)
+        L = border(N, order)
+    seeded, processed = len(N), 0
+    cache, g_lts, g_polys = {}, [], []
+    while L:
+        t = L.pop(0)
+        processed += 1
+        v = eng.new_vector(eng.monomial_vector(t, cache))
         eng.reduce_into(v)
         piv = eng.pivot_of(v)
         if piv is None:
-            terms = dict(eng.tail_terms(v, st.N))
-            terms[t] = st.field.one
-            st.g_lts.append(t)
-            st.g_polys.append(Polynomial(st.field, terms))
-            st.L = [u for u in st.L if not exp_divides(t, u)]
+            terms = dict(eng.tail_terms(v, N))
+            terms[t] = field.one
+            g_lts.append(t)
+            g_polys.append(Polynomial(field, terms))
+            L = [u for u in L if not exp_divides(t, u)]
         else:
-            slot = len(st.N)
-            eng.append_row(v, slot, piv)
-            st.N.append(t)
+            eng.append_row(v, len(N), piv)
+            N.append(t)
             for cand in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
-                if any(exp_divides(u, cand) for u in st.L):
+                if any(exp_divides(u, cand) for u in L):
                     continue
-                if any(exp_divides(u, cand) for u in st.g_lts):
+                if any(exp_divides(u, cand) for u in g_lts):
                     continue
-                insort(st.L, cand, key=key)
-
-
-def _finish(st: BMState, algorithm: str) -> BMResult:
-    eng = st.engine
-    Q = [Polynomial(st.field, dict(eng.coeff_terms(r, st.N)))
-         for r in range(len(st.N))]
-    key = st.order.key
-    pairs = sorted(zip(st.g_lts, st.g_polys), key=lambda lg: key(lg[0]))
-    return BMResult(field=st.field, order=st.order, algorithm=algorithm,
-                    points=st.input_points, run_points=st.run_points,
-                    G=[g for _, g in pairs], N=list(st.N), Q=Q,
-                    point_permutation=[st.input_indices[p]
+                insort(L, cand, key=order.key)
+    Q = [Polynomial(field, dict(eng.coeff_terms(r, N)))
+         for r in range(len(N))]
+    G = [g for _, g in sorted(zip(g_lts, g_polys),
+                               key=lambda lg: order.key(lg[0]))]
+    imap = ps.index_map()
+    return BMResult(field=field, order=order, algorithm=algorithm,
+                    points=ps, run_points=run_points, G=G, N=N, Q=Q,
+                    point_permutation=[imap[run_points[p]]
                                        for p in eng.pivot_indices()],
-                    seeded_count=st.seeded, processed=st.processed)
+                    seeded_count=seeded, processed=processed)
 
 
 def bm_run(ps: PointSet, order: TermOrder) -> BMResult:
     """Full elimination from an empty staircase."""
     if len(ps) == 0:
         raise EmptySetError("no points")
-    st = _new_state(ps, order, list(ps.points))
-    _loop(st)
-    return _finish(st, "bm")
+    return _run(ps, order, "bm")
 
 
 def spbm_run(ps: PointSet, order: TermOrder) -> BMResult:
-    """Seeded run covering all points with lines before the loop starts.
-
-    lex pairs with a row cover (monomials grouped by y-degree), inlex with
-    a column cover; other orders are rejected.
-    """
+    """Seeded run covering all points with lines before the loop starts,
+    along the axis SPBM_AXIS gives for the order."""
     if len(ps) == 0:
         raise EmptySetError("no points")
-    if order.name == "lex":
-        axis = "rows"
-    elif order.name == "inlex":
-        axis = "columns"
-    else:
+    if order.name not in SPBM_AXIS:
         raise UnsupportedOrderError(
-            f"spbm supports lex and inlex, not {order.name}")
-    cover = line_cover(ps, axis)
-    st = _new_state(ps, order, cover.flatten())
-    _seed(st, cover)
-    _loop(st)
-    return _finish(st, "spbm")
+            f"spbm supports {' and '.join(SPBM_AXIS)}, not {order.name}")
+    return _run(ps, order, "spbm", line_cover(ps, SPBM_AXIS[order.name]))
 
 
 def gpbm_run(ps: PointSet, order: TermOrder) -> BMResult:
@@ -176,29 +161,6 @@ def gpbm_run(ps: PointSet, order: TermOrder) -> BMResult:
     the remaining points with the plain loop.  Works under any order.
 
     The run points are the subset in row-cover order followed by the
-    removed points in input order."""
-    if len(ps) == 0:
-        raise EmptySetError("no points")
-    subset, removed = max_cartesian_subset(ps)
-    cover = line_cover(subset, "rows")
-    st = _new_state(ps, order, cover.flatten() + removed)
-    _seed(st, cover)
-    _loop(st)
-    return _finish(st, "gpbm")
-
-
-def _seed(st: BMState, cover: LineCover) -> None:
-    """Preload the engine with the Newton rows of a cover and queue the
-    border: row k holds the values of basis element k at the run points
-    (zero before run point k, one at it), then its coefficients over the
-    slots, which are the basis index order."""
-    basis = (newton_basis_rows(cover) if cover.axis == "rows"
-             else newton_basis_cols(cover))
-    eng, k = st.engine, len(basis)
-    aug = np.full((k, eng.width), st.field.zero, dtype=basis.coeffs.dtype)
-    evaluation_matrix(basis, st.run_points, out=aug[:, :eng.mu])
-    aug[:, eng.mu:eng.mu + k] = basis.coeffs
-    eng.bulk_load(aug)
-    st.N = list(basis.index_order)
-    st.seeded = k
-    st.L = border(st.N, st.order)
+    removed points in input order; an empty set is an EmptySetError."""
+    cover, removed = max_cartesian_subset(ps)
+    return _run(ps, order, "gpbm", cover, removed)

@@ -3,9 +3,9 @@
 A point set is cartesian when it equals {(x_i, y_j) : (i, j) in A} for a
 lower set A, distinct abscissae x_i and distinct ordinates y_j.  Cartesian
 subsets are what lets a run be seeded with a ready-made triangular block.
-max_cartesian_subset returns the subset in its row-cover order and the
-removed points in input order, so the subset followed by the removed points
-is the order in which gpbm runs.
+max_cartesian_subset returns the subset's row cover and the removed points
+in input order, so the cover's points followed by the removed points are
+the order in which gpbm runs.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def max_cartesian_subset(ps: PointSet):
     ordinate), keep only leftover points whose abscissa occurs in A, and
     repeat on the remainder.
 
-    Returns (subset, removed) with `removed` in the original input order.
-    The subset is listed in its own row-cover order (groups by descending
-    size then ascending ordinate, ascending abscissa within a group).
+    Returns (cover, removed): the row cover of the subset (groups by
+    descending size then ascending ordinate, ascending abscissa within a
+    group) and the other points in the original input order.
     """
     if len(ps) == 0:
         raise EmptySetError("empty point set")
@@ -74,7 +74,6 @@ def max_cartesian_subset(ps: PointSet):
         if not work:
             break
     # the row-cover ordering is total, so any construction order works here
-    subset = PointSet(field, line_cover(PointSet(field, list(chosen)),
-                                        "rows").flatten())
+    cover = line_cover(PointSet(field, list(chosen)), "rows")
     removed = [pt for pt in ps if pt not in chosen]
-    return subset, removed
+    return cover, removed

@@ -23,10 +23,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bench import RUNNERS, bench_csv, run_bench
-from .bm import BMResult, bm_run, gpbm_run, spbm_run
+from .bm import SPBM_AXIS, BMResult, bm_run, gpbm_run, spbm_run
 from .fields import make_field
 from .orders import ORDERS, order_by_name
-from .points import format_point_file, parse_point_file
+from .points import EmptySetError, format_point_file, parse_point_file
 from .poly import (monomial_text, poly_from_json_terms, poly_json_terms,
                    poly_text)
 from .randgen import gen_points
@@ -155,9 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_algo(algo: str, order_name: str) -> str:
     if algo == "auto":
-        return "spbm" if order_name in ("lex", "inlex") else "gpbm"
-    if algo == "spbm" and order_name not in ("lex", "inlex"):
-        raise ValueError("spbm supports only lex and inlex")
+        return "spbm" if order_name in SPBM_AXIS else "gpbm"
+    if algo == "spbm" and order_name not in SPBM_AXIS:
+        raise ValueError(f"spbm supports only {' and '.join(SPBM_AXIS)}")
     return algo
 
 
@@ -167,6 +167,8 @@ def _cmd_compute(args) -> int:
         order = order_by_name(args.order)
         algo = _resolve_algo(args.algo, order.name)
         ps = parse_point_file(field, Path(args.points).read_text())
+        if len(ps) == 0:
+            raise EmptySetError(f"{args.points} holds no points")
     result = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}[algo](ps, order)
     report = verify_result(result)
     if args.out == "json":

@@ -267,9 +267,3 @@ class RationalEngine:
     def pivot_indices(self) -> list:
         return list(self.pivots)
 
-
-def engine_for(field, points):
-    """Pick the matching engine for the field."""
-    if field.char:
-        return PrimeEngine(field, points)
-    return RationalEngine(field, points)

@@ -111,6 +111,10 @@ class LineCover:
         self.groups = groups  # list of (key, [points])
         self.field = field
 
+    def __len__(self):
+        """The number of points covered."""
+        return sum(len(g) for _, g in self.groups)
+
     def sizes(self) -> tuple:
         return tuple(len(g) for _, g in self.groups)
 

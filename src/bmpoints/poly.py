@@ -19,7 +19,7 @@ class ZeroPolynomialError(ValueError):
 class Polynomial:
     """Finite map exponent -> nonzero coefficient over a fixed field.
 
-    Instances are treated as immutable; all operations return new objects.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("field", "terms")
@@ -29,20 +29,6 @@ class Polynomial:
         self.terms = terms
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: Field) -> "Polynomial":
-        return cls(field, {})
-
-    @classmethod
-    def constant(cls, field: Field, c) -> "Polynomial":
-        c = field.convert(c)
-        return cls(field, {} if c == field.zero else {(0, 0): c})
-
-    @classmethod
-    def monomial(cls, field: Field, e: Exponent, c=1) -> "Polynomial":
-        c = field.convert(c)
-        return cls(field, {} if c == field.zero else {e: c})
 
     @classmethod
     def from_pairs(cls, field: Field, pairs) -> "Polynomial":
@@ -80,43 +66,7 @@ class Polynomial:
         """Exact value at point = (x, y): an int over F_p, a Fraction over Q."""
         return values_at([self], [point], self.field).item(0)
 
-    # -- arithmetic -----------------------------------------------------
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        f = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = f.add(terms.get(e, f.zero), c)
-            if s == f.zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Polynomial(f, terms)
-
-    def neg(self) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, {e: f.neg(c) for e, c in self.terms.items()})
-
-    def sub(self, other: "Polynomial") -> "Polynomial":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "Polynomial":
-        f = self.field
-        c = f.convert(c)
-        if c == f.zero:
-            return Polynomial.zero(f)
-        return Polynomial(f, {e: f.mul(c, v) for e, v in self.terms.items()})
-
     # -- dunders --------------------------------------------------------
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.neg()
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.field == self.field

@@ -61,11 +61,11 @@ def test_criterion_2_second_example_exact(ex2):
 def test_criterion_3_prime_field_subset_run(ex5):
     with criterion(3, "20 points over q:7, tdinlex: subset, seed basis, G"):
         t0 = time.perf_counter()
-        subset, _ = max_cartesian_subset(ex5)
+        cover, _ = max_cartesian_subset(ex5)
         res = gpbm_run(ex5, TDINLEX)
         oracle_g, oracle_n = oracle_dense(ex5, TDINLEX)
         elapsed = time.perf_counter() - t0
-        assert subset.points == EX5_MCS_ORDER
+        assert cover.flatten() == EX5_MCS_ORDER
         assert [poly_text(q, TDINLEX) for q in res.Q[:9]] == EX5_SEED_Q_TEXT
         assert len(res.N) == 20
         by_lt = {g.leading_monomial(TDINLEX): g for g in res.G}
@@ -116,8 +116,8 @@ def test_criterion_5_subset_maximality_exhaustive():
         for r in range(1, 10):
             for sub in combinations(plane, r):
                 s = frozenset(sub)
-                out, removed = max_cartesian_subset(PointSet(F3, list(sub)))
-                chosen = frozenset(out.points)
+                cover, removed = max_cartesian_subset(PointSet(F3, list(sub)))
+                chosen = frozenset(cover.flatten())
                 assert chosen | set(removed) == s
                 assert len(chosen) + len(removed) == len(s)
                 assert chosen in cartesian
@@ -145,8 +145,8 @@ def test_criterion_7_subset_ratio():
         ratios = []
         for seed in range(11):
             ps = gen_points(F17, 250, seed=seed)
-            subset, _ = max_cartesian_subset(ps)
-            ratios.append(len(subset) / 250)
+            cover, _ = max_cartesian_subset(ps)
+            ratios.append(len(cover) / 250)
         med = statistics.median(ratios)
         elapsed = time.perf_counter() - t0
         assert 0.40 <= med <= 0.80, f"median {med:.3f}"
@@ -192,7 +192,7 @@ def test_criterion_8_invariant_suites():
                         want = F17.one if m == k else F17.zero
                         assert q.evaluate(basis.point_order[m]) == want
                 for e in [(2, 1), (0, 4), (3, 3)]:
-                    mono = Polynomial.monomial(F17, e)
+                    mono = Polynomial(F17, {e: F17.one})
                     vals = [mono.evaluate(pt) for pt in basis.point_order]
                     p = interpolate(basis, vals)
                     if not p.is_zero():

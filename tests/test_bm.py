@@ -9,8 +9,7 @@ from bmpoints.cartesian import max_cartesian_subset
 from bmpoints.fields import make_field
 from bmpoints.newton import newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
-from bmpoints.points import (EmptySetError, LineCover, PointSet, line_cover,
-                             lower_set_of)
+from bmpoints.points import EmptySetError, LineCover, PointSet, lower_set_of
 from bmpoints.poly import poly_text
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
@@ -101,8 +100,14 @@ def test_grid_lex():
 
 
 def test_empty_and_unsupported():
+    empty = PointSet(F7, [])
+    for run, order in ((bm_run, LEX), (spbm_run, LEX), (spbm_run, INLEX),
+                       (gpbm_run, TDINLEX)):
+        with pytest.raises(EmptySetError):
+            run(empty, order)
+    # emptiness is checked before the order
     with pytest.raises(EmptySetError):
-        bm_run(PointSet(F7, []), LEX)
+        spbm_run(empty, TDINLEX)
     ps = PointSet(F7, [(0, 0), (1, 2)])
     with pytest.raises(UnsupportedOrderError):
         spbm_run(ps, TDINLEX)
@@ -120,8 +125,9 @@ def test_bm_n_ascending_and_q_slots():
 
 def test_permutation_contract():
     ps = gen_points(F17, 9, seed=7)
-    for run in (bm_run, gpbm_run):
-        res = run(ps, TDINLEX)
+    for run, order in ((bm_run, TDINLEX), (gpbm_run, TDINLEX),
+                       (spbm_run, LEX), (spbm_run, INLEX)):
+        res = run(ps, order)
         perm = res.point_permutation
         assert sorted(perm) == list(range(len(ps)))
         ordered = [ps.points[i] for i in perm]
@@ -150,8 +156,8 @@ def test_algorithms_agree(seed, size):
 @settings(max_examples=40, deadline=None)
 def test_cartesian_subset_monomials_inside_escalier(seed, size):
     ps = gen_points(F5, size, seed=seed)
-    sub, _ = max_cartesian_subset(ps)
-    sx = set(lower_set_of(line_cover(sub, "rows")))
+    cover, _ = max_cartesian_subset(ps)
+    sx = set(lower_set_of(cover))
     for order in ALL_ORDERS:
         assert sx <= set(bm_run(ps, order).N)
 

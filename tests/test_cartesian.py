@@ -48,25 +48,25 @@ def test_criteria_agree(pts):
 
 def test_mcs_second_example():
     ps = PointSet(QQ, EX2_POINTS)
-    subset, removed = max_cartesian_subset(ps)
-    assert set(subset.points) == EX2_MCS_SET
+    cover, removed = max_cartesian_subset(ps)
+    assert set(cover.flatten()) == EX2_MCS_SET
     assert removed == [(Fr(0), Fr(3)), (Fr(1), Fr(1))]  # input order
-    assert is_cartesian(subset)
+    assert is_cartesian(PointSet(QQ, cover.flatten()))
 
 
 def test_mcs_f7_example_order():
     ps = PointSet(F7, EX5_POINTS)
-    subset, removed = max_cartesian_subset(ps)
-    assert subset.points == EX5_MCS_ORDER
+    cover, removed = max_cartesian_subset(ps)
+    assert cover.flatten() == EX5_MCS_ORDER
     assert len(removed) == 11
     assert removed == [p for p in ps if p not in set(EX5_MCS_ORDER)]
-    assert is_cartesian(subset)
+    assert is_cartesian(PointSet(F7, cover.flatten()))
 
 
 def test_mcs_of_cartesian_set_is_identity():
     grid = PointSet(F5, [(x, y) for x in range(2) for y in range(3)])
-    subset, removed = max_cartesian_subset(grid)
-    assert set(subset.points) == set(grid.points)
+    cover, removed = max_cartesian_subset(grid)
+    assert set(cover.flatten()) == set(grid.points)
     assert removed == []
 
 
@@ -74,11 +74,11 @@ def test_mcs_of_cartesian_set_is_identity():
                min_size=1, max_size=12))
 def test_mcs_partitions_input(pts):
     ps = PointSet(F5, sorted(pts))
-    subset, removed = max_cartesian_subset(ps)
-    assert is_cartesian(subset)
-    got = set(subset.points) | set(removed)
+    cover, removed = max_cartesian_subset(ps)
+    assert is_cartesian(PointSet(F5, cover.flatten()))
+    got = set(cover.flatten()) | set(removed)
     assert got == set(ps.points)
-    assert len(subset) + len(removed) == len(ps)
+    assert len(cover) + len(removed) == len(ps)
     # growing back any single removed point must not stay trivially fine:
     # maximality is checked exhaustively in the acceptance suite
 

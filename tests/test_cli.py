@@ -66,6 +66,19 @@ def test_compute_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compute_rejects_empty_point_file(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# no points here\n\n   # nor here\n")
+    for path in (empty, comments):
+        for algo in ("bm", "spbm", "gpbm"):
+            assert run_cli(["compute", "--field", "q:7", "--order", "lex",
+                            "--algo", algo, "--points", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "Traceback" not in err
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
@@ -254,7 +267,8 @@ def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
 
     def corrupted(ps, order):
         res = real_spbm(ps, order)
-        res.G[0] = res.G[0].add(Polynomial.constant(ps.field, 1))
+        res.G[0] = Polynomial.from_pairs(
+            ps.field, [*res.G[0].terms.items(), ((0, 0), 1)])
         return res
 
     monkeypatch.setattr(cli, "spbm_run", corrupted)
