@@ -82,11 +82,12 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     The run points are the cover's points in cover order followed by
     `removed`, or the input points when there is no cover.  Seeding loads
     the cover's Newton rows: row k holds the values of basis element k at
-    the run points (zero before run point k, one at it), then its
-    coefficients over the slots, which are the basis index order; the
-    border of that lower set starts the candidate list.  In the loop a zero
-    residual yields a basis element, and a fresh pivot extends the
-    staircase and queues the shifted candidates.
+    the run points (zero before run point k), then its coefficients over
+    the slots, which are the basis index order, all over its entry at run
+    point k (one over F_p, a positive integer over Q); the border of that
+    lower set starts the candidate list.  In the loop a zero residual
+    yields a basis element, and a fresh pivot extends the staircase and
+    queues the shifted candidates.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -97,9 +98,13 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
         basis = (newton_basis_rows(cover) if cover.axis == "rows"
                  else newton_basis_cols(cover))
         k = len(basis)
-        aug = np.full((k, eng.width), field.zero, dtype=basis.coeffs.dtype)
+        aug = np.zeros((k, eng.width), dtype=basis.rows.dtype)
         evaluation_matrix(basis, run_points, out=aug[:, :eng.mu])
-        aug[:, eng.mu:eng.mu + k] = basis.coeffs
+        # row r of aug is basis row r times the factor its diagonal shows
+        # (one over F_p), and its coefficients take the same factor
+        coeffs = aug[:, eng.mu:eng.mu + k]
+        coeffs[:] = basis.rows[:, k:]
+        coeffs *= (aug.diagonal() // basis.rows.diagonal())[:, None]
         eng.bulk_load(aug)
         N = list(basis.index_order)
         L = border(N, order)

@@ -12,13 +12,22 @@ and the engine keeps its inverse.  A vector reduces by two exact modular
 products, c = v[pivots] A^-1 and v - c mat, instead of a loop over the rows;
 appending a row borders A^-1 in O(r^2), and a seeded block is inverted by
 2x2 block recursion.  The products run in float64 on base-2^b limbs, so
-every sum stays exact.  Vectors are int64 numpy arrays; Q rows are Fraction
-lists.
+every sum stays exact.  Vectors are int64 numpy arrays.
+
+Over Q every row and vector is a list of Python integers over one positive
+denominator (fraction-free elimination with one gcd per row step, after
+Bareiss, Math. Comp. 22, 1968), and Fractions appear only in the output.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+from operator import index
+
 import numpy as np
+
+from .points import coordinate_scale, scale_points
 
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
@@ -200,15 +209,29 @@ class PrimeEngine:
 
 
 class RationalEngine:
-    """Exact Fraction twin of PrimeEngine (desk scale, pure Python)."""
+    """Exact twin of PrimeEngine over Q, on Python integers.
+
+    The points are scaled to integers once: with B and C the lcms of the
+    x- and y-denominators, X = B x and Y = C y, so the vector of x^i y^j is
+    X^i Y^j over B^i C^j.  A vector is a list of integer numerators with
+    their one positive denominator as the last entry.  A stored row is a
+    primitive integer list over its own pivot entry, which is positive.  A
+    reduction step by a row R over d takes the vector V/D to
+    (d V - V[p] R)/(d D), with d and V[p] first divided by their gcd, and
+    divides out the gcd of the whole result, so no entry pays a gcd of its
+    own.  Fractions are built only for what the engine hands out:
+    reduction coefficients and the terms of G and Q.
+    """
 
     def __init__(self, field, points):
         mu = len(points)
         self.field = field
         self.mu = mu
         self.width = 2 * mu
-        self.xs = [x for x, _ in points]
-        self.ys = [y for _, y in points]
+        self.scale = coordinate_scale(points)
+        scaled = scale_points(points, self.scale)
+        self.xs = [x for x, _ in scaled]
+        self.ys = [y for _, y in scaled]
         self.mat: list = []
         self.pivots: list = []
 
@@ -217,53 +240,83 @@ class RationalEngine:
         return len(self.mat)
 
     def monomial_vector(self, e, cache):
+        """X^i Y^j over B^i C^j, built from cached divisors."""
         base, *steps = _divisor_chain(e, cache)
         v = cache.get(base)
         if v is None:
-            v = cache[base] = [self.field.one] * self.mu
+            v = cache[base] = [1] * (self.mu + 1)
+        b, c = self.scale
         for step in steps:
-            v = cache[step] = [a * b for a, b in
-                               zip(v, self.xs if step[0] else self.ys)]
+            coords, s = (self.xs, b) if step[0] else (self.ys, c)
+            v = cache[step] = [a * t for a, t in zip(v, coords)] + [v[-1] * s]
         return v
 
     def new_vector(self, evals) -> list:
-        return list(evals) + [self.field.zero] * self.mu
+        return evals[:-1] + [0] * self.mu + evals[-1:]
 
     def reduce_into(self, v: list):
+        """Reduce v in place against all rows, in order; returns the row
+        coefficients as Fractions."""
         coeffs = []
-        for r, row in enumerate(self.mat):
-            a = v[self.pivots[r]]
-            coeffs.append(a)
-            if a != 0:
-                for c in range(self.width):
-                    if row[c]:
-                        v[c] -= a * row[c]
+        zero = self.field.zero
+        for row, p in zip(self.mat, self.pivots):
+            a = v[p]
+            if not a:
+                coeffs.append(zero)
+                continue
+            coeffs.append(Fraction(a, v[-1]))
+            d = row[p]
+            h = gcd(a, d)
+            if h > 1:
+                a, d = a // h, d // h
+            w = [d * x - a * y if y else d * x for x, y in zip(v, row)]
+            w.append(d * v[-1])
+            g = gcd(*w)
+            v[:] = [x // g for x in w] if g > 1 else w
         return coeffs
 
     def pivot_of(self, v: list):
         for c in range(self.mu):
-            if v[c] != 0:
+            if v[c]:
                 return c
         return None
 
-    def append_row(self, v: list, slot: int, pivot: int):
-        s = self.field.inv(v[pivot])
-        v = [s * c for c in v]
-        v[self.mu + slot] = s
-        self.mat.append(v)
+    def _store(self, row: list, pivot: int) -> None:
+        g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
+        self.mat.append([x // g for x in row] if g != 1 else row)
         self.pivots.append(pivot)
 
-    def bulk_load(self, aug_rows: list) -> None:
-        self.mat = [list(r) for r in aug_rows]
-        self.pivots = list(range(len(aug_rows)))
+    def append_row(self, v: list, slot: int, pivot: int):
+        """Store V/D over V[pivot], with the slot's own coefficient D."""
+        row = v[:-1]
+        row[self.mu + slot] = v[-1]
+        self._store(row, pivot)
+
+    def bulk_load(self, aug_rows) -> None:
+        """Store integer rows, row r over its entry at column r: that entry
+        must be positive and the columns before it zero, so the rows are
+        unit upper triangular over Q."""
+        rows = [[index(c) for c in row] for row in aug_rows]
+        for r, row in enumerate(rows):
+            if row[r] <= 0 or any(row[:r]):
+                raise RuntimeError("seeded rows are not unit upper triangular "
+                                   "over a positive diagonal")
+        self.mat, self.pivots = [], []
+        for r, row in enumerate(rows):
+            self._store(row, r)
+
+    def _terms(self, v, den, slot_exponents):
+        mu = self.mu
+        return [(slot_exponents[c], Fraction(v[mu + c], den))
+                for c in range(mu) if v[mu + c]]
 
     def tail_terms(self, v: list, slot_exponents):
-        return [(slot_exponents[c], v[self.mu + c])
-                for c in range(self.mu) if v[self.mu + c] != 0]
+        """Nonzero coefficient-half entries of v as (exponent, Fraction)."""
+        return self._terms(v, v[-1], slot_exponents)
 
     def coeff_terms(self, r: int, slot_exponents):
-        return self.tail_terms(self.mat[r], slot_exponents)
+        row = self.mat[r]
+        return self._terms(row, row[self.pivots[r]], slot_exponents)
 
     def pivot_indices(self) -> list:
         return list(self.pivots)
-

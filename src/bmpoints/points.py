@@ -10,6 +10,8 @@ covers.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .fields import Field
 
 
@@ -150,6 +152,21 @@ def lower_set_of(cover: LineCover) -> list:
     if cover.axis == "rows":
         return [(i, j) for j, s in enumerate(cover.sizes()) for i in range(s)]
     return [(i, j) for i, s in enumerate(cover.sizes()) for j in range(s)]
+
+
+def coordinate_scale(points) -> tuple:
+    """(B, C): the lcms of the x- and y-denominators of the points, (1, 1)
+    when every coordinate is an integer (as over F_p)."""
+    return (lcm(*(x.denominator for x, _ in points)),
+            lcm(*(y.denominator for _, y in points)))
+
+
+def scale_points(points, scale) -> list:
+    """The points as integer points (B x, C y), for a scale (B, C) that
+    clears every denominator."""
+    b, c = scale
+    return [(x.numerator * (b // x.denominator),
+             y.numerator * (c // y.denominator)) for x, y in points]
 
 
 def is_lower(exponents) -> bool:

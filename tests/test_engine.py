@@ -1,6 +1,8 @@
 """Row-reduction engines: bulk-loaded rows reduce a vector in place."""
 
+import random
 from fractions import Fraction as Fr
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -15,6 +17,22 @@ ROWS = [[1, 1, 1, 1, 0, 0],
         [0, 1, 2, 0, 1, 0]]
 
 
+def _vector(eng, values):
+    """An engine vector of field values: the values over F_p, and over Q
+    their integer numerators followed by their common denominator."""
+    if eng.field.char:
+        return eng.new_vector(values)
+    den = lcm(*(c.denominator for c in values))
+    return eng.new_vector([(c * den).numerator for c in values] + [den])
+
+
+def _entries(eng, v) -> list:
+    """The entries of an engine vector as field values."""
+    if eng.field.char:
+        return list(v)
+    return [Fr(c, v[-1]) for c in v[:-1]]
+
+
 @pytest.mark.parametrize("engine_cls, field",
                          [(PrimeEngine, F7), (RationalEngine, QQ)],
                          ids=["prime", "rational"])
@@ -26,13 +44,13 @@ ROWS = [[1, 1, 1, 1, 0, 0],
 def test_reduce_into(engine_cls, field, evals, rows, coeffs, tail):
     eng = engine_cls(field, [tuple(map(field.convert, pt)) for pt in POINTS])
     if rows:
-        eng.bulk_load([[field.convert(c) for c in row] for row in rows])
+        eng.bulk_load(rows)  # unit diagonal: over Q every row is over a one
     assert eng.nrows == len(rows)
-    v = eng.new_vector([field.convert(c) for c in evals])
+    v = _vector(eng, [field.convert(c) for c in evals])
     got = eng.reduce_into(v)
     assert [field.convert(int(a)) for a in got] == coeffs
     want = evals + [0, 0, 0] if tail is None else [0, 0, 0] + tail
-    assert list(v) == [field.convert(c) for c in want]
+    assert _entries(eng, v) == [field.convert(c) for c in want]
 
 
 @pytest.mark.parametrize("engine_cls, field",
@@ -42,9 +60,9 @@ def test_bulk_load_empty(engine_cls, field):
     eng = engine_cls(field, [tuple(map(field.convert, pt)) for pt in POINTS])
     eng.bulk_load([])
     assert eng.nrows == 0
-    v = eng.new_vector([field.convert(c) for c in (3, 4, 5)])
+    v = _vector(eng, [field.convert(c) for c in (3, 4, 5)])
     assert len(eng.reduce_into(v)) == 0
-    assert list(v) == [field.convert(c) for c in (3, 4, 5, 0, 0, 0)]
+    assert _entries(eng, v) == [field.convert(c) for c in (3, 4, 5, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("engine_cls, field",
@@ -59,7 +77,7 @@ def test_monomial_vector_high_exponent(engine_cls, field):
     power = (lambda a, k: pow(a, k, field.p)) if field.char else pow
     for e in [(1200, 1300), (1201, 1300), (0, 2600)]:
         want = [field.mul(power(x, e[0]), power(y, e[1])) for x, y in pts]
-        assert list(eng.monomial_vector(e, cache)) == want, e
+        assert _entries(eng, eng.monomial_vector(e, cache)) == want, e
     # every divisor on the way was cached: (0, 2600) grew from (0, 1300)
     assert len(cache) == 1201 + 1300 + 1 + 1300
 
@@ -127,11 +145,90 @@ def test_prime_engine_matches_reference(p, mu, seeded, appended):
 
 @pytest.mark.parametrize("bad", ["diagonal", "below"])
 def test_bulk_load_rejects_non_unitriangular(bad):
-    rows = [list(row) for row in ROWS]
-    if bad == "diagonal":
-        rows[1][1] = 2
-    else:
-        rows[1][0] = 3
-    eng = PrimeEngine(F7, POINTS)
-    with pytest.raises(RuntimeError, match="unit upper triangular"):
-        eng.bulk_load(rows)
+    """Over F_p the diagonal must be one; over Q a row is taken over its
+    diagonal entry, which must be positive."""
+    for engine_cls, field, diagonals in ((PrimeEngine, F7, (2, 0)),
+                                         (RationalEngine, QQ, (0, -1))):
+        for diagonal in diagonals:
+            rows = [list(row) for row in ROWS]
+            if bad == "diagonal":
+                rows[1][1] = diagonal
+            else:
+                rows[1][0] = 3
+            eng = engine_cls(field, [tuple(map(field.convert, pt))
+                                     for pt in POINTS])
+            with pytest.raises(RuntimeError, match="unit upper triangular"):
+                eng.bulk_load(rows)
+
+
+def _height7(rng) -> Fr:
+    """A rational of 7-bit numerator and denominator with a random sign."""
+    sign = rng.choice((-1, 1))
+    return Fr(sign * rng.randrange(64, 128), rng.randrange(64, 128))
+
+
+def _reference_reduce_q(rows, pivots, v):
+    """Sequential row-by-row reduction on Fractions: (coeffs, residual)."""
+    coeffs = []
+    for row, piv in zip(rows, pivots):
+        a = v[piv]
+        coeffs.append(a)
+        if a:
+            v = [x - a * y for x, y in zip(v, row)]
+    return coeffs, v
+
+
+def test_rational_engine_matches_reference():
+    """Bulk-loaded rows with negative entries and mixed denominators, then
+    appends of monomial vectors at points of 7-bit height, to depth 31:
+    every reduction returns the coefficients and residual of a sequential
+    Fraction reduction, and every stored row is that reduction's row, kept
+    as a primitive integer row over a positive pivot entry."""
+    rng = random.Random(12)
+    mu, seeded, depth = 36, 10, 31
+    pts = []
+    while len(pts) < mu:
+        pt = (_height7(rng), _height7(rng))
+        if pt not in pts:
+            pts.append(pt)
+    eng = RationalEngine(QQ, pts)
+    # about half the entries right of the diagonal and in the slots are
+    # zero, so row steps also meet nonzero vector entries at zero row ones
+    rows = [[Fr(0)] * r + [Fr(1)]
+            + [_height7(rng) * rng.randrange(2) for _ in range(mu - r - 1)]
+            + [_height7(rng) * rng.randrange(2) if s <= r else Fr(0)
+               for s in range(mu)]
+            for r in range(seeded)]
+    dens = [lcm(*(c.denominator for c in row)) for row in rows]
+    eng.bulk_load([[(c * d).numerator for c in row]
+                   for row, d in zip(rows, dens)])
+    pivots = list(range(seeded))
+    cache = {}
+    exps = sorted(((i, d - i) for d in range(10) for i in range(d + 1)),
+                  key=lambda e: (sum(e), e))
+    for e in exps:
+        if eng.nrows == depth:
+            break
+        evals = [x**e[0] * y**e[1] for x, y in pts]
+        v = eng.new_vector(eng.monomial_vector(e, cache))
+        assert _entries(eng, v) == evals + [Fr(0)] * mu
+        want_c, want_v = _reference_reduce_q(rows, pivots,
+                                             evals + [Fr(0)] * mu)
+        assert eng.reduce_into(v) == want_c
+        assert _entries(eng, v) == want_v
+        piv = eng.pivot_of(v)
+        assert piv == next((c for c in range(mu) if want_v[c]), None)
+        if piv is None:
+            continue
+        slot = eng.nrows
+        eng.append_row(v, slot, piv)
+        s = 1 / want_v[piv]
+        rows.append([x * s for x in want_v])
+        rows[-1][mu + slot] = s
+        pivots.append(piv)
+    assert eng.nrows == depth
+    assert eng.pivot_indices() == pivots
+    for row, piv, want in zip(eng.mat, eng.pivots, rows):
+        assert row[piv] > 0
+        assert gcd(*row) == 1
+        assert [Fr(c, row[piv]) for c in row] == want

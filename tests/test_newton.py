@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +38,14 @@ def _point_sets(field):
 
 FIELDS = pytest.mark.parametrize("field", [F23, BIG, QQ],
                                  ids=["p=23", "p=2^31-1", "rational"])
+
+
+def _values(B) -> np.ndarray:
+    """An evaluation matrix as field values: over Q each integer row is
+    divided by its entry at its own point; over F_p it holds the values."""
+    if B.dtype != object:
+        return B
+    return np.frompyfunc(Fr, 2, 1)(B, B.diagonal()[:, None])
 
 
 def test_cols_basis_first_example():
@@ -79,7 +88,7 @@ def test_grid_cols_basis():
 def test_evaluation_matrix_goldens():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
-    B = evaluation_matrix(basis, basis.point_order)
+    B = _values(evaluation_matrix(basis, basis.point_order))
     assert B[0][:3].tolist() == [1, 1, 1]
     assert B[1][:3].tolist() == [0, 1, Fr(3, 2)]
     assert B[2][:3].tolist() == [0, 0, 1]
@@ -122,7 +131,12 @@ def test_evaluation_matrix_beyond_basis(field):
         for build, axis in BUILDS:
             basis = build(line_cover(PointSet(field, ps[:half]), axis))
             points = basis.point_order + ps.points[half:]
-            B = evaluation_matrix(basis, points)
+            raw = evaluation_matrix(basis, points)
+            # integer rows over Q, each over a positive diagonal entry
+            assert all(raw[r, r] > 0 for r in range(half))
+            if field is QQ:
+                assert all(type(c) is int for c in raw.flat)
+            B = _values(raw)
             assert B.shape == (half, len(ps))
             assert B[:, :half].tolist() == basis.values.tolist()
             for r, q in enumerate(basis.polys):
@@ -141,7 +155,7 @@ def test_evaluation_matrix_checks_prefix():
 def test_unitriangular_square():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
-    B = evaluation_matrix(basis, basis.point_order)
+    B = _values(evaluation_matrix(basis, basis.point_order))
     n = len(basis)
     for k in range(n):
         assert B[k][k] == 1

@@ -1,12 +1,13 @@
 """Seeded runs far above the oracle's cap: the runners agree and every
-result certifies, also on collinear sets whose staircase is one long line."""
+result certifies, also on collinear sets whose staircase is one long line;
+under lex and inlex the staircase is also checked against a line cover."""
 
 import pytest
 
-from bmpoints.bm import bm_run, gpbm_run, spbm_run
+from bmpoints.bm import SPBM_AXIS, bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
-from bmpoints.points import PointSet
+from bmpoints.points import PointSet, line_cover, lower_set_of
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
 
@@ -15,7 +16,10 @@ from bmpoints.verify import verify_result
     ("q:23", LEX, 500, (bm_run, spbm_run, gpbm_run)),
     ("q:2147483647", TDINLEX, 500, (bm_run, gpbm_run)),
     ("q:101", TDINLEX, 1000, (gpbm_run,)),
-], ids=["q23-lex-500", "q2^31-1-tdinlex-500", "q101-tdinlex-1000"])
+    ("rational", LEX, 40, (bm_run, spbm_run, gpbm_run)),
+    ("rational", TDINLEX, 40, (bm_run, gpbm_run)),
+], ids=["q23-lex-500", "q2^31-1-tdinlex-500", "q101-tdinlex-1000",
+        "rational-lex-40", "rational-tdinlex-40"])
 def test_runners_agree_and_certify(field, order, size, runners):
     ps = gen_points(make_field(field), size, seed=5)
     runs = [run(ps, order) for run in runners]
@@ -40,3 +44,16 @@ def test_collinear_seeded_runs_certify(line):
         assert len(res.N) == size, (run.__name__, order.name)
         report = verify_result(res)
         assert report.passed, f"{run.__name__} {order.name}\n{report.text()}"
+
+
+@pytest.mark.parametrize("field, size", [
+    ("q:23", 500), ("q:2147483647", 500), ("rational", 30),
+], ids=["q23-500", "q2^31-1-500", "rational-30"])
+@pytest.mark.parametrize("order", [LEX, INLEX], ids=lambda o: o.name)
+def test_staircase_is_the_cover_lower_set(field, size, order):
+    """Above the dense oracle's cap: under lex (inlex) the staircase of any
+    run is the lower set of the row (column) cover of the points."""
+    ps = gen_points(make_field(field), size, seed=7)
+    want = set(lower_set_of(line_cover(ps, SPBM_AXIS[order.name])))
+    for run in (bm_run, gpbm_run):
+        assert set(run(ps, order).N) == want, run.__name__
