@@ -13,12 +13,19 @@ builds the cover's basis as rows of values and coefficients, and
 evaluation_matrix extends the values to the run points.  The basis index
 order is the slot order, so the seeded slots are exactly the cover's lower
 set.
+
+A result holds G and Q as coefficient matrices (poly.PolyMatrix) over the
+slots of N, taken from the engine's coefficient half without a per-term
+pass: Q is the stored rows' half, each G element its residual's half plus
+its leading monomial.  The Polynomial lists G and Q are views built from
+them on first use.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +35,7 @@ from .fields import Field
 from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
 from .orders import TermOrder, exp_divides
 from .points import EmptySetError, LineCover, PointSet, is_lower, line_cover
-from .poly import Polynomial
+from .poly import PolyMatrix
 
 # spbm's cover axis by order: lex pairs with a row cover (monomials grouped
 # by y-degree), inlex with a column cover; other orders are unsupported
@@ -43,14 +50,17 @@ class UnsupportedOrderError(ValueError):
     """Raised when an algorithm variant does not support the requested order."""
 
 
-@dataclass
+@dataclass(eq=False)
 class BMResult:
     """Output bundle of one run.
 
     G is monic and ascending by leading monomial; N lists the escalier in
     slot (discovery) order; Q[k] has leading monomial N[k] and value 1 at
     the k-th pivot point; point_permutation[k] is the input index of that
-    pivot point.
+    pivot point.  G_dense has the exponents N followed by G's leading
+    monomials, row k holding G[k]'s tail and a one at its own leading
+    monomial; Q_dense has the exponents N.  G and Q are their rows as
+    Polynomials.
     """
 
     field: Field
@@ -58,12 +68,20 @@ class BMResult:
     algorithm: str
     points: PointSet
     run_points: list
-    G: list
     N: list
-    Q: list
+    G_dense: PolyMatrix
+    Q_dense: PolyMatrix
     point_permutation: list
     seeded_count: int
     processed: int
+
+    @cached_property
+    def G(self) -> list:
+        return self.G_dense.polys()
+
+    @cached_property
+    def Q(self) -> list:
+        return self.Q_dense.polys()
 
 
 def border(exponents, order: TermOrder) -> list:
@@ -109,7 +127,7 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
         N = list(basis.index_order)
         L = border(N, order)
     seeded, processed = len(N), 0
-    cache, g_lts, g_polys = {}, [], []
+    cache, g_lts, g_tails = {}, [], []
     while L:
         t = L.pop(0)
         processed += 1
@@ -117,10 +135,8 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
         eng.reduce_into(v)
         piv = eng.pivot_of(v)
         if piv is None:
-            terms = dict(eng.tail_terms(v, N))
-            terms[t] = field.one
             g_lts.append(t)
-            g_polys.append(Polynomial(field, terms))
+            g_tails.append(eng.tail_terms(v))
             L = [u for u in L if not exp_divides(t, u)]
         else:
             eng.append_row(v, len(N), piv)
@@ -131,13 +147,20 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
                 if any(exp_divides(u, cand) for u in g_lts):
                     continue
                 insort(L, cand, key=order.key)
-    Q = [Polynomial(field, dict(eng.coeff_terms(r, N)))
-         for r in range(len(N))]
-    G = [g for _, g in sorted(zip(g_lts, g_polys),
-                               key=lambda lg: order.key(lg[0]))]
+    # G ascending by leading monomial: the tails over N, then a one at
+    # the element's own leading monomial
+    rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))
+    mu, g = len(N), len(g_lts)
+    G = np.zeros((g, mu + g), dtype=np.int64 if field.char else object)
+    for k, r in enumerate(rank):
+        G[k, :mu] = g_tails[r]
+    G[range(g), range(mu, mu + g)] = field.one
     imap = ps.index_map()
     return BMResult(field=field, order=order, algorithm=algorithm,
-                    points=ps, run_points=run_points, G=G, N=N, Q=Q,
+                    points=ps, run_points=run_points, N=N,
+                    G_dense=PolyMatrix(field, N + [g_lts[r] for r in rank],
+                                       G),
+                    Q_dense=PolyMatrix(field, N, eng.coeff_terms()),
                     point_permutation=[imap[run_points[p]]
                                        for p in eng.pivot_indices()],
                     seeded_count=seeded, processed=processed)

@@ -5,12 +5,16 @@ lower set A, distinct abscissae x_i and distinct ordinates y_j.  Cartesian
 subsets are what lets a run be seeded with a ready-made triangular block.
 max_cartesian_subset returns the subset's row cover and the removed points
 in input order, so the cover's points followed by the removed points are
-the order in which gpbm runs.
+the order in which gpbm runs.  Its greedy loop works on point positions
+keyed by integer-scaled coordinates, so the loop hashes no Fraction.
 """
 
 from __future__ import annotations
 
-from .points import EmptySetError, PointSet, line_cover, lower_set_of
+from collections import Counter
+
+from .points import (EmptySetError, PointSet, coordinate_scale, line_cover,
+                     scale_points)
 
 
 def _nested(chain) -> bool:
@@ -23,6 +27,16 @@ def _nested(chain) -> bool:
     return True
 
 
+def _sx_eq_sy(points) -> bool:
+    """S_x = S_y for distinct points.  S_x, the lower set of the row cover
+    (points.lower_set_of), has the row sizes as its rows, and S_y has the
+    column sizes as its columns; so they agree when the descending row
+    sizes are the conjugate of the descending column sizes."""
+    rows = sorted(Counter(y for _, y in points).values(), reverse=True)
+    cols = sorted(Counter(x for x, _ in points).values(), reverse=True)
+    return rows == [sum(c > j for c in cols) for j in range(len(rows))]
+
+
 def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
     """Decide cartesianness by either of two equivalent criteria: the row
     and column covers yield the same lower set (S_x = S_y), or the lines of
@@ -30,9 +44,7 @@ def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
     if len(ps) == 0:
         raise EmptySetError("empty point set")
     if method == "sx_eq_sy":
-        sx = lower_set_of(line_cover(ps, "rows"))
-        sy = lower_set_of(line_cover(ps, "columns"))
-        return set(sx) == set(sy)
+        return _sx_eq_sy(ps.points)
     if method == "nested_chains":
         rows = [frozenset(x for x, _ in g)
                 for _, g in line_cover(ps, "rows").groups]
@@ -56,24 +68,26 @@ def max_cartesian_subset(ps: PointSet):
     """
     if len(ps) == 0:
         raise EmptySetError("empty point set")
-    field = ps.field
-    work = list(ps)
-    chosen: set = set()
+    # positions keyed by integer coordinates; scaling by positive integers
+    # keeps the order of the ordinates, which breaks ties
+    key = scale_points(ps.points, coordinate_scale(ps.points))
+    work = list(range(len(ps)))
+    chosen: list = []
     while True:
-        if is_cartesian(PointSet(field, work)):
-            chosen.update(work)
+        if _sx_eq_sy([key[k] for k in work]):
+            chosen += work
             break
         rows: dict = {}
-        for pt in work:
-            rows.setdefault(pt[1], []).append(pt)
-        key = min(rows, key=lambda k: (-len(rows[k]), k))
-        a = rows[key]
-        abscissae = {x for x, _ in a}
-        chosen.update(a)
-        work = [pt for pt in work if pt not in a and pt[0] in abscissae]
+        for k in work:
+            rows.setdefault(key[k][1], []).append(k)
+        a = rows[min(rows, key=lambda y: (-len(rows[y]), y))]
+        abscissae = {key[k][0] for k in a}
+        chosen += a
+        taken = set(a)
+        work = [k for k in work if k not in taken and key[k][0] in abscissae]
         if not work:
             break
     # the row-cover ordering is total, so any construction order works here
-    cover = line_cover(PointSet(field, list(chosen)), "rows")
-    removed = [pt for pt in ps if pt not in chosen]
-    return cover, removed
+    cover = line_cover(PointSet(ps.field, [ps[k] for k in chosen]), "rows")
+    taken = set(chosen)
+    return cover, [pt for k, pt in enumerate(ps) if k not in taken]

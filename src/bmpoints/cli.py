@@ -6,6 +6,8 @@ bench (algorithm grid with CSV output), verify (re-check a stored result
 against its point file).  Results are checked by evaluating every
 polynomial at every point at once: over F_p by exact modular matrix
 products, over Q by one integer matrix product over common denominators.
+The JSON writer renders G and Q straight from their coefficient matrices,
+and verify reads them back into the same dense form.
 Exit codes: 0 success, 1 failed verification, 2 usage error (arguments or
 input files), 3 internal error (an exception raised by the runner, the
 checks or the output code).
@@ -20,58 +22,83 @@ import sys
 import traceback
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
+from operator import add
 from pathlib import Path
+
+import numpy as np
 
 from .bench import RUNNERS, bench_csv, run_bench
 from .bm import SPBM_AXIS, BMResult, bm_run, gpbm_run, spbm_run
 from .fields import make_field
-from .orders import ORDERS, order_by_name
+from .orders import ORDERS, TermOrder, order_by_name
 from .points import EmptySetError, format_point_file, parse_point_file
-from .poly import (monomial_text, poly_from_json_terms, poly_json_terms,
-                   poly_text)
+from .poly import PolyMatrix, monomial_text, poly_matrix_from_json, poly_text
 from .randgen import gen_points
 from .verify import verify_parts, verify_result
 
 
-def result_to_json(result: BMResult) -> dict:
-    order = result.order
-    return {
-        "field": result.field.name,
-        "order": order.name,
-        "algorithm": result.algorithm,
-        "G": [poly_json_terms(g, order) for g in result.G],
-        "N": [[i, j] for i, j in result.N],
-        "Q": [poly_json_terms(q, order) for q in result.Q],
-        "pointPermutation": list(result.point_permutation),
-    }
-
-
-def _json_text(doc: dict) -> str:
-    """json.dumps(doc, indent=2) for a result_to_json document.
+def result_json_text(result: BMResult, report=None) -> str:
+    """The result as JSON text, byte for byte json.dumps(doc, indent=2) of
+    its document, with report's "verify" block last when given.
 
     dumps uses its C encoder only without indent, so with indent=2 it walks
-    every term in Python.  Here each term and each N pair is one f-string
-    and each array one join.  Keys other than G, N, Q and pointPermutation
-    (the strings, and a "verify" block) go through dumps itself.
+    every term in Python.  Here G and Q are rendered from their matrices
+    (_rows_json) and each array is one join; the verify block goes through
+    dumps itself.
     """
     enc = encode_basestring_ascii
-    items = []
-    for key, value in doc.items():
-        if key in ("G", "Q"):
-            polys = [_json_array([f"[\n        {i},\n        {j},\n        "
-                                  f"{enc(c)}\n      ]" for i, j, c in terms],
-                                 "    ")
-                     for terms in value]
-            text = _json_array(polys, "  ")
-        elif key == "N":
-            text = _json_array([f"[\n      {i},\n      {j}\n    ]"
-                                for i, j in value], "  ")
-        elif key == "pointPermutation":
-            text = _json_array([str(k) for k in value], "  ")
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {enc(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    order = result.order
+    items = [("field", enc(result.field.name)),
+             ("order", enc(order.name)),
+             ("algorithm", enc(result.algorithm)),
+             ("G", _rows_json(result.G_dense, order)),
+             ("N", _json_array([f"[\n      {i},\n      {j}\n    ]"
+                                for i, j in result.N], "  ")),
+             ("Q", _rows_json(result.Q_dense, order)),
+             ("pointPermutation", _json_array(
+                 [str(k) for k in result.point_permutation], "  "))]
+    if report is not None:
+        items.append(("verify", json.dumps(report.to_json(), indent=2)
+                      .replace("\n", "\n  ")))
+    return "{\n" + ",\n".join(f"  {enc(k)}: {v}" for k, v in items) + "\n}"
+
+
+def result_to_json(result: BMResult) -> dict:
+    """The result's JSON document: field, order, algorithm, G and Q as
+    lists of [i, j, "c"] triples descending under the order, N and
+    pointPermutation."""
+    return json.loads(result_json_text(result))
+
+
+# closes one term's coefficient string and opens the next term
+_TERM_SEP = '"\n      ],\n      '
+
+
+def _rows_json(polys: PolyMatrix, order: TermOrder) -> str:
+    """The rows as a JSON array of [i, j, "c"] term arrays, each row's
+    nonzero terms descending under order.
+
+    The columns are put in descending order once, and every column gets
+    its rendered `[i, j, "` prefix once; a term is then its column's
+    prefix plus its coefficient, in the order np.nonzero lists them.  Both
+    fields format an element as str() does, which here runs without a
+    Python call per term.
+    """
+    exps = polys.exps
+    perm = sorted(range(len(exps)), key=lambda c: order.key(exps[c]),
+                  reverse=True)
+    prefix = [f'[\n        {exps[c][0]},\n        {exps[c][1]},\n        "'
+              for c in perm]
+    coeffs = polys.coeffs[:, perm]
+    rows, cols = np.nonzero(coeffs)
+    terms = list(map(add, map(prefix.__getitem__, cols.tolist()),
+                     map(str, coeffs[rows, cols].tolist())))
+    out, start = [], 0
+    for n in np.bincount(rows, minlength=len(polys)).tolist():
+        out.append(f"[\n      {_TERM_SEP.join(terms[start:start + n])}"
+                   '"\n      ]\n    ]' if n else "[]")
+        start += n
+    return _json_array(out, "  ")
 
 
 def _json_array(items: list, pad: str) -> str:
@@ -172,9 +199,7 @@ def _cmd_compute(args) -> int:
     result = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}[algo](ps, order)
     report = verify_result(result)
     if args.out == "json":
-        doc = result_to_json(result)
-        doc["verify"] = report.to_json()
-        print(_json_text(doc))
+        print(result_json_text(result, report))
     else:
         print(result_text(result))
         print("verify: " + ("PASS" if report.passed else "FAIL"))
@@ -243,15 +268,16 @@ def _is_term(t) -> bool:
             and isinstance(t[2], str))
 
 
-def _stored_polys(field, doc: dict, key: str) -> list:
-    """doc[key] as polynomials; a malformed term or a zero entry is named."""
-    polys = []
-    for k, terms in enumerate(_each(doc[key], key)):
-        q = poly_from_json_terms(field, _each(terms, f"{key}[{k}]", _is_term,
-                                              'an [i, j, "c"] triple'))
-        if q.is_zero():
-            raise ValueError(f"{key}[{k}] is the zero polynomial")
-        polys.append(q)
+def _stored_polys(field, doc: dict, key: str) -> PolyMatrix:
+    """doc[key] as a coefficient matrix; a malformed term or a zero entry
+    is named."""
+    entries = _each(doc[key], key)
+    for k, terms in enumerate(entries):
+        _each(terms, f"{key}[{k}]", _is_term, 'an [i, j, "c"] triple')
+    polys = poly_matrix_from_json(field, entries)
+    zero = np.flatnonzero(~polys.coeffs.astype(bool).any(axis=1))
+    if zero.size:
+        raise ValueError(f"{key}[{zero[0]}] is the zero polynomial")
     return polys
 
 

@@ -194,15 +194,13 @@ class PrimeEngine:
         self.pivots[:k] = np.arange(k)
         self.nrows = k
 
-    def tail_terms(self, v: np.ndarray, slot_exponents):
-        """Nonzero coefficient-half entries of v as (exponent, int) pairs."""
-        tail = v[self.mu:]
-        nz = np.flatnonzero(tail)
-        return list(zip([slot_exponents[c] for c in nz.tolist()],
-                        tail[nz].astype(np.int64).tolist()))
+    def tail_terms(self, v: np.ndarray) -> np.ndarray:
+        """The coefficient half of v: its coefficient of each slot."""
+        return v[self.mu:]
 
-    def coeff_terms(self, r: int, slot_exponents):
-        return self.tail_terms(self.mat[r], slot_exponents)
+    def coeff_terms(self) -> np.ndarray:
+        """The coefficient halves of the stored rows, one row per slot."""
+        return self.mat[:self.nrows, self.mu:].astype(np.int64)
 
     def pivot_indices(self) -> list:
         return [int(p) for p in self.pivots[:self.nrows]]
@@ -305,18 +303,20 @@ class RationalEngine:
         for r, row in enumerate(rows):
             self._store(row, r)
 
-    def _terms(self, v, den, slot_exponents):
-        mu = self.mu
-        return [(slot_exponents[c], Fraction(v[mu + c], den))
-                for c in range(mu) if v[mu + c]]
+    def _half(self, v: list, den: int) -> list:
+        return [Fraction(c, den) if c else 0 for c in v[self.mu:2 * self.mu]]
 
-    def tail_terms(self, v: list, slot_exponents):
-        """Nonzero coefficient-half entries of v as (exponent, Fraction)."""
-        return self._terms(v, v[-1], slot_exponents)
+    def tail_terms(self, v: list) -> list:
+        """The coefficient half of v as Fractions, zeros as 0."""
+        return self._half(v, v[-1])
 
-    def coeff_terms(self, r: int, slot_exponents):
-        row = self.mat[r]
-        return self._terms(row, row[self.pivots[r]], slot_exponents)
+    def coeff_terms(self) -> np.ndarray:
+        """The coefficient halves of the stored rows as an object array,
+        one row per slot."""
+        out = np.zeros((self.nrows, self.mu), dtype=object)
+        for r, (row, p) in enumerate(zip(self.mat, self.pivots)):
+            out[r] = self._half(row, row[p])
+        return out
 
     def pivot_indices(self) -> list:
         return list(self.pivots)

@@ -1,5 +1,12 @@
-"""Sparse bivariate polynomials over a Field, keyed by exponent pairs, and
-their exact evaluation at many points at once."""
+"""Bivariate polynomials over a Field in two forms, and their exact
+evaluation at many points at once.
+
+A PolyMatrix holds many polynomials as the rows of one coefficient matrix
+over a list of exponents: int64 over F_p, an object array over Q.  It is
+the form a run produces (G and Q over the slots of N), the form the writer
+renders and the form the certificate checks.  A Polynomial is a sparse map
+from exponent to coefficient, the library's view of one row.
+"""
 
 from __future__ import annotations
 
@@ -64,7 +71,8 @@ class Polynomial:
 
     def evaluate(self, point):
         """Exact value at point = (x, y): an int over F_p, a Fraction over Q."""
-        return values_at([self], [point], self.field).item(0)
+        return values_at(PolyMatrix.from_polys(self.field, [self]),
+                         [point]).item(0)
 
     # -- dunders --------------------------------------------------------
 
@@ -74,6 +82,72 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
+
+
+class PolyMatrix:
+    """Polynomials as the rows of one coefficient matrix.
+
+    coeffs[k, c] is polynomial k's coefficient of x^i y^j, (i, j) =
+    exps[c]; the exponents are distinct.  Over F_p coeffs is int64 with
+    entries in [0, p), over Q an object array of Fractions and integer
+    zeros.  Instances are treated as immutable.
+    """
+
+    __slots__ = ("field", "exps", "coeffs")
+
+    def __init__(self, field: Field, exps: list, coeffs: np.ndarray):
+        self.field = field
+        self.exps = exps
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_terms(cls, field: Field, rows) -> "PolyMatrix":
+        """Rows of (exponent, coefficient) pairs, coefficients already in
+        the field; the terms of one exponent in one row add up."""
+        col: dict = {}
+        ks, cs, vals = [], [], []
+        for k, row in enumerate(rows):
+            for e, c in row:
+                ks.append(k)
+                cs.append(col.setdefault(e, len(col)))
+                vals.append(c)
+        coeffs = np.zeros((len(rows), len(col)),
+                          dtype=np.int64 if field.char else object)
+        np.add.at(coeffs, (np.array(ks, dtype=np.intp),
+                           np.array(cs, dtype=np.intp)),
+                  np.array(vals, dtype=coeffs.dtype))
+        if field.char:
+            coeffs %= field.char
+        return cls(field, list(col), coeffs)
+
+    @classmethod
+    def from_polys(cls, field: Field, polys) -> "PolyMatrix":
+        """The Polynomials as rows, over the exponents they use."""
+        return cls.from_terms(field, [q.terms.items() for q in polys])
+
+    def __len__(self):
+        return self.coeffs.shape[0]
+
+    def polynomial(self, k: int) -> Polynomial:
+        return Polynomial(self.field, {e: c for e, c in zip(
+            self.exps, self.coeffs[k].tolist()) if c})
+
+    def polys(self) -> list:
+        """Every row as a Polynomial."""
+        return [self.polynomial(k) for k in range(len(self))]
+
+    def leading(self, order: TermOrder) -> np.ndarray:
+        """Column of each row's leading monomial: the nonzero column whose
+        exponent ranks highest under order."""
+        exps = self.exps
+        by_rank = sorted(range(len(exps)), key=lambda c: order.key(exps[c]))
+        rank = np.empty(len(exps), dtype=np.intp)
+        rank[by_rank] = np.arange(1, len(exps) + 1)
+        best = np.where(self.coeffs.astype(bool), rank, 0).max(axis=1,
+                                                               initial=0)
+        if not best.all():
+            raise ZeroPolynomialError("zero polynomial has no leading term")
+        return np.array(by_rank, dtype=np.intp)[best - 1]
 
 
 # -- exact evaluation ---------------------------------------------------
@@ -131,20 +205,20 @@ def _scaled_powers(coords, exps, top: int) -> np.ndarray:
     return rows
 
 
-def values_at(polys, points, field: Field) -> np.ndarray:
-    """values[k, m] = polys[k](points[m]), exactly, over field.
+def values_at(polys: PolyMatrix, points) -> np.ndarray:
+    """values[k, m] = polys row k at points[m], exactly.
 
-    The monomial table covers exactly the exponents that occur in polys,
-    whether or not they lie in N, so corrupt input is evaluated as is; a
-    negative exponent is a ValueError.  Over F_p the values are one exact
-    modular matrix product, as int64.  Over Q, with x = a/b, y = c/d and
-    I, J the largest exponents, the table holds the integers
-    a^i b^(I-i) c^j d^(J-j) and each polynomial's coefficients are scaled
-    by L, the lcm of their denominators; one integer matrix product then
-    gives every value as a sum over L b^I d^J, so the only gcds are the
-    Fractions' own.  The result is then an object array of Fractions.
+    The monomial table covers exactly the exponents of polys, whether or
+    not they lie in N, so corrupt input is evaluated as is; a negative
+    exponent is a ValueError.  Over F_p the values are one exact modular
+    matrix product, as int64.  Over Q, with x = a/b, y = c/d and I, J the
+    largest exponents, the table holds the integers a^i b^(I-i) c^j d^(J-j)
+    and each row's coefficients are scaled by L, the lcm of their
+    denominators; one integer matrix product then gives every value as a
+    sum over L b^I d^J, so the only gcds are the Fractions' own.  The
+    result is then an object array of Fractions.
     """
-    exps = sorted({e for q in polys for e in q.terms})
+    exps = polys.exps
     xs = sorted({i for i, _ in exps})
     ys = sorted({j for _, j in exps})
     if (xs and xs[0] < 0) or (ys and ys[0] < 0):
@@ -153,25 +227,17 @@ def values_at(polys, points, field: Field) -> np.ndarray:
     yrow = {j: r for r, j in enumerate(ys)}
     xsel = [xrow[i] for i, _ in exps]
     ysel = [yrow[j] for _, j in exps]
-    col = {e: t for t, e in enumerate(exps)}
-    rows, cols, vals = [], [], []
-    for k, q in enumerate(polys):
-        for e, c in q.terms.items():
-            rows.append(k)
-            cols.append(col[e])
-            vals.append(c)
-    p = field.char
+    p = polys.field.char
     if p:
         pts = np.array(points, dtype=np.int64).reshape(-1, 2) % p
         table = (_power_rows(pts[:, 0], xs, p)[xsel]
                  * _power_rows(pts[:, 1], ys, p)[ysel] % p)
-        coeffs = np.zeros((len(polys), len(exps)), dtype=np.int64)
-        coeffs[rows, cols] = [c % p for c in vals]
-        return _matmul_mod(coeffs, table, p)
-    L = [lcm(*(c.denominator for c in q.terms.values())) for q in polys]
-    coeffs = np.zeros((len(polys), len(exps)), dtype=object)
-    coeffs[rows, cols] = [c.numerator * (L[k] // c.denominator)
-                          for k, c in zip(rows, vals)]
+        return _matmul_mod(polys.coeffs, table, p)
+    rows = polys.coeffs.tolist()
+    L = [lcm(*(c.denominator for c in row)) for row in rows]
+    coeffs = np.array([[c.numerator * (lk // c.denominator) for c in row]
+                       for row, lk in zip(rows, L)],
+                      dtype=object).reshape(len(rows), len(exps))
     I, J = max(xs, default=0), max(ys, default=0)
     table = (_scaled_powers([x for x, _ in points], xs, I)[xsel]
              * _scaled_powers([y for _, y in points], ys, J)[ysel])
@@ -226,9 +292,11 @@ def poly_json_terms(p: Polynomial, order: TermOrder) -> list:
     return [[i, j, fmt(c)] for (i, j), c in p.terms_sorted(order)]
 
 
-def poly_from_json_terms(field: Field, triples) -> Polynomial:
-    """Inverse of poly_json_terms; a negative exponent is a ValueError."""
-    pairs = [((int(i), int(j)), field.parse(str(c))) for i, j, c in triples]
-    if any(min(e) < 0 for e, _ in pairs):
+def poly_matrix_from_json(field: Field, entries) -> PolyMatrix:
+    """Inverse of poly_json_terms for a list of polynomials, as rows; a
+    negative exponent is a ValueError."""
+    rows = [[((int(i), int(j)), field.parse(str(c))) for i, j, c in terms]
+            for terms in entries]
+    if any(min(e) < 0 for row in rows for e, _ in row):
         raise ValueError("negative exponent in a stored polynomial")
-    return Polynomial.from_pairs(field, pairs)
+    return PolyMatrix.from_terms(field, rows)

@@ -1,10 +1,14 @@
 """Independent validation: structural checks on computed bases and a dense
 brute-force oracle.
 
-The vanishing and Newton checks evaluate every polynomial at every point
-at once with `poly.values_at`: over F_p by a few exact modular matrix
-products, over Q by one integer matrix product over common denominators.
-Neither field's path uses the engine code.
+The checks take G and Q in dense form (poly.PolyMatrix: an exponent list
+and a coefficient matrix), as a run hands them over or as `bmpoints
+verify` reads them from JSON.  A leading monomial is the nonzero column
+that ranks highest under the order.  The vanishing and Newton checks
+evaluate every polynomial at every point at once with `poly.values_at`:
+over F_p by a few exact modular matrix products, over Q by one integer
+matrix product over common denominators.  Neither field's path uses the
+engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
@@ -14,13 +18,15 @@ ground truth, hence the size cap.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 import numpy as np
 
 from .orders import LEX, TermOrder, exp_divides
 from .points import PointSet, is_lower
-from .poly import Polynomial, poly_text, values_at
+from .poly import PolyMatrix, Polynomial, poly_text, values_at
 
 
 class CapExceededError(ValueError):
@@ -57,25 +63,27 @@ class VerifyReport:
                            for n, ok, d in self.checks]}
 
 
-def check_vanishing(G, ps: PointSet) -> VerifyReport:
+def check_vanishing(G: PolyMatrix, ps: PointSet) -> VerifyReport:
     """Every polynomial must evaluate to zero at every point."""
     rep = VerifyReport()
-    nonzero = np.flatnonzero(values_at(G, ps.points, ps.field) != 0)
+    nonzero = np.flatnonzero(values_at(G, ps.points) != 0)
     detail = ""
     if nonzero.size:
         k, m = divmod(int(nonzero[0]), len(ps))
-        detail = f"{poly_text(G[k], LEX)} is nonzero at {ps[m]}"
+        detail = f"{poly_text(G.polynomial(k), LEX)} is nonzero at {ps[m]}"
     rep.add("vanishing", not nonzero.size, detail)
     return rep
 
 
-def check_reduced_gb(G, N, order: TermOrder, n_points=None) -> VerifyReport:
+def check_reduced_gb(G: PolyMatrix, N, order: TermOrder,
+                     n_points=None) -> VerifyReport:
     """Shape checks pinning the reduced basis and its escalier."""
     rep = VerifyReport()
 
-    lms = [g.leading_monomial(order) for g in G]
-    monic = all(g.terms[lm] == g.field.one for g, lm in zip(G, lms))
-    rep.add("monic", monic)
+    lead = G.leading(order)
+    lms = [G.exps[c] for c in lead.tolist()]
+    rows = np.arange(len(G))
+    rep.add("monic", bool((G.coeffs[rows, lead] == G.field.one).all()))
 
     clash = next(((a, b) for a in lms for b in lms
                   if a != b and exp_divides(a, b)), None)
@@ -83,11 +91,12 @@ def check_reduced_gb(G, N, order: TermOrder, n_points=None) -> VerifyReport:
             f"{clash[0]} divides {clash[1]}" if clash else "")
 
     nset = set(N)
-    stray = next(((g, e) for g, lm in zip(G, lms)
-                  for e in g.terms
-                  if e != lm and e not in nset), None)
-    rep.add("tails supported in N", stray is None,
-            f"monomial {stray[1]} outside N" if stray else "")
+    stray = G.coeffs.astype(bool) & np.array(
+        [e not in nset for e in G.exps], dtype=bool)
+    stray[rows, lead] = False
+    hits = np.argwhere(stray)
+    rep.add("tails supported in N", not hits.size,
+            f"monomial {G.exps[hits[0, 1]]} outside N" if hits.size else "")
 
     rep.add("N is a lower set", is_lower(N))
 
@@ -95,8 +104,8 @@ def check_reduced_gb(G, N, order: TermOrder, n_points=None) -> VerifyReport:
         rep.add("N size equals point count", len(N) == n_points,
                 f"{len(N)} vs {n_points}")
 
-    hit = next((n for n in nset
-                if any(exp_divides(m, n) for m in lms)), None)
+    divisible = _multiple_of_any(lms)
+    hit = next((n for n in nset if divisible(n)), None)
     rep.add("N avoids leading-monomial multiples", hit is None,
             f"{hit} divisible by a leading monomial" if hit else "")
 
@@ -104,22 +113,31 @@ def check_reduced_gb(G, N, order: TermOrder, n_points=None) -> VerifyReport:
               {(i, j + 1) for i, j in nset}) - nset
     if not nset:
         shifts = {(0, 0)}
-    uncovered = next((b for b in shifts
-                      if not any(exp_divides(m, b) for m in lms)), None)
+    uncovered = next((b for b in shifts if not divisible(b)), None)
     rep.add("border covered by leading monomials", uncovered is None,
             f"border monomial {uncovered} not divisible" if uncovered else "")
     return rep
 
 
-def check_newton(Q, ordered_points) -> VerifyReport:
+def _multiple_of_any(lms):
+    """A test of whether some monomial of lms divides an exponent (i, j):
+    the lowest y-exponent among the monomials with x-exponent at most i
+    must be at most j."""
+    lms = sorted(lms)
+    xs = [i for i, _ in lms]
+    low = list(accumulate((j for _, j in lms), min))
+    return lambda e: (k := bisect_right(xs, e[0])) > 0 and low[k - 1] <= e[1]
+
+
+def check_newton(Q: PolyMatrix, ordered_points) -> VerifyReport:
     """Triangular unit evaluations: Q[k] at point m is delta(k, m), m <= k."""
     if len(Q) != len(ordered_points):
         raise ValueError(
             f"{len(Q)} polynomials against {len(ordered_points)} points")
     rep = VerifyReport()
     detail = ""
-    if Q:
-        vals = values_at(Q, ordered_points, Q[0].field)
+    if len(Q):
+        vals = values_at(Q, ordered_points)
         wrong = np.flatnonzero(np.tril(vals != np.eye(len(Q), dtype=np.int64)))
         if wrong.size:
             k, m = divmod(int(wrong[0]), len(Q))
@@ -128,8 +146,8 @@ def check_newton(Q, ordered_points) -> VerifyReport:
     return rep
 
 
-def verify_parts(ps: PointSet, order: TermOrder, G, N, Q,
-                 perm) -> VerifyReport:
+def verify_parts(ps: PointSet, order: TermOrder, G: PolyMatrix, N,
+                 Q: PolyMatrix, perm) -> VerifyReport:
     """Full battery on a run's output, whether fresh or deserialized."""
     rep = VerifyReport()
     rep.extend(check_vanishing(G, ps))
@@ -141,7 +159,7 @@ def verify_parts(ps: PointSet, order: TermOrder, G, N, Q,
         rep.extend(check_newton(Q, [ps[k] for k in perm]))
     else:
         rep.add("newton triangularity", False, "skipped: bad permutation")
-    q_lms = [q.leading_monomial(order) for q in Q]
+    q_lms = [Q.exps[c] for c in Q.leading(order).tolist()]
     rep.add("Q leading monomials enumerate N",
             len(q_lms) == len(set(q_lms)) and set(q_lms) == set(N))
     return rep
@@ -149,8 +167,8 @@ def verify_parts(ps: PointSet, order: TermOrder, G, N, Q,
 
 def verify_result(result) -> VerifyReport:
     """verify_parts applied to a BMResult, as the CLI runs before success."""
-    return verify_parts(result.points, result.order, result.G, result.N,
-                        result.Q, result.point_permutation)
+    return verify_parts(result.points, result.order, result.G_dense,
+                        result.N, result.Q_dense, result.point_permutation)
 
 
 def _rank(f, rows) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from bmpoints.fields import make_field
 from bmpoints.points import PointSet
-from bmpoints.poly import Polynomial
+from bmpoints.poly import PolyMatrix, Polynomial, values_at
 
 QQ = make_field("rational")
 F3 = make_field("q:3")
@@ -95,6 +95,11 @@ def reference_value(q, pt):
                    for (i, j), c in q.terms.items()) % p
     return sum((c * Fr(x) ** i * Fr(y) ** j for (i, j), c in q.terms.items()),
                Fr(0))
+
+
+def values(field, polys, points):
+    """values[k][m] = polys[k] at points[m], by one values_at call."""
+    return values_at(PolyMatrix.from_polys(field, polys), points).tolist()
 
 
 def reference_newton(cover):

@@ -206,6 +206,31 @@ def test_verify_names_malformed_entries(tmp_path, capsys):
         assert want in capsys.readouterr().err
 
 
+def test_verify_from_json_keeps_every_failure(tmp_path, capsys):
+    """Stored G = [y^2+4y, xy+5y, x^2+6x+4y] and Q over N = [1, x, y]."""
+    pts, doc = _stored_result(tmp_path, capsys)
+    res = tmp_path / "res.json"
+
+    def verify(bad):
+        res.write_text(json.dumps(bad))
+        return run_cli(["verify", "--result", str(res), "--points", str(pts)])
+
+    bad = json.loads(json.dumps(doc))
+    bad["G"][2].append([0, 5, "1"])  # below x^2 under lex, outside N
+    assert verify(bad) == 1
+    assert ("FAIL tails supported in N: monomial (0, 5) outside N"
+            in capsys.readouterr().out.splitlines())
+    bad = json.loads(json.dumps(doc))
+    bad["Q"][2].insert(0, [3, 0, "2"])  # Q[2] now leads with x^3
+    assert verify(bad) == 1
+    assert ("FAIL Q leading monomials enumerate N"
+            in capsys.readouterr().out.splitlines())
+    bad = json.loads(json.dumps(doc))
+    bad["G"][1] = [[1, 1, "3"], [1, 1, "4"]]  # 3 + 4 = 0 mod 7
+    assert verify(bad) == 2
+    assert "G[1] is the zero polynomial" in capsys.readouterr().err
+
+
 def test_verify_names_wrong_json_types(tmp_path, capsys):
     pts, doc = _stored_result(tmp_path, capsys)
     res = tmp_path / "res.json"
@@ -266,9 +291,12 @@ def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
     real_spbm = cli.spbm_run
 
     def corrupted(ps, order):
+        # add one to G[0]'s constant term, in the matrix that verify and
+        # the writer read
         res = real_spbm(ps, order)
-        res.G[0] = Polynomial.from_pairs(
-            ps.field, [*res.G[0].terms.items(), ((0, 0), 1)])
+        G = res.G_dense
+        c = G.exps.index((0, 0))
+        G.coeffs[0, c] = (G.coeffs[0, c] + 1) % ps.field.char
         return res
 
     monkeypatch.setattr(cli, "spbm_run", corrupted)

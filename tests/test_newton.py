@@ -16,7 +16,7 @@ from bmpoints.poly import Polynomial, poly_text
 from bmpoints.randgen import gen_points
 from conftest import (EX1_N, EX1_POINTS, EX1_Q_TEXT, EX1_U, EX2_POINTS,
                       EX5_MCS_ORDER, EX5_SEED_N, EX5_SEED_Q_TEXT, F5, F7, QQ,
-                      reference_newton, reference_value)
+                      reference_newton, reference_value, values)
 
 F23 = make_field("q:23")
 BIG = make_field("q:2147483647")
@@ -139,9 +139,8 @@ def test_evaluation_matrix_beyond_basis(field):
             B = _values(raw)
             assert B.shape == (half, len(ps))
             assert B[:, :half].tolist() == basis.values.tolist()
-            for r, q in enumerate(basis.polys):
-                assert B[r, half:].tolist() == [q.evaluate(pt)
-                                                for pt in points[half:]]
+            assert B[:, half:].tolist() == values(field, basis.polys,
+                                                  points[half:])
 
 
 def test_evaluation_matrix_checks_prefix():
@@ -165,21 +164,21 @@ def test_unitriangular_square():
 def test_interpolate_goldens():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
+    y4 = Polynomial(QQ, {(0, 4): QQ.one})
     # reproducing a basis polynomial and the zero function
-    vals = [basis.polys[3].evaluate(pt) for pt in basis.point_order]
-    assert interpolate(basis, vals) == basis.polys[3]
+    q3_vals, y4_vals = values(QQ, [basis.polys[3], y4],
+                              basis.point_order)
+    assert interpolate(basis, q3_vals) == basis.polys[3]
     assert interpolate(basis, [QQ.zero] * 9).is_zero()
     # the minimal interpolant of y^4 data drops to degree 3
-    y4 = Polynomial(QQ, {(0, 4): QQ.one})
-    vals = [y4.evaluate(pt) for pt in basis.point_order]
-    p = interpolate(basis, vals)
+    p = interpolate(basis, y4_vals)
     expected = Polynomial.from_pairs(QQ, [
         ((0, 3), 9), ((0, 2), -26), ((2, 1), Fr(9, 2)), ((1, 1), Fr(-15, 2)),
         ((0, 1), 27), ((3, 0), 3), ((2, 0), Fr(-39, 2)), ((1, 0), Fr(51, 2)),
         ((0, 0), -9)])
     assert p == expected
-    for pt in basis.point_order:
-        assert p.evaluate(pt) == y4.evaluate(pt)
+    p_vals, y4_vals = values(QQ, [p, y4], basis.point_order)
+    assert p_vals == y4_vals
 
 
 def test_interpolate_length_mismatch():
@@ -198,10 +197,11 @@ def test_triangularity_random(pts):
     for build, axis in ((newton_basis_rows, "rows"),
                         (newton_basis_cols, "columns")):
         basis = build(line_cover(ps, axis))
-        for k, poly in enumerate(basis.polys):
+        vals = values(F5, basis.polys, basis.point_order)
+        for k in range(len(basis)):
             for m in range(k + 1):
                 want = F5.one if m == k else F5.zero
-                assert poly.evaluate(basis.point_order[m]) == want
+                assert vals[k][m] == want
 
 
 @given(pts=points_sets)
@@ -225,7 +225,7 @@ def test_monomial_degree_reduction(pts, data):
     for build, axis, order in ((newton_basis_rows, "rows", LEX),
                                (newton_basis_cols, "columns", INLEX)):
         basis = build(line_cover(ps, axis))
-        vals = [mono.evaluate(pt) for pt in basis.point_order]
+        [vals] = values(F5, [mono], basis.point_order)
         p = interpolate(basis, vals)
         if not p.is_zero():
             assert order.cmp(p.leading_monomial(order), e) != 1
@@ -241,5 +241,5 @@ def test_interpolate_reproduces_values(pts, data):
         basis = build(line_cover(ps, axis))
         by_point = dict(zip(ps.points, vals))
         p = interpolate(basis, [by_point[pt] for pt in basis.point_order])
-        for pt in ps:
-            assert p.evaluate(pt) == by_point[pt]
+        [got] = values(F5, [p], ps.points)
+        assert got == [by_point[pt] for pt in ps]

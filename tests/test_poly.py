@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
-from bmpoints.poly import (Polynomial, ZeroPolynomialError, monomial_text,
-                           poly_from_json_terms, poly_json_terms, poly_text,
-                           values_at)
+from bmpoints.poly import (PolyMatrix, Polynomial, ZeroPolynomialError,
+                           monomial_text, poly_json_terms,
+                           poly_matrix_from_json, poly_text, values_at)
 from conftest import reference_value
 
 F7 = make_field("q:7")
@@ -41,7 +41,8 @@ def test_leading_term(p):
 @given(p=f7_polys)
 def test_json_round_trip(p):
     for order in (LEX, INLEX, TDINLEX):
-        assert poly_from_json_terms(F7, poly_json_terms(p, order)) == p
+        stored = poly_matrix_from_json(F7, [poly_json_terms(p, order)])
+        assert stored.polys() == [p]
 
 
 def test_monomial_text():
@@ -157,14 +158,16 @@ def test_values_at_matches_reference(field):
                            _random_coefficient(field, rng))
                           for _ in range(n_terms)])
               for n_terms in (1, 4, 30, 30)]
-    got = values_at(polys, points, field)
+    got = values_at(PolyMatrix.from_polys(field, polys), points)
     assert got.shape == (len(polys), len(points))
     values = got.tolist()
     assert values == [[reference_value(q, pt) for pt in points]
                       for q in polys]
     assert {type(v) for row in values for v in row} == {type(field.zero)}
-    assert values_at([], points, field).shape == (0, len(points))
-    assert values_at(polys, [], field).shape == (len(polys), 0)
+    assert values_at(PolyMatrix.from_polys(field, []),
+                     points).shape == (0, len(points))
+    assert values_at(PolyMatrix.from_polys(field, polys),
+                     []).shape == (len(polys), 0)
 
 
 @pytest.mark.parametrize("field", [QQ, F23], ids=["rational", "p=23"])

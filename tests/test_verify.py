@@ -14,7 +14,7 @@ from bmpoints.fields import make_field
 from bmpoints.newton import newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
-from bmpoints.poly import Polynomial, poly_text, values_at
+from bmpoints.poly import PolyMatrix, Polynomial, poly_text, values_at
 from bmpoints.randgen import gen_points
 from bmpoints.verify import (CapExceededError, VerifyReport, check_newton,
                              check_reduced_gb, check_vanishing, oracle_dense,
@@ -55,9 +55,10 @@ def test_oracle_cap():
 
 def test_check_vanishing():
     ps = PointSet(F7, [(0, 0), (1, 2)])
-    assert check_vanishing([], ps).passed
-    assert check_vanishing(bm_run(ps, LEX).G, ps).passed
-    rep = check_vanishing([Polynomial(F7, {(0, 0): 1})], ps)
+    assert check_vanishing(PolyMatrix.from_polys(F7, []), ps).passed
+    assert check_vanishing(bm_run(ps, LEX).G_dense, ps).passed
+    one = PolyMatrix.from_polys(F7, [Polynomial(F7, {(0, 0): 1})])
+    rep = check_vanishing(one, ps)
     assert not rep.passed
 
 
@@ -65,31 +66,36 @@ def test_check_reduced_gb_failures():
     x2 = Polynomial.from_pairs(F7, [((2, 0), 1), ((1, 0), -1)])
     x3 = Polynomial(F7, {(3, 0): 1})
     y1 = Polynomial(F7, {(0, 1): 1})
+
+    def check(G, N, **kw):
+        return check_reduced_gb(PolyMatrix.from_polys(F7, G), N, LEX, **kw)
+
     # divisible leading monomials
-    assert not check_reduced_gb([x2, x3], [(0, 0), (1, 0)], LEX).passed
+    assert not check([x2, x3], [(0, 0), (1, 0)]).passed
     # exponent gap: x^2 without x is not a lower set
-    assert not check_reduced_gb([y1], [(0, 0), (2, 0)], LEX).passed
+    assert not check([y1], [(0, 0), (2, 0)]).passed
     # non-monic element
     two_x = Polynomial(F7, {(1, 0): 2})
-    assert not check_reduced_gb([two_x, y1], [(0, 0)], LEX).passed
+    assert not check([two_x, y1], [(0, 0)]).passed
     # tail monomial outside N
     g = Polynomial.from_pairs(F7, [((2, 0), 1), ((0, 1), 1)])
-    assert not check_reduced_gb([g, Polynomial(F7, {(0, 2): 1})],
-                                [(0, 0), (1, 0)], LEX).passed
+    assert not check([g, Polynomial(F7, {(0, 2): 1})], [(0, 0), (1, 0)]).passed
     # point count pins #N when supplied
     good = bm_run(PointSet(F7, [(0, 0), (1, 0)]), LEX)
-    assert check_reduced_gb(good.G, good.N, LEX, n_points=2).passed
-    assert not check_reduced_gb(good.G, good.N, LEX, n_points=3).passed
+    assert check_reduced_gb(good.G_dense, good.N, LEX, n_points=2).passed
+    assert not check_reduced_gb(good.G_dense, good.N, LEX,
+                                n_points=3).passed
 
 
 def test_check_newton():
     basis = newton_basis_rows(line_cover(PointSet(F7, EX5_MCS_ORDER), "rows"))
-    assert check_newton(basis.polys, basis.point_order).passed
+    Q = PolyMatrix.from_polys(F7, basis.polys)
+    assert check_newton(Q, basis.point_order).passed
     swapped = list(basis.point_order)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert not check_newton(basis.polys, swapped).passed
+    assert not check_newton(Q, swapped).passed
     with pytest.raises(ValueError):
-        check_newton(basis.polys, basis.point_order[:-1])
+        check_newton(Q, basis.point_order[:-1])
 
 
 def test_report_aggregation():
@@ -118,8 +124,10 @@ def test_corruption_is_caught(ex5):
     res = gpbm_run(ex5, TDINLEX)
 
     def parts(G=None, Q=None, perm=None):
-        return verify_parts(res.points, res.order, G or res.G, res.N,
-                            Q or res.Q, perm or res.point_permutation)
+        return verify_parts(res.points, res.order,
+                            PolyMatrix.from_polys(F7, G or res.G), res.N,
+                            PolyMatrix.from_polys(F7, Q or res.Q),
+                            perm or res.point_permutation)
 
     assert parts().passed
     bad_g = list(res.G)
@@ -138,7 +146,7 @@ def test_corruption_is_caught(ex5):
 
 def test_verify_rational(ex1):
     res = spbm_run(ex1, INLEX)
-    rep = verify_parts(ex1, INLEX, res.G, res.N, res.Q,
+    rep = verify_parts(ex1, INLEX, res.G_dense, res.N, res.Q_dense,
                        res.point_permutation)
     assert rep.passed and res.field is QQ
 
@@ -168,7 +176,7 @@ def test_values_mod_p_matches_evaluate(field, n_polys, n_terms):
     # monomials, which takes three limbs
     rng = random.Random(n_polys * 1000 + n_terms)
     polys, points = _random_case(field, rng, n_polys, n_terms, 9, 90)
-    got = values_at(polys, points, field)
+    got = values_at(PolyMatrix.from_polys(field, polys), points)
     assert got.shape == (len(polys), len(points))
     assert got.tolist() == _reference_values(polys, points)
 
@@ -179,13 +187,14 @@ def test_values_mod_p_chunks_monomial_axis(monkeypatch):
     monkeypatch.setattr(bmpoints.poly, "_FLOAT_EXACT", 2**10)
     polys, points = _random_case(F23, random.Random(3), 5, 200, 12, 40)
     assert len({e for q in polys for e in q.terms}) > 46
-    got = values_at(polys, points, F23)
+    got = values_at(PolyMatrix.from_polys(F23, polys), points)
     assert got.tolist() == _reference_values(polys, points)
 
 
 def test_values_mod_p_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        values_at([Polynomial(F7, {(0, -1): 1})], [(1, 2)], F7)
+        values_at(PolyMatrix.from_polys(F7, [Polynomial(F7, {(0, -1): 1})]),
+                  [(1, 2)])
 
 
 def _first_vanishing_failure(G, ps):
@@ -227,11 +236,13 @@ def test_corrupted_reports(field, n):
         ordered = [ps[i] for i in res.point_permutation]
         swapped = [ps[i] for i in perm]
         details = {name: detail for name, _, detail in
-                   verify_parts(ps, TDINLEX, G, res.N, res.Q, perm).checks}
+                   verify_parts(ps, TDINLEX, PolyMatrix.from_polys(field, G),
+                                res.N, res.Q_dense, perm).checks}
         assert details["vanishing"] == _first_vanishing_failure(G, ps) != ""
         assert details["newton triangularity"] == \
             _first_newton_failure(res.Q, swapped) != ""
-        newton = check_newton(Q, ordered).checks[0]
+        newton = check_newton(PolyMatrix.from_polys(field, Q),
+                              ordered).checks[0]
         assert newton[1] is False
         assert newton[2] == _first_newton_failure(Q, ordered)
 

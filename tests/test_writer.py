@@ -1,0 +1,78 @@
+"""The JSON writer renders G and Q from their coefficient matrices, byte
+for byte as json.dumps(indent=2) and term for term as poly_json_terms."""
+
+import json
+from fractions import Fraction as Fr
+
+import pytest
+
+from bmpoints.bm import bm_run, gpbm_run, spbm_run
+from bmpoints.cli import result_to_json, run_cli
+from bmpoints.fields import make_field
+from bmpoints.orders import INLEX, LEX, TDINLEX, order_by_name
+from bmpoints.points import PointSet
+from bmpoints.poly import Polynomial, poly_json_terms
+from bmpoints.randgen import gen_points
+from conftest import EX1_POINTS, EX2_POINTS, EX5_POINTS
+
+BIG = make_field("q:2147483647")
+RUNNERS = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}
+
+CASES = {
+    "q7-golden": ("q:7", EX5_POINTS),
+    "q2^31-1": ("q:2147483647", gen_points(BIG, 30, seed=5).points),
+    # G and Q hold negative and fractional coefficients
+    "rational-ex1": ("rational", EX1_POINTS),
+    "rational-ex2": ("rational", EX2_POINTS),
+    "rational-single": ("rational", [(Fr(-7, 3), Fr(5, 2))]),
+    "q7-single": ("q:7", [(3, 5)]),
+}
+
+
+def _runs():
+    for case in CASES:
+        for order in (LEX, INLEX, TDINLEX):
+            for algo in RUNNERS:
+                if algo != "spbm" or order is not TDINLEX:
+                    yield case, order.name, algo
+
+
+@pytest.mark.parametrize("case, order, algo", list(_runs()))
+def test_writer_matches_dumps_and_poly_terms(case, order, algo, tmp_path,
+                                             capsys):
+    spec, points = CASES[case]
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(f"{x},{y}\n" for x, y in points))
+    assert run_cli(["compute", "--field", spec, "--order", order,
+                    "--algo", algo, "--points", str(path),
+                    "--out", "json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    res = RUNNERS[algo](PointSet(make_field(spec), points),
+                        order_by_name(order))
+    body = {k: v for k, v in doc.items() if k != "verify"}
+    assert body == result_to_json(res)
+    assert doc["G"] == [poly_json_terms(g, res.order) for g in res.G]
+    assert doc["Q"] == [poly_json_terms(q, res.order) for q in res.Q]
+
+
+@pytest.mark.parametrize("spec, order", [("q:23", "lex"),
+                                         ("q:23", "tdinlex"),
+                                         ("rational", "tdinlex")])
+def test_compute_json_builds_no_polynomial(spec, order, tmp_path, capsys,
+                                           monkeypatch):
+    """compute --out json runs, verifies and writes from the matrices; a
+    fallback to Polynomial dicts would raise here and exit 3."""
+    field = make_field(spec)
+    path = tmp_path / "pts.txt"
+    path.write_text("".join(f"{x},{y}\n" for x, y in
+                            gen_points(field, 40, seed=2)))
+
+    def refuse(self, *args):
+        raise AssertionError("compute built a Polynomial")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert run_cli(["compute", "--field", spec, "--order", order,
+                    "--points", str(path), "--out", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["passed"] is True
