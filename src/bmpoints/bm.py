@@ -8,11 +8,11 @@ the cover of all points, leaving only the Groebner elements to discover;
 gpbm_run (any order) hands the row cover of a maximal cartesian subset and
 lets the loop finish the remaining points.
 
-A cover seeds the run through one path for either field: the newton module
-builds the cover's basis as rows of values and coefficients, and
-evaluation_matrix extends the values to the run points.  The basis index
-order is the slot order, so the seeded slots are exactly the cover's lower
-set.
+A cover seeds the run through one path for either field: the engine loads
+newton.evaluation_matrix of the cover's basis at the run points, the Newton
+rows of values and coefficients built by one recurrence in the run points'
+own integer coordinates.  The basis index order is the slot order, so the
+seeded slots are exactly the cover's lower set.
 
 A result holds G and Q as coefficient matrices (poly.PolyMatrix) over the
 slots of N, taken from the engine's coefficient half without a per-term
@@ -99,13 +99,14 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
 
     The run points are the cover's points in cover order followed by
     `removed`, or the input points when there is no cover.  Seeding loads
-    the cover's Newton rows: row k holds the values of basis element k at
-    the run points (zero before run point k), then its coefficients over
-    the slots, which are the basis index order, all over its entry at run
-    point k (one over F_p, a positive integer over Q); the border of that
-    lower set starts the candidate list.  In the loop a zero residual
-    yields a basis element, and a fresh pivot extends the staircase and
-    queues the shifted candidates.
+    the cover's Newton rows at the run points (newton.evaluation_matrix):
+    row k holds the values of basis element k at the run points (zero
+    before run point k), then its coefficients over the slots, which are
+    the basis index order, all over its entry at run point k (one over F_p,
+    a positive integer over Q); the engine zero-pads the rows to its width.
+    The border of that lower set starts the candidate list.  In the loop a
+    zero residual yields a basis element, and a fresh pivot extends the
+    staircase and queues the shifted candidates.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -115,15 +116,7 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     if cover is not None:
         basis = (newton_basis_rows(cover) if cover.axis == "rows"
                  else newton_basis_cols(cover))
-        k = len(basis)
-        aug = np.zeros((k, eng.width), dtype=basis.rows.dtype)
-        evaluation_matrix(basis, run_points, out=aug[:, :eng.mu])
-        # row r of aug is basis row r times the factor its diagonal shows
-        # (one over F_p), and its coefficients take the same factor
-        coeffs = aug[:, eng.mu:eng.mu + k]
-        coeffs[:] = basis.rows[:, k:]
-        coeffs *= (aug.diagonal() // basis.rows.diagonal())[:, None]
-        eng.bulk_load(aug)
+        eng.bulk_load(evaluation_matrix(basis, run_points))
         N = list(basis.index_order)
         L = border(N, order)
     seeded, processed = len(N), 0

@@ -34,7 +34,12 @@ def _sx_eq_sy(points) -> bool:
     sizes are the conjugate of the descending column sizes."""
     rows = sorted(Counter(y for _, y in points).values(), reverse=True)
     cols = sorted(Counter(x for x, _ in points).values(), reverse=True)
-    return rows == [sum(c > j for c in cols) for j in range(len(rows))]
+    conjugate, taller = [], len(cols)  # taller: columns of more than j
+    for j in range(len(rows)):
+        while taller and cols[taller - 1] <= j:
+            taller -= 1
+        conjugate.append(taller)
+    return rows == conjugate
 
 
 def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
@@ -57,10 +62,10 @@ def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
 def max_cartesian_subset(ps: PointSet):
     """Greedy maximal cartesian subset.
 
-    Loop: if the working set is cartesian, union it in and stop; otherwise
-    take a maximal row subset A (greatest cardinality, ties by smallest
-    ordinate), keep only leftover points whose abscissa occurs in A, and
-    repeat on the remainder.
+    Loop: take a maximal row subset A of the working set (greatest
+    cardinality, ties by smallest ordinate), keep only the other points
+    whose abscissa occurs in A, and repeat on them until none is left.  Once
+    the working set is cartesian its rows nest, so the loop takes all of it.
 
     Returns (cover, removed): the row cover of the subset (groups by
     descending size then ascending ordinate, ascending abscissa within a
@@ -73,20 +78,14 @@ def max_cartesian_subset(ps: PointSet):
     key = scale_points(ps.points, coordinate_scale(ps.points))
     work = list(range(len(ps)))
     chosen: list = []
-    while True:
-        if _sx_eq_sy([key[k] for k in work]):
-            chosen += work
-            break
+    while work:
         rows: dict = {}
         for k in work:
             rows.setdefault(key[k][1], []).append(k)
-        a = rows[min(rows, key=lambda y: (-len(rows[y]), y))]
-        abscissae = {key[k][0] for k in a}
-        chosen += a
-        taken = set(a)
-        work = [k for k in work if k not in taken and key[k][0] in abscissae]
-        if not work:
-            break
+        y = min(rows, key=lambda t: (-len(rows[t]), t))
+        abscissae = {key[k][0] for k in rows[y]}
+        chosen += rows[y]
+        work = [k for k in work if key[k][1] != y and key[k][0] in abscissae]
     # the row-cover ordering is total, so any construction order works here
     cover = line_cover(PointSet(ps.field, [ps[k] for k in chosen]), "rows")
     taken = set(chosen)

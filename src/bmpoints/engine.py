@@ -181,15 +181,16 @@ class PrimeEngine:
 
     def bulk_load(self, aug_rows) -> None:
         """Store unitriangular rows with entries in [0, p): row r has its
-        pivot, a one, at column r and is zero at the columns before it."""
-        k = len(aug_rows)
-        block = np.reshape(aug_rows, (k, self.width))
-        square = block[:, :k]
+        pivot, a one, at column r and is zero at the columns before it.
+        Rows narrower than the matrix are zero beyond their end."""
+        k, w = len(aug_rows), np.shape(aug_rows)[-1]
+        self.mat[:k, :w] = aug_rows
+        self.mat[:k, w:] = 0
+        square = self.mat[:k, :k].astype(np.int64)
         if (np.diagonal(square) != 1).any() or np.tril(square, -1).any():
             raise RuntimeError("seeded rows are not unit upper triangular")
-        self.mat[:k] = block
         self.inv[:k, :k] = _unitri_inverse(square, self.p)
-        self.ncols = (self.width if block[:, self.mu + k:].any()
+        self.ncols = (self.width if self.mat[:k, self.mu + k:].any()
                       else self.mu + k)
         self.pivots[:k] = np.arange(k)
         self.nrows = k
@@ -293,8 +294,10 @@ class RationalEngine:
     def bulk_load(self, aug_rows) -> None:
         """Store integer rows, row r over its entry at column r: that entry
         must be positive and the columns before it zero, so the rows are
-        unit upper triangular over Q."""
-        rows = [[index(c) for c in row] for row in aug_rows]
+        unit upper triangular over Q.  Rows narrower than the matrix are
+        zero beyond their end."""
+        rows = [[index(c) for c in row] + [0] * (self.width - len(row))
+                for row in aug_rows]
         for r, row in enumerate(rows):
             if row[r] <= 0 or any(row[:r]):
                 raise RuntimeError("seeded rows are not unit upper triangular "

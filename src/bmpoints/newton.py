@@ -11,20 +11,26 @@ mirrors this with the roles of x and y swapped.  The basis is indexed by
 the cover's lower set as points.lower_set_of lists it: phi_ij is the r-th
 row exactly when (i, j) is the r-th exponent of that list.
 
-One recurrence builds every product, one linear factor at a time, as a row
-of values at a list of points and as a row of coefficients over the index
-order.  A factor (v - c) multiplies the values point by point and maps the
-coefficients to their shift by one in v minus c times themselves.  Over
-F_p rows are int64 arrays reduced mod p.  Over Q the points are first
-scaled to integers, X = B x and Y = C y with B and C the lcms of their x-
-and y-denominators, so every product is a row of Python integers; element
-r is row r over its entry at its own point, with coefficient column (i, j)
-multiplied by B^i C^j.  Fractions are built only when asked for.
+evaluation_matrix is the one builder of Newton rows, at any points that
+start with the basis points.  One recurrence, the one for Newton
+interpolation on lower sets (Gasca and Sauer, Adv. Comput. Math. 12, 2000),
+builds every product one linear factor at a time, as a row of values at the
+points followed by a row of coefficients over the index order.  A factor
+(v - c) multiplies the values point by point and maps the coefficients to
+their shift by one in v minus c times themselves.  Over F_p rows are int64
+arrays reduced mod p, each divided by its value at its own point.  Over Q
+the points are first scaled to integers, X = B x and Y = C y with B and C
+the lcms of their x- and y-denominators, so every product is a row of
+Python integers; coefficient column (i, j) is multiplied by B^i C^j, and
+each row is signed so that its entry at its own point is positive.  A
+basis builds its own rows, at its own points, on first use, and Fractions
+only when asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -47,113 +53,105 @@ def _mod(field: Field, a: np.ndarray) -> np.ndarray:
 
 
 class NewtonBasis:
-    """A Newton basis over a line cover, kept as rows: row r holds element
-    r's values at point_order and then its coefficients over index_order,
-    both divided by its value at its own point, rows[r, r].
+    """A Newton basis over a line cover.  rows is evaluation_matrix at
+    point_order, built on first use: row r holds element r's values at
+    point_order and then its coefficients over index_order, both divided by
+    its value at its own point, rows[r, r].
 
     Over F_p that value is one.  Over Q the rows are Python integers and
     rows[r, r] is positive; values, coeffs and polys build the Fractions
     once, on first use.  values is upper unitriangular."""
 
-    __slots__ = ("field", "cover", "index_order", "point_order", "rows",
-                 "_normalized", "_polys")
-
-    def __init__(self, cover: LineCover, index_order: list, rows):
+    def __init__(self, cover: LineCover, index_order: list):
         self.field = cover.field
         self.cover = cover
         self.index_order = index_order
         self.point_order = cover.flatten()
-        self.rows = rows
-        self._normalized = None
-        self._polys = None
 
     def __len__(self):
         return len(self.index_order)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return evaluation_matrix(self, self.point_order)
+
+    @cached_property
     def _normalized_rows(self) -> np.ndarray:
         """rows divided by their diagonal entries, as field elements."""
-        if self._normalized is None:
-            rows = self.rows
-            if not self.field.char:
-                rows = np.frompyfunc(Fraction, 2, 1)(
-                    rows, rows.diagonal()[:, None])
-            self._normalized = rows
-        return self._normalized
+        rows = self.rows
+        if not self.field.char:
+            rows = np.frompyfunc(Fraction, 2, 1)(
+                rows, rows.diagonal()[:, None])
+        return rows
 
     @property
     def values(self) -> np.ndarray:
         """values[r, m]: element r at point m of point_order."""
-        return self._normalized_rows()[:, :len(self)]
+        return self._normalized_rows[:, :len(self)]
 
     @property
     def coeffs(self) -> np.ndarray:
         """coeffs[r, s]: element r's coefficient of index_order[s]."""
-        return self._normalized_rows()[:, len(self):]
+        return self._normalized_rows[:, len(self):]
 
-    @property
+    @cached_property
     def polys(self) -> list:
         """The basis elements as polynomials, built once from coeffs."""
-        if self._polys is None:
-            self._polys = [Polynomial(self.field, {
-                e: c for e, c in zip(self.index_order, row) if c})
-                for row in self.coeffs.tolist()]
-        return self._polys
+        return [Polynomial(self.field, {
+            e: c for e, c in zip(self.index_order, row) if c})
+            for row in self.coeffs.tolist()]
 
 
 def _variable(field: Field, points: list, index_order: list,
               var: int) -> tuple:
     """Multiplication by variable var (0 for x, 1 for y) on a row of values
     at points followed by coefficients over index_order: the row maps to
-    row[gather] * weight.  dead lists the coefficients whose exponent times
-    the variable has no slot."""
-    m, k = len(points), len(index_order)
+    row[gather] * weight.  A coefficient whose exponent times the variable
+    has no slot is dropped; over a cover whose line sizes descend, no
+    product has one."""
+    m = len(points)
     col = {e: m + s for s, e in enumerate(index_order)}
-    up = [col.get((i + 1, j) if var == 0 else (i, j + 1))
-          for i, j in index_order]
-    gather = np.arange(m + k)
-    weight = _zeros(field, m + k)
+    gather = np.arange(m + len(index_order))
+    weight = _zeros(field, len(gather))
     weight[:m] = [pt[var] for pt in points]
-    for s, t in enumerate(up):
+    for s, (i, j) in enumerate(index_order):
+        t = col.get((i + 1, j) if var == 0 else (i, j + 1))
         if t is not None:
             gather[t], weight[t] = m + s, 1
-    dead = [m + s for s, t in enumerate(up) if t is None]
-    return gather, weight, np.array(dead, dtype=np.intp)
+    return gather, weight
 
 
 def _times_linear(field: Field, row: np.ndarray, variable: tuple, c):
     """The product in row times (v - c), v the variable of _variable."""
-    gather, weight, dead = variable
-    if row[dead].any():
-        raise RuntimeError("a Newton product shifted a live coefficient out "
-                           "of the lower set")
+    gather, weight = variable
     return _mod(field, row[gather] * weight - c * row)
 
 
-def _products(cover: LineCover, points: list, scale, index_order=()):
+def _products(basis: NewtonBasis, points: list) -> np.ndarray:
     """Each basis element's product before normalization, in cover order,
     as one row: its values at points, then its coefficients over
-    index_order.  The product is taken in the integer coordinates
-    (B x, C y) of the scale, which must clear every denominator of the
-    cover and of points; over F_p the scale is (1, 1)."""
-    field = cover.field
-    inner = 0 if cover.axis == "rows" else 1
-    points = scale_points(points, scale)
-    var_in = _variable(field, points, index_order, inner)
-    var_out = _variable(field, points, index_order, 1 - inner)
-    head = _zeros(field, len(points) + len(index_order))
-    head[:len(points)] = 1
-    if index_order:
-        head[len(points)] = 1  # slot 0 is the exponent (0, 0)
-    lines = [scale_points(grp, scale) for _, grp in cover.groups]
-    for gidx, grp in enumerate(lines):
-        if gidx:
+    basis.index_order.  points are integer points that start with the
+    basis points."""
+    field = basis.field
+    inner = 0 if basis.cover.axis == "rows" else 1
+    var_in = _variable(field, points, basis.index_order, inner)
+    var_out = _variable(field, points, basis.index_order, 1 - inner)
+    m, k = len(points), len(basis)
+    rows = _zeros(field, (k, m + k))
+    head = _zeros(field, m + k)
+    head[:m + 1] = 1  # column m is the slot of the exponent (0, 0)
+    first = 0
+    for size in basis.cover.sizes():
+        if first:
             head = _times_linear(field, head, var_out,
-                                 lines[gidx - 1][0][1 - inner])
+                                 points[prev][1 - inner])
         cur = head
-        for pidx in range(len(grp)):
-            if pidx:
-                cur = _times_linear(field, cur, var_in, grp[pidx - 1][inner])
-            yield cur
+        for r in range(first, first + size):
+            if r > first:
+                cur = _times_linear(field, cur, var_in, points[r - 1][inner])
+            rows[r] = cur
+        prev, first = first, first + size
+    return rows
 
 
 def _build(cover: LineCover, axis: str) -> NewtonBasis:
@@ -161,24 +159,11 @@ def _build(cover: LineCover, axis: str) -> NewtonBasis:
         raise ValueError(f"expected a {axis} cover, got {cover.axis}")
     if not cover.groups:
         raise EmptySetError("empty cover")
-    field = cover.field
-    index_order = lower_set_of(cover)
-    k = len(index_order)
-    points = cover.flatten()
-    scale = coordinate_scale(points)
-    rows = _zeros(field, (k, 2 * k))
-    for r, row in enumerate(_products(cover, points, scale, index_order)):
-        rows[r] = row
-    if field.char:
-        rows *= np.array([[field.inv(field.convert(rows[r, r]))]
-                          for r in range(k)], dtype=rows.dtype)
-        return NewtonBasis(cover, index_order, _mod(field, rows))
-    b, c = scale
-    rows[:, k:] *= np.array([b**i * c**j for i, j in index_order],
-                            dtype=object)
-    rows *= np.array([[1 if d > 0 else -1] for d in rows.diagonal()],
-                     dtype=object)
-    return NewtonBasis(cover, index_order, rows)
+    sizes = cover.sizes()
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise RuntimeError("the cover's line sizes grow, so its products "
+                           "leave its lower set")
+    return NewtonBasis(cover, lower_set_of(cover))
 
 
 def newton_basis_rows(cover: LineCover) -> NewtonBasis:
@@ -191,40 +176,28 @@ def newton_basis_cols(cover: LineCover) -> NewtonBasis:
     return _build(cover, "columns")
 
 
-def evaluation_matrix(basis: NewtonBasis, all_points, out=None) -> np.ndarray:
-    """Rows = basis evaluations at all points, written into out if given.
-
-    As in basis.rows, row r holds element r's values times a positive
-    factor, its entry at point r: over F_p the factor is one and the rows
-    are the values, over Q the rows are integers.  all_points must start
-    with the basis points, whose values the basis holds (a unitriangular
-    block); the recurrence runs only after them.
-    """
-    pts = list(all_points)
-    n = len(basis)
-    if pts[:n] != basis.point_order:
+def evaluation_matrix(basis: NewtonBasis, points) -> np.ndarray:
+    """The basis's Newton rows at points, which must start with the basis
+    points: row r holds element r's values at points, then its coefficients
+    over index_order, all over its entry at point r.  Over F_p that entry
+    is one; over Q the rows are integers and it is positive.  The first
+    len(basis) columns are an upper triangular block."""
+    pts = list(points)
+    k = len(basis)
+    if pts[:k] != basis.point_order:
         raise ValueError("point list does not start with the basis points")
-    f = basis.field
-    if out is None:
-        out = _zeros(f, (n, len(pts)))
-    out[:, :n] = basis.rows[:, :n]
-    if len(pts) > n:
-        scale = coordinate_scale(pts)
-        for r, row in enumerate(_products(basis.cover, pts[n:], scale)):
-            # a product is monic at its own index, so the basis row's entry
-            # there normalizes it: the inverse of its value over F_p, the
-            # sign _build gave it over Q
-            lead = basis.rows[r, n + r]
-            out[r, n:] = (_mod(f, row * lead) if f.char
-                          else row if lead > 0 else -row)
-        if not f.char:
-            # element r's product in the scale of all points is its product
-            # in the scale of the basis points times (B'/B)^i (C'/C)^j
-            b, c = coordinate_scale(basis.point_order)
-            grow = [(scale[0] // b)**i * (scale[1] // c)**j
-                    for i, j in basis.index_order]
-            out[:, :n] *= np.array(grow, dtype=object)[:, None]
-    return out
+    field = basis.field
+    scale = coordinate_scale(pts)
+    rows = _products(basis, scale_points(pts, scale))
+    diag = rows.diagonal()
+    if field.char:
+        rows *= np.array([[field.inv(int(d))] for d in diag], dtype=np.int64)
+        return _mod(field, rows)
+    b, c = scale
+    rows[:, len(pts):] *= np.array([b**i * c**j for i, j in basis.index_order],
+                                   dtype=object)
+    rows *= np.array([[1 if d > 0 else -1] for d in diag], dtype=object)
+    return rows
 
 
 def interpolate(basis: NewtonBasis, values) -> Polynomial:

@@ -4,8 +4,9 @@ A line cover groups the points on lines parallel to one axis, largest group
 first.  Its group sizes are the staircase of a monomial basis for the
 points: lower_set_of turns a cover into that staircase, listed in cover
 order.  It is the one place that does so; the Newton basis of the cover is
-indexed by the same list, and is_cartesian compares the lists of the two
-covers.
+indexed by the same list.  is_cartesian's default criterion, S_x = S_y,
+compares the two covers' line sizes: the row sizes of S_x must be the
+conjugate of the column sizes of S_y.
 """
 
 from __future__ import annotations

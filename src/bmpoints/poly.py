@@ -40,14 +40,8 @@ class Polynomial:
     @classmethod
     def from_pairs(cls, field: Field, pairs) -> "Polynomial":
         """Sum of (exponent, raw coefficient) pairs, canonicalized."""
-        terms: dict = {}
-        for e, raw in pairs:
-            c = field.add(terms.get(e, field.zero), field.convert(raw))
-            if c == field.zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = c
-        return cls(field, terms)
+        return PolyMatrix.from_terms(field, [[
+            (e, field.convert(raw)) for e, raw in pairs]]).polynomial(0)
 
     # -- queries --------------------------------------------------------
 

@@ -1,14 +1,19 @@
 """Cartesian criteria and maximal cartesian subsets."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bmpoints.bm import gpbm_run
+from bmpoints.bm import bm_run, gpbm_run, spbm_run
 from bmpoints.cartesian import is_cartesian, max_cartesian_subset
-from bmpoints.orders import TDINLEX
-from bmpoints.points import EmptySetError, PointSet
+from bmpoints.fields import make_field
+from bmpoints.orders import INLEX, LEX, TDINLEX
+from bmpoints.points import (EmptySetError, PointSet, coordinate_scale,
+                             line_cover, scale_points)
+from bmpoints.randgen import gen_points
+from bmpoints.verify import verify_result
 from conftest import (EX2_MCS_SET, EX2_POINTS, EX5_MCS_ORDER, EX5_POINTS, F5,
                       F7, QQ)
 
@@ -44,6 +49,18 @@ def test_is_cartesian_errors():
 def test_criteria_agree(pts):
     ps = PointSet(F5, sorted(pts))
     assert is_cartesian(ps, "sx_eq_sy") == is_cartesian(ps, "nested_chains")
+
+
+def test_criteria_agree_on_the_plane():
+    """The 101 x 101 plane, minus one point and minus two points in
+    different rows and columns."""
+    plane = [(x, y) for x in range(101) for y in range(101)]
+    for missing, want in (((), True), (((3, 7),), True),
+                          (((3, 7), (50, 60)), False)):
+        ps = PointSet(make_field("q:101"),
+                      [pt for pt in plane if pt not in missing])
+        assert is_cartesian(ps, "sx_eq_sy") == want
+        assert is_cartesian(ps, "nested_chains") == want
 
 
 def test_mcs_second_example():
@@ -91,3 +108,95 @@ def test_gpbm_run_order():
     run = gpbm_run(ps, TDINLEX).run_points
     assert run == EX5_MCS_ORDER + removed
     assert sorted(run) == sorted(ps.points)
+
+
+def _early_exit_subset(ps):
+    """Reference greedy loop that stops as soon as the working set is
+    cartesian and takes all of it; returns the chosen points as a set and
+    the others in input order."""
+    key = scale_points(ps.points, coordinate_scale(ps.points))
+    work = list(range(len(ps)))
+    chosen = []
+    while work:
+        if is_cartesian(PointSet(ps.field, [ps[k] for k in work])):
+            chosen += work
+            break
+        rows = {}
+        for k in work:
+            rows.setdefault(key[k][1], []).append(k)
+        a = rows[min(rows, key=lambda y: (-len(rows[y]), y))]
+        abscissae = {key[k][0] for k in a}
+        chosen += a
+        work = [k for k in work if k not in a and key[k][0] in abscissae]
+    taken = set(chosen)
+    return ({ps[k] for k in chosen},
+            [pt for k, pt in enumerate(ps) if k not in taken])
+
+
+def _block_plus_noise(field, rng, width, extra, coords):
+    """A shuffled triangular cartesian block {(x_i, y_j) : i + j < width}
+    on distinct coordinates drawn from coords, plus `extra` other points
+    drawn from coords."""
+    xs, ys = rng.sample(coords, width), rng.sample(coords, width)
+    pts = {(xs[i], ys[j]) for i in range(width) for j in range(width - i)}
+    while len(pts) < width * (width + 1) // 2 + extra:
+        pts.add((rng.choice(coords), rng.choice(coords)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    return PointSet(field, pts)
+
+
+def _subset_cases():
+    rng = random.Random(11)
+    for spec, sizes in (("q:2", (1, 3, 4)), ("q:3", (2, 5, 9)),
+                        ("q:23", (1, 20, 120, 400)),
+                        ("q:2147483647", (1, 30, 200)),
+                        ("rational", (1, 15, 60))):
+        field = make_field(spec)
+        for n in sizes:
+            yield gen_points(field, n, rng.randrange(1, 1000))
+    F23, F101 = make_field("q:23"), make_field("q:101")
+    yield PointSet(F23, [(x, y) for x in range(23) for y in range(23)])
+    rational = [Fr(a, b) for a in range(-6, 7) for b in (1, 2, 3)]
+    for field, coords in ((F23, list(range(23))), (F101, list(range(101))),
+                          (QQ, sorted(set(rational)))):
+        for width, extra in ((1, 0), (3, 2), (6, 5), (8, 20)):
+            yield _block_plus_noise(field, rng, width, extra, coords)
+
+
+def test_mcs_matches_early_exit_loop():
+    for ps in _subset_cases():
+        cover, removed = max_cartesian_subset(ps)
+        chosen, want_removed = _early_exit_subset(ps)
+        assert cover.groups == line_cover(PointSet(ps.field, list(chosen)),
+                                          "rows").groups
+        assert removed == want_removed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gpbm_rational_block_with_new_denominators(seed):
+    """A rational triangular block plus loose points whose denominators the
+    block lacks: the run points' integer scale exceeds the subset's, and
+    gpbm and spbm still match bm and certify."""
+    rng = random.Random(seed)
+    block_coords = sorted({Fr(a, b) for a in range(-9, 10) for b in (1, 2, 3)})
+    xs, ys = rng.sample(block_coords, 4), rng.sample(block_coords, 4)
+    block = [(xs[i], ys[j]) for i in range(4) for j in range(4 - i)]
+    loose = [(Fr(rng.randrange(-50, 50), d), Fr(rng.randrange(-50, 50), e))
+             for d, e in ((5, 7), (7, 11), (11, 13), (13, 5))]
+    pts = block + loose
+    rng.shuffle(pts)
+    ps = PointSet(QQ, pts)
+    cover, removed = max_cartesian_subset(ps)
+    assert sorted(cover.flatten()) == sorted(block)
+    assert coordinate_scale(cover.flatten() + removed) != \
+        coordinate_scale(cover.flatten())
+    for order in (LEX, INLEX, TDINLEX):
+        want = bm_run(ps, order)
+        runs = [gpbm_run(ps, order)]
+        if order is not TDINLEX:
+            runs.append(spbm_run(ps, order))
+        for res in runs:
+            assert res.G == want.G, res.algorithm
+            assert set(res.N) == set(want.N), res.algorithm
+            assert verify_result(res).passed, res.algorithm

@@ -103,7 +103,9 @@ def test_evaluation_matrix_goldens():
 
     single = PointSet(F7, [(2, 2)])
     bs = newton_basis_rows(line_cover(single, "rows"))
-    assert evaluation_matrix(bs, bs.point_order).tolist() == [[1]]
+    single_rows = evaluation_matrix(bs, bs.point_order)
+    assert single_rows[:, :1].tolist() == [[1]]
+    assert single_rows[:, 1:].tolist() == bs.coeffs.tolist() == [[1]]
 
 
 @FIELDS
@@ -137,10 +139,12 @@ def test_evaluation_matrix_beyond_basis(field):
             if field is QQ:
                 assert all(type(c) is int for c in raw.flat)
             B = _values(raw)
-            assert B.shape == (half, len(ps))
+            assert B.shape == (half, len(ps) + half)
             assert B[:, :half].tolist() == basis.values.tolist()
-            assert B[:, half:].tolist() == values(field, basis.polys,
-                                                  points[half:])
+            assert B[:, half:len(ps)].tolist() == values(
+                field, basis.polys, points[half:])
+            # then the coefficients, over the same entry at point r
+            assert B[:, len(ps):].tolist() == basis.coeffs.tolist()
 
 
 def test_evaluation_matrix_checks_prefix():
