@@ -93,6 +93,25 @@ def border(exponents, order: TermOrder) -> list:
     return order.sorted(out - exps)
 
 
+def _batch_size(L, key) -> int:
+    """Length of the longest prefix of L whose keys all sort below every
+    x- and y-shift of its members.
+
+    L ascends, so a scan need only keep the lowest shift key seen.  Every
+    multiple of a member other than itself sorts at or above one of its
+    shifts, so processing one member neither removes nor inserts a
+    candidate before another: under tdinlex a batch is about one degree
+    layer, under lex and inlex it is one candidate.
+    """
+    bound = None
+    for n, (i, j) in enumerate(L):
+        if bound is not None and key((i, j)) >= bound:
+            return n
+        low = min(key((i + 1, j)), key((i, j + 1)))
+        bound = low if bound is None else min(bound, low)
+    return len(L)
+
+
 def _run(ps: PointSet, order: TermOrder, algorithm: str,
          cover: LineCover | None = None, removed=()) -> BMResult:
     """Seed from the cover, if any, then process candidates ascending.
@@ -104,9 +123,15 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     before run point k), then its coefficients over the slots, which are
     the basis index order, all over its entry at run point k (one over F_p,
     a positive integer over Q); the engine zero-pads the rows to its width.
-    The border of that lower set starts the candidate list.  In the loop a
-    zero residual yields a basis element, and a fresh pivot extends the
-    staircase and queues the shifted candidates.
+    The border of that lower set starts the candidate list.
+
+    The loop takes the candidates in batches (_batch_size) and reduces a
+    batch's monomial vectors as one stack against the stored rows.  It then
+    walks the members in order: a zero residual yields a basis element, and
+    a fresh pivot extends the staircase, queues the shifted candidates and
+    stores a row, which reduces the members still pending.  Each residual
+    is then the one, zero at every pivot, that a candidate-by-candidate
+    loop finds, so the outputs are the same.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -122,24 +147,27 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     seeded, processed = len(N), 0
     cache, g_lts, g_tails = {}, [], []
     while L:
-        t = L.pop(0)
-        processed += 1
-        v = eng.new_vector(eng.monomial_vector(t, cache))
-        eng.reduce_into(v)
-        piv = eng.pivot_of(v)
-        if piv is None:
-            g_lts.append(t)
-            g_tails.append(eng.tail_terms(v))
-            L = [u for u in L if not exp_divides(t, u)]
-        else:
-            eng.append_row(v, len(N), piv)
-            N.append(t)
-            for cand in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
-                if any(exp_divides(u, cand) for u in L):
-                    continue
-                if any(exp_divides(u, cand) for u in g_lts):
-                    continue
-                insort(L, cand, key=order.key)
+        batch = L[:_batch_size(L, order.key)]
+        V = eng.new_vectors([eng.monomial_vector(t, cache) for t in batch])
+        eng.reduce_into(V)
+        for k, t in enumerate(batch):
+            L.pop(0)
+            processed += 1
+            v = V[k]
+            piv = eng.pivot_of(v)
+            if piv is None:
+                g_lts.append(t)
+                g_tails.append(eng.tail_terms(v))
+                L = [u for u in L if not exp_divides(t, u)]
+            else:
+                eng.append_row(v, len(N), piv, V[k + 1:])
+                N.append(t)
+                for cand in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
+                    if any(exp_divides(u, cand) for u in L):
+                        continue
+                    if any(exp_divides(u, cand) for u in g_lts):
+                        continue
+                    insort(L, cand, key=order.key)
     # G ascending by leading monomial: the tails over N, then a one at
     # the element's own leading monomial
     rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))

@@ -8,15 +8,19 @@ of costing a symbolic pass per reduction.
 
 Over F_p, row r is zero at the pivots of the rows before it and one at its
 own, so the pivot block A = mat[:r, pivots[:r]] is unit upper triangular,
-and the engine keeps its inverse.  A vector reduces by two exact modular
-products, c = v[pivots] A^-1 and v - c mat, instead of a loop over the rows;
-appending a row borders A^-1 in O(r^2), and a seeded block is inverted by
-2x2 block recursion.  The products run in float64 on base-2^b limbs, so
-every sum stays exact.  Vectors are int64 numpy arrays.
+and the engine keeps its inverse.  A stack of vectors, one per row of an
+int64 array, reduces by two exact modular products, C = V[:, pivots] A^-1
+and V - C mat, instead of a loop over the rows.  A row appended from the
+stack reduces the vectors after it by one rank-1 update, and A^-1 is
+bordered once for all the rows appended since the last border, in the
+delayed, blocked style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS
+35(3), 2008); a seeded block is inverted by 2x2 block recursion.  The
+products run in float64 on base-2^b limbs, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination with one gcd per row step, after
-Bareiss, Math. Comp. 22, 1968), and Fractions appear only in the output.
+Bareiss, Math. Comp. 22, 1968), a stack is a list of vectors, and
+Fractions appear only in the output.
 """
 
 from __future__ import annotations
@@ -123,6 +127,8 @@ class PrimeEngine:
         self.inv = np.zeros((mu, mu))
         self.pivots = np.zeros(mu, dtype=np.int64)
         self.nrows = 0
+        # inv holds the inverse of the pivot block of rows[:bordered]
+        self.bordered = 0
         # columns that may be nonzero in a row: the evaluation half and the
         # slots stored so far
         self.ncols = mu
@@ -137,47 +143,77 @@ class PrimeEngine:
             v = cache[step] = v * (self.xs if step[0] else self.ys) % self.p
         return v
 
-    def new_vector(self, evals) -> np.ndarray:
-        v = np.zeros(self.width, dtype=np.int64)
-        v[:self.mu] = evals
+    def new_vectors(self, evals) -> np.ndarray:
+        """A stack of vectors, one row per entry of evals."""
+        v = np.zeros((len(evals), self.width), dtype=np.int64)
+        v[:, :self.mu] = evals
         return v
 
+    def new_vector(self, evals) -> np.ndarray:
+        return self.new_vectors([evals])[0]
+
     def reduce_into(self, v: np.ndarray):
-        """Reduce v in place against all rows; returns the row coefficients.
+        """Reduce v, one vector or a stack, in place against all rows;
+        returns the row coefficients, a stack's flattened vector by vector.
 
         The residual that is zero at every pivot is unique, so c equals the
         coefficients of a sequential row-by-row reduction.
         """
+        if self.bordered < self.nrows:
+            self._border()
         r, cols = self.nrows, self.ncols
         if not r:
             return np.zeros(0, dtype=np.int64)
-        c = _mul_mod(v[self.pivots[:r]], self.inv[:r, :r], self.p)
-        v[:cols] -= _mul_mod(c, self.mat[:r, :cols], self.p)
-        v[:cols] %= self.p
-        return c
+        c = _mul_mod(v[..., self.pivots[:r]], self.inv[:r, :r], self.p)
+        v[..., :cols] -= _mul_mod(c, self.mat[:r, :cols], self.p)
+        v[..., :cols] %= self.p
+        return c.ravel()
 
     def pivot_of(self, v: np.ndarray):
         """First nonzero coordinate of the evaluation half, or None."""
         nz = np.nonzero(v[:self.mu])[0]
         return int(nz[0]) if nz.size else None
 
-    def append_row(self, v: np.ndarray, slot: int, pivot: int):
-        """Normalize the pivot to 1, record the slot's own coefficient, store,
-        and border the inverse: the pivot block gains the column
-        a = mat[:r, pivot] and the row e_r, so its inverse gains the column
-        -A^-1 a and a one on the diagonal."""
-        r, p = self.nrows, self.p
+    def append_row(self, v: np.ndarray, slot: int, pivot: int, rest=()):
+        """Normalize the pivot to 1, record the slot's own coefficient and
+        store.  The stack rest, the vectors still pending in v's batch,
+        is reduced against the new row by one rank-1 update, exact in
+        int64 since every product is below p^2 < 2^63.  With none pending
+        the inverse is bordered at once."""
+        p = self.p
         s = self.field.inv(int(v[pivot]))
         v = v * s % p
         v[self.mu + slot] = s
-        if r:
-            a = self.mat[:r, pivot].astype(np.int64)
-            self.inv[:r, r] = (p - _mul_mod(a, self.inv[:r, :r].T, p)) % p
-        self.inv[r, r] = 1
-        self.mat[r] = v
-        self.ncols = max(self.ncols, self.mu + slot + 1)
-        self.pivots[r] = pivot
+        self.mat[self.nrows] = v
+        self.ncols = cols = max(self.ncols, self.mu + slot + 1)
+        self.pivots[self.nrows] = pivot
         self.nrows += 1
+        if len(rest):
+            rest[:, :cols] -= np.outer(rest[:, pivot], v[:cols])
+            rest[:, :cols] %= p
+        else:
+            self._border()
+
+    def _border(self) -> None:
+        """Extend the inverse over the rows stored since the last border.
+
+        With A the bordered block, B the old rows at the new pivots and D
+        the new rows at theirs, the pivot block is [[A, B], [0, D]]: each
+        new row is zero at the old pivots and at the pivots of the new rows
+        before it, so D is unit upper triangular, and the inverse is
+        [[A^-1, -A^-1 B D^-1], [0, D^-1]].  A^-1 (B D^-1) is taken with the
+        narrow operand on the left, as the transpose of (B D^-1)^T A^-T.
+        """
+        b, r, p = self.bordered, self.nrows, self.p
+        new = self.pivots[b:r]
+        d_inv = _unitri_inverse(self.mat[b:r, new].astype(np.int64), p)
+        if b:
+            y = _mul_mod(self.mat[:b, new].astype(np.int64),
+                         d_inv.astype(np.float64), p)
+            self.inv[:b, b:r] = ((p - _mul_mod(y.T, self.inv[:b, :b].T, p))
+                                 % p).T
+        self.inv[b:r, b:r] = d_inv
+        self.bordered = r
 
     def bulk_load(self, aug_rows) -> None:
         """Store unitriangular rows with entries in [0, p): row r has its
@@ -193,11 +229,12 @@ class PrimeEngine:
         self.ncols = (self.width if self.mat[:k, self.mu + k:].any()
                       else self.mu + k)
         self.pivots[:k] = np.arange(k)
-        self.nrows = k
+        self.nrows = self.bordered = k
 
     def tail_terms(self, v: np.ndarray) -> np.ndarray:
-        """The coefficient half of v: its coefficient of each slot."""
-        return v[self.mu:]
+        """The coefficient half of v, copied out of its stack: its
+        coefficient of each slot."""
+        return v[self.mu:].copy()
 
     def coeff_terms(self) -> np.ndarray:
         """The coefficient halves of the stored rows, one row per slot."""
@@ -253,26 +290,42 @@ class RationalEngine:
     def new_vector(self, evals) -> list:
         return evals[:-1] + [0] * self.mu + evals[-1:]
 
+    def new_vectors(self, evals) -> list:
+        """A stack of vectors, one per entry of evals."""
+        return [self.new_vector(e) for e in evals]
+
     def reduce_into(self, v: list):
-        """Reduce v in place against all rows, in order; returns the row
-        coefficients as Fractions."""
+        """Reduce v, one vector or a stack, in place against all rows, in
+        order; returns the row coefficients as Fractions, a stack's
+        flattened vector by vector."""
+        if v and isinstance(v[0], list):
+            return [c for w in v for c in self._reduce(w)]
+        return self._reduce(v)
+
+    def _reduce(self, v: list) -> list:
         coeffs = []
         zero = self.field.zero
         for row, p in zip(self.mat, self.pivots):
-            a = v[p]
-            if not a:
-                coeffs.append(zero)
-                continue
-            coeffs.append(Fraction(a, v[-1]))
-            d = row[p]
-            h = gcd(a, d)
-            if h > 1:
-                a, d = a // h, d // h
-            w = [d * x - a * y if y else d * x for x, y in zip(v, row)]
-            w.append(d * v[-1])
-            g = gcd(*w)
-            v[:] = [x // g for x in w] if g > 1 else w
+            coeffs.append(Fraction(v[p], v[-1]) if v[p] else zero)
+            self._step(v, row, p)
         return coeffs
+
+    @staticmethod
+    def _step(v: list, row: list, p: int) -> None:
+        """One row step in place: V/D to (d V - V[p] R)/(d D) for the row R
+        over d = R[p], with d and V[p] first divided by their gcd, then the
+        gcd of the whole result divided out."""
+        a = v[p]
+        if not a:
+            return
+        d = row[p]
+        h = gcd(a, d)
+        if h > 1:
+            a, d = a // h, d // h
+        w = [d * x - a * y if y else d * x for x, y in zip(v, row)]
+        w.append(d * v[-1])
+        g = gcd(*w)
+        v[:] = [x // g for x in w] if g > 1 else w
 
     def pivot_of(self, v: list):
         for c in range(self.mu):
@@ -285,11 +338,14 @@ class RationalEngine:
         self.mat.append([x // g for x in row] if g != 1 else row)
         self.pivots.append(pivot)
 
-    def append_row(self, v: list, slot: int, pivot: int):
-        """Store V/D over V[pivot], with the slot's own coefficient D."""
+    def append_row(self, v: list, slot: int, pivot: int, rest=()):
+        """Store V/D over V[pivot], with the slot's own coefficient D, and
+        step each vector of the stack rest by the stored row."""
         row = v[:-1]
         row[self.mu + slot] = v[-1]
         self._store(row, pivot)
+        for w in rest:
+            self._step(w, self.mat[-1], pivot)
 
     def bulk_load(self, aug_rows) -> None:
         """Store integer rows, row r over its entry at column r: that entry

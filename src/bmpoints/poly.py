@@ -199,18 +199,19 @@ def _scaled_powers(coords, exps, top: int) -> np.ndarray:
     return rows
 
 
-def values_at(polys: PolyMatrix, points) -> np.ndarray:
-    """values[k, m] = polys row k at points[m], exactly.
+def value_sums(polys: PolyMatrix, points):
+    """(sums, dens): polys row k at points[m] is sums[k, m] / dens[k, m],
+    exactly, with every denominator positive.
 
     The monomial table covers exactly the exponents of polys, whether or
     not they lie in N, so corrupt input is evaluated as is; a negative
-    exponent is a ValueError.  Over F_p the values are one exact modular
-    matrix product, as int64.  Over Q, with x = a/b, y = c/d and I, J the
-    largest exponents, the table holds the integers a^i b^(I-i) c^j d^(J-j)
-    and each row's coefficients are scaled by L, the lcm of their
+    exponent is a ValueError.  Over F_p the sums are the values, one exact
+    modular matrix product as int64, and the denominators are a read-only
+    broadcast of one.  Over Q, with x = a/b, y = c/d and I, J the largest
+    exponents, the table holds the integers a^i b^(I-i) c^j d^(J-j) and
+    each row's coefficients are scaled by L, the lcm of their
     denominators; one integer matrix product then gives every value as a
-    sum over L b^I d^J, so the only gcds are the Fractions' own.  The
-    result is then an object array of Fractions.
+    sum over L b^I d^J, both object arrays of Python integers.
     """
     exps = polys.exps
     xs = sorted({i for i, _ in exps})
@@ -226,7 +227,8 @@ def values_at(polys: PolyMatrix, points) -> np.ndarray:
         pts = np.array(points, dtype=np.int64).reshape(-1, 2) % p
         table = (_power_rows(pts[:, 0], xs, p)[xsel]
                  * _power_rows(pts[:, 1], ys, p)[ysel] % p)
-        return _matmul_mod(polys.coeffs, table, p)
+        sums = _matmul_mod(polys.coeffs, table, p)
+        return sums, np.broadcast_to(np.int64(1), sums.shape)
     rows = polys.coeffs.tolist()
     L = [lcm(*(c.denominator for c in row)) for row in rows]
     coeffs = np.array([[c.numerator * (lk // c.denominator) for c in row]
@@ -238,7 +240,16 @@ def values_at(polys: PolyMatrix, points) -> np.ndarray:
     dens = np.outer(np.array(L, dtype=object),
                     np.array([x.denominator**I * y.denominator**J
                               for x, y in points], dtype=object))
-    return np.frompyfunc(Fraction, 2, 1)(coeffs @ table, dens)
+    return coeffs @ table, dens
+
+
+def values_at(polys: PolyMatrix, points) -> np.ndarray:
+    """values[k, m] = polys row k at points[m], exactly: int64 over F_p,
+    an object array of Fractions over Q, both from value_sums."""
+    sums, dens = value_sums(polys, points)
+    if polys.field.char:
+        return sums
+    return np.frompyfunc(Fraction, 2, 1)(sums, dens)
 
 
 # -- rendering ----------------------------------------------------------

@@ -5,10 +5,11 @@ The checks take G and Q in dense form (poly.PolyMatrix: an exponent list
 and a coefficient matrix), as a run hands them over or as `bmpoints
 verify` reads them from JSON.  A leading monomial is the nonzero column
 that ranks highest under the order.  The vanishing and Newton checks
-evaluate every polynomial at every point at once with `poly.values_at`:
+evaluate every polynomial at every point at once with `poly.value_sums`:
 over F_p by a few exact modular matrix products, over Q by one integer
-matrix product over common denominators.  Neither field's path uses the
-engine code.
+matrix product over common denominators.  They compare integer sums with
+zero or their denominators, so no value becomes a Fraction.  Neither
+field's path uses the engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
@@ -20,13 +21,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
 from .orders import LEX, TermOrder, exp_divides
 from .points import PointSet, is_lower
-from .poly import PolyMatrix, Polynomial, poly_text, values_at
+from .poly import PolyMatrix, Polynomial, poly_text, value_sums
 
 
 class CapExceededError(ValueError):
@@ -64,9 +66,10 @@ class VerifyReport:
 
 
 def check_vanishing(G: PolyMatrix, ps: PointSet) -> VerifyReport:
-    """Every polynomial must evaluate to zero at every point."""
+    """Every polynomial must evaluate to zero at every point: every value's
+    integer sum is zero."""
     rep = VerifyReport()
-    nonzero = np.flatnonzero(values_at(G, ps.points) != 0)
+    nonzero = np.flatnonzero(value_sums(G, ps.points)[0] != 0)
     detail = ""
     if nonzero.size:
         k, m = divmod(int(nonzero[0]), len(ps))
@@ -130,18 +133,21 @@ def _multiple_of_any(lms):
 
 
 def check_newton(Q: PolyMatrix, ordered_points) -> VerifyReport:
-    """Triangular unit evaluations: Q[k] at point m is delta(k, m), m <= k."""
+    """Triangular unit evaluations: Q[k] at point m is delta(k, m), m <= k,
+    so a value's integer sum is zero, or its denominator on the diagonal."""
     if len(Q) != len(ordered_points):
         raise ValueError(
             f"{len(Q)} polynomials against {len(ordered_points)} points")
     rep = VerifyReport()
     detail = ""
     if len(Q):
-        vals = values_at(Q, ordered_points)
-        wrong = np.flatnonzero(np.tril(vals != np.eye(len(Q), dtype=np.int64)))
+        sums, dens = value_sums(Q, ordered_points)
+        want = np.where(np.eye(len(Q), dtype=bool), dens, 0)
+        wrong = np.flatnonzero(np.tril(sums != want))
         if wrong.size:
             k, m = divmod(int(wrong[0]), len(Q))
-            detail = f"Q[{k}] at point {m} gave {vals[k, m]}"
+            value = Fraction(int(sums[k, m]), int(dens[k, m]))
+            detail = f"Q[{k}] at point {m} gave {value}"
     rep.add("newton triangularity", not detail, detail)
     return rep
 

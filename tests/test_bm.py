@@ -1,14 +1,18 @@
 """BM runs: golden outputs, algorithm agreement, structural invariants."""
 
+import random
+from bisect import insort
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, bm_run,
                          border, gpbm_run, spbm_run)
 from bmpoints.cartesian import max_cartesian_subset
+from bmpoints.engine import PrimeEngine, RationalEngine
 from bmpoints.fields import make_field
-from bmpoints.newton import newton_basis_rows
-from bmpoints.orders import INLEX, LEX, TDINLEX
+from bmpoints.newton import evaluation_matrix, newton_basis_rows
+from bmpoints.orders import INLEX, LEX, TDINLEX, exp_divides
 from bmpoints.points import EmptySetError, LineCover, PointSet, lower_set_of
 from bmpoints.poly import poly_text
 from bmpoints.randgen import gen_points
@@ -187,3 +191,110 @@ def test_extreme_sets_agree_and_certify(field, points):
     if field is F7 and len(points) == 49:
         # the ideal of the whole plane F_7^2 is (x^7 - x, y^7 - y)
         assert {poly_text(g, LEX) for g in runs[0].G} == {"x^7+6x", "y^7+6y"}
+
+
+def _one_by_one_run(ps, order, cover=None, removed=()):
+    """Reference loop that reduces one candidate at a time: (N, G
+    exponents, G coefficients, Q coefficients, point_permutation,
+    processed)."""
+    field = ps.field
+    run_points = (list(ps.points) if cover is None
+                  else cover.flatten() + list(removed))
+    eng = (PrimeEngine if field.char else RationalEngine)(field, run_points)
+    N, L = [], [(0, 0)]
+    if cover is not None:
+        basis = newton_basis_rows(cover)
+        eng.bulk_load(evaluation_matrix(basis, run_points))
+        N = list(basis.index_order)
+        L = border(N, order)
+    processed = 0
+    cache, g_lts, g_tails = {}, [], []
+    while L:
+        t = L.pop(0)
+        processed += 1
+        v = eng.new_vector(eng.monomial_vector(t, cache))
+        eng.reduce_into(v)
+        piv = eng.pivot_of(v)
+        if piv is None:
+            g_lts.append(t)
+            g_tails.append(list(eng.tail_terms(v)))
+            L = [u for u in L if not exp_divides(t, u)]
+        else:
+            eng.append_row(v, len(N), piv)
+            N.append(t)
+            for cand in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
+                if any(exp_divides(u, cand) for u in L):
+                    continue
+                if any(exp_divides(u, cand) for u in g_lts):
+                    continue
+                insort(L, cand, key=order.key)
+    rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))
+    mu = len(N)
+    G = [g_tails[r] + [field.one if k == j else 0 for j in range(len(rank))]
+         for k, r in enumerate(rank)]
+    imap = ps.index_map()
+    return (N, N + [g_lts[r] for r in rank], G,
+            eng.coeff_terms().tolist(),
+            [imap[run_points[p]] for p in eng.pivot_indices()], processed)
+
+
+def _batch_sizes(monkeypatch) -> list:
+    """Record the size of every batch the loop stacks."""
+    sizes = []
+    for cls in (PrimeEngine, RationalEngine):
+        def new_vectors(self, evals, _orig=cls.new_vectors):
+            sizes.append(len(evals))
+            return _orig(self, evals)
+        monkeypatch.setattr(cls, "new_vectors", new_vectors)
+    return sizes
+
+
+def _staircase_plus_loose(field, seed):
+    """Rows of 3 and 1 points on shared abscissae, a staircase whose
+    border spans degrees 2 and 3, plus 12 points that share no coordinate
+    with it or with each other."""
+    rng = random.Random(seed)
+    xs, ys = rng.sample(range(4, 23), 12), rng.sample(range(3, 23), 12)
+    return PointSet(field, [(1, 1), (2, 1), (3, 1), (1, 2)]
+                    + list(zip(xs, ys)))
+
+
+@pytest.mark.parametrize("field, size", [
+    (make_field("q:23"), 120), (BIG, 200), (QQ, 24),
+], ids=["q23-120", "q2^31-1-200", "rational-24"])
+def test_batched_loop_matches_one_by_one(field, size, monkeypatch):
+    """Under tdinlex the batched loop finds the same G, N, Q,
+    point_permutation and processed count as a loop that reduces one
+    candidate at a time, with batches of more than one candidate, for bm
+    and for gpbm seeded from a staircase whose border spans two degrees."""
+    sizes = _batch_sizes(monkeypatch)
+    sets = [gen_points(field, size, seed=11),
+            _staircase_plus_loose(field, seed=12)]
+    for ps in sets:
+        for run in (bm_run, gpbm_run):
+            res = run(ps, TDINLEX)
+            cover, removed = ((None, ()) if run is bm_run
+                              else max_cartesian_subset(ps))
+            want = _one_by_one_run(ps, TDINLEX, cover, removed)
+            got = (res.N, res.G_dense.exps, res.G_dense.coeffs.tolist(),
+                   res.Q_dense.coeffs.tolist(), res.point_permutation,
+                   res.processed)
+            assert got == want, run.__name__
+    seeded = gpbm_run(sets[1], TDINLEX)
+    assert seeded.seeded_count == 4
+    assert {sum(e) for e in border(seeded.N[:4], TDINLEX)} == {2, 3}
+    assert max(sizes) > 1
+
+
+@pytest.mark.parametrize("field", [F17, BIG, QQ], ids=["q17", "q2^31-1", "Q"])
+@pytest.mark.parametrize("order", [LEX, INLEX], ids=lambda o: o.name)
+def test_lex_batches_are_single_candidates(field, order, monkeypatch):
+    """Under lex and inlex every shift of a candidate sorts before the next
+    candidate, so every batch is one candidate."""
+    sizes = _batch_sizes(monkeypatch)
+    ps = gen_points(field, 12 if field is QQ else 60, seed=3)
+    for run in (bm_run, gpbm_run, spbm_run):
+        res = run(ps, order)
+        assert len(sizes) == res.processed, run.__name__
+        assert set(sizes) == {1}, run.__name__
+        sizes.clear()

@@ -232,3 +232,89 @@ def test_rational_engine_matches_reference():
         assert row[piv] > 0
         assert gcd(*row) == 1
         assert [Fr(c, row[piv]) for c in row] == want
+
+
+def _evals(eng, values) -> list:
+    """Field values in the form monomial_vector returns: the values over
+    F_p, and over Q their integer numerators followed by their common
+    denominator."""
+    if eng.field.char:
+        return values
+    den = lcm(*(c.denominator for c in values))
+    return [(c * den).numerator for c in values] + [den]
+
+
+@pytest.mark.parametrize("engine_cls, field", [
+    (PrimeEngine, make_field("q:23")),
+    (PrimeEngine, make_field("q:2147483647")),
+    (RationalEngine, QQ),
+], ids=["p=23", "p=2^31-1", "rational"])
+def test_batch_matches_one_by_one(engine_cls, field):
+    """One reduce_into on a stack gives each vector's coefficients and
+    residual as if reduced alone.  Walking the batch, append_row(..., rest)
+    leaves every pending vector equal to a sequential reduction of its
+    original values against all rows stored so far, a member in the span
+    of the rows before it reduces to zero, and the last append, with
+    nothing pending, leaves the inverse of the whole pivot block."""
+    rng = random.Random(field.char + 3)
+    p = field.char
+    mu, seeded = 24, 8
+
+    def rand():
+        return rng.randrange(p) if p else Fr(rng.randrange(-30, 31),
+                                             rng.randrange(1, 8))
+    zero = field.convert(0)
+    eng = engine_cls(field, [(zero, zero)] * mu)
+    seed_rows = [[0] * r + [1] + [rng.randrange(23) for _ in range(mu - r - 1)]
+                 + [rng.randrange(23) if s <= r else 0 for s in range(mu)]
+                 for r in range(seeded)]
+    eng.bulk_load(seed_rows)
+    rows = [[field.convert(c) for c in row] for row in seed_rows]
+    pivots = list(range(seeded))
+    reference = ((lambda v: _reference_reduce(rows, pivots, v, p)) if p
+                 else (lambda v: _reference_reduce_q(rows, pivots, v)))
+
+    values = [[rand() for _ in range(mu)] for _ in range(4)]
+    # member 4 lies in the span once members 0 and 2 are stored
+    values.append([field.add(a, field.mul(field.convert(2), b))
+                   for a, b in zip(values[0], values[2])])
+    values.append([rand() for _ in range(mu)])
+    singles = [eng.new_vector(_evals(eng, vals)) for vals in values]
+    single_coeffs = [c for v in singles for c in eng.reduce_into(v)]
+    stack = eng.new_vectors([_evals(eng, vals) for vals in values])
+    assert list(eng.reduce_into(stack)) == single_coeffs
+    assert ([_entries(eng, v) for v in stack]
+            == [_entries(eng, v) for v in singles])
+
+    for k, vals in enumerate(values):
+        v = stack[k]
+        piv = eng.pivot_of(v)
+        assert (piv is None) == (k == 4)
+        if piv is None:
+            continue
+        residual = reference(vals + [field.convert(0)] * mu)[1]
+        assert _entries(eng, v) == residual
+        slot = eng.nrows
+        eng.append_row(v, slot, piv, stack[k + 1:])
+        s = field.inv(residual[piv])
+        rows.append([field.mul(x, s) for x in residual])
+        rows[-1][mu + slot] = s
+        pivots.append(piv)
+        for j in range(k + 1, len(values)):
+            want = reference(values[j] + [field.convert(0)] * mu)[1]
+            assert _entries(eng, stack[j]) == want, (k, j)
+
+    r = eng.nrows
+    assert r == seeded + 5
+    assert eng.pivot_indices() == pivots
+    if p:
+        assert eng.mat[:r].astype(np.int64).tolist() == rows
+        block = np.array(rows, dtype=np.int64)[:, pivots]
+        inv = eng.inv[:r, :r].astype(np.int64)
+        assert (inv == _unitri_inverse(block, p)).all()
+        eye = [[int(i == j) for j in range(r)] for i in range(r)]
+        assert _matmul_mod_py(inv.tolist(), block.tolist(), p) == eye
+    else:
+        for row, piv, want in zip(eng.mat, eng.pivots, rows):
+            assert row[piv] > 0
+            assert [Fr(c, row[piv]) for c in row] == want

@@ -18,8 +18,9 @@ from bmpoints.verify import verify_result
     ("q:101", TDINLEX, 1000, (gpbm_run,)),
     ("rational", LEX, 40, (bm_run, spbm_run, gpbm_run)),
     ("rational", TDINLEX, 40, (bm_run, gpbm_run)),
+    ("q:2147483647", TDINLEX, 1500, (bm_run, gpbm_run)),
 ], ids=["q23-lex-500", "q2^31-1-tdinlex-500", "q101-tdinlex-1000",
-        "rational-lex-40", "rational-tdinlex-40"])
+        "rational-lex-40", "rational-tdinlex-40", "q2^31-1-tdinlex-1500"])
 def test_runners_agree_and_certify(field, order, size, runners):
     ps = gen_points(make_field(field), size, seed=5)
     runs = [run(ps, order) for run in runners]

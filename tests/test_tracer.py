@@ -46,11 +46,18 @@ def test_tracer_sees_every_layer_of_a_seeded_compute(tmp_path):
     gpbm_pts = tmp_path / "gpbm.txt"
     gpbm_pts.write_text("".join(
         f"{x},{y}\n" for x, y in block + [(Fr(1, 2), Fr(7, 3)), (5, 9)]))
+    # distinct coordinates: a one-point subset, so batches of candidates
+    big_pts = tmp_path / "big.txt"
+    big_pts.write_text("".join(
+        f"{x},{y}\n"
+        for x, y in gen_points(make_field("q:2147483647"), 40, seed=1)))
     argvs = {
         1: ["compute", "--field", "q:23", "--order", "lex", "--algo", "spbm",
             "--points", str(spbm_pts), "--out", "json"],
         2: ["compute", "--field", "rational", "--order", "tdinlex",
             "--algo", "gpbm", "--points", str(gpbm_pts), "--out", "json"],
+        3: ["compute", "--field", "q:2147483647", "--order", "tdinlex",
+            "--algo", "gpbm", "--points", str(big_pts), "--out", "json"],
     }
     spans = _spans()
     tracer = spans.Tracer()
@@ -71,3 +78,7 @@ def test_tracer_sees_every_layer_of_a_seeded_compute(tmp_path):
     assert gpbm["cartesian.subset.calls"] == 1
     assert gpbm["cartesian.subset.subset"] == len(block)
     assert gpbm["cartesian.subset.of"] == len(block) + 2
+    # the prime engine reduces a batch of candidates per traced call
+    big = totals[3]
+    assert big["engine.append.calls"] > 0
+    assert big["engine.reduce.calls"] < big["bm.run.processed"]
