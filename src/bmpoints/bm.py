@@ -18,7 +18,8 @@ A result holds G and Q as coefficient matrices (poly.PolyMatrix) over the
 slots of N, taken from the engine's coefficient half without a per-term
 pass: Q is the stored rows' half, each G element its residual's half plus
 its leading monomial.  The Polynomial lists G and Q are views built from
-them on first use.
+them on first use.  The loop reduces up to LOOKAHEAD candidates at once,
+guessed by a simulated walk; _run says why a wrong guess changes no output.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
 from .orders import TermOrder, exp_divides
 from .points import EmptySetError, LineCover, PointSet, is_lower, line_cover
 from .poly import PolyMatrix
+
+# candidates stacked per reduction: the first this many of a simulated walk
+LOOKAHEAD = 16
 
 # spbm's cover axis by order: lex pairs with a row cover (monomials grouped
 # by y-degree), inlex with a column cover; other orders are unsupported
@@ -93,23 +97,34 @@ def border(exponents, order: TermOrder) -> list:
     return order.sorted(out - exps)
 
 
-def _batch_size(L, key) -> int:
-    """Length of the longest prefix of L whose keys all sort below every
-    x- and y-shift of its members.
+def _queue(t, N, L, queued, key) -> None:
+    """Insert into L the shifts of t, just joined to N, that no pending
+    candidate or basis element divides.  A proper divisor of the x-shift
+    (i + 1, j) divides t, in N, or (i + 1, j - 1), so it has one exactly
+    when (i + 1, j - 1) is outside N or the shift is already queued (queued
+    keeps every candidate ever queued); the y-shift is the mirror."""
+    i, j = t
+    for cand, other in (((i + 1, j), (i + 1, j - 1)),
+                        ((i, j + 1), (i - 1, j + 1))):
+        if (min(other) < 0 or other in N) and cand not in queued:
+            queued.add(cand)
+            insort(L, cand, key=key)
 
-    L ascends, so a scan need only keep the lowest shift key seen.  Every
-    multiple of a member other than itself sorts at or above one of its
-    shifts, so processing one member neither removes nor inserts a
-    candidate before another: under tdinlex a batch is about one degree
-    layer, under lex and inlex it is one candidate.
-    """
-    bound = None
-    for n, (i, j) in enumerate(L):
-        if bound is not None and key((i, j)) >= bound:
-            return n
-        low = min(key((i + 1, j)), key((i, j + 1)))
-        bound = low if bound is None else min(bound, low)
-    return len(L)
+
+def _lookahead(L, N, queued, free: int, key) -> list:
+    """The first LOOKAHEAD candidates of a walk simulated on copies of L,
+    N and queued: the first `free` members join N, the rest are basis
+    elements whose multiples are dropped."""
+    L, N, queued, batch = list(L), set(N), set(queued), []
+    while L and len(batch) < LOOKAHEAD:
+        t = L.pop(0)
+        batch.append(t)
+        if len(batch) <= free:
+            N.add(t)
+            _queue(t, N, L, queued, key)
+        else:
+            L = [u for u in L if not exp_divides(t, u)]
+    return batch
 
 
 def _run(ps: PointSet, order: TermOrder, algorithm: str,
@@ -125,13 +140,13 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     a positive integer over Q); the engine zero-pads the rows to its width.
     The border of that lower set starts the candidate list.
 
-    The loop takes the candidates in batches (_batch_size) and reduces a
-    batch's monomial vectors as one stack against the stored rows.  It then
-    walks the members in order: a zero residual yields a basis element, and
-    a fresh pivot extends the staircase, queues the shifted candidates and
-    stores a row, which reduces the members still pending.  Each residual
-    is then the one, zero at every pivot, that a candidate-by-candidate
-    loop finds, so the outputs are the same.
+    The loop stacks the next candidates of a guessed walk (_lookahead: each
+    joins N while rows are free, then each is a basis element), reduces
+    them at once and processes the list's head while it is in the stack: a
+    zero residual yields a basis element, and a fresh pivot extends the
+    staircase, queues the shifts and stores a row, which reduces the vectors
+    after it.  Each residual is the unique one zero at every pivot, so a
+    wrong guess wastes a reduction, never changes an output.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -145,13 +160,16 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
         N = list(basis.index_order)
         L = border(N, order)
     seeded, processed = len(N), 0
+    in_n, queued = set(N), set(N) | set(L)
     cache, g_lts, g_tails = {}, [], []
     while L:
-        batch = L[:_batch_size(L, order.key)]
+        batch = _lookahead(L, in_n, queued, eng.mu - eng.nrows, order.key)
+        at = {t: k for k, t in enumerate(batch)}
         V = eng.new_vectors([eng.monomial_vector(t, cache) for t in batch])
         eng.reduce_into(V)
-        for k, t in enumerate(batch):
-            L.pop(0)
+        while L and L[0] in at:
+            t = L.pop(0)
+            k = at[t]
             processed += 1
             v = V[k]
             piv = eng.pivot_of(v)
@@ -162,12 +180,8 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
             else:
                 eng.append_row(v, len(N), piv, V[k + 1:])
                 N.append(t)
-                for cand in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
-                    if any(exp_divides(u, cand) for u in L):
-                        continue
-                    if any(exp_divides(u, cand) for u in g_lts):
-                        continue
-                    insort(L, cand, key=order.key)
+                in_n.add(t)
+                _queue(t, in_n, L, queued, order.key)
     # G ascending by leading monomial: the tails over N, then a one at
     # the element's own leading monomial
     rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))

@@ -35,7 +35,7 @@ from .points import coordinate_scale, scale_points
 
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
-# unitriangular blocks up to this size are inverted by a product of powers
+# unitriangular blocks up to this size are inverted directly
 _BASE_BLOCK = 32
 
 
@@ -71,8 +71,9 @@ def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of a unit upper triangular int64 matrix.
 
     By 2x2 blocks: [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]].
-    A small block is I + N with N nilpotent, whose inverse is the product
-    (I - N)(I + N^2)(I + N^4)... over the powers below its size.
+    A small block is I + N with N nilpotent: where one float64 product of
+    its size is exact, the inverse is (I - N)(I + N^2)(I + N^4)...; where
+    products need limbs, Gauss-Jordan from the last column is cheaper.
     """
     n = a.shape[0]
     if n > _BASE_BLOCK:
@@ -84,8 +85,13 @@ def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
         right = _mul_mod(right, out[h:, h:].astype(np.float64), p)
         out[:h, h:] = (p - right) % p
         return out
-    power = (np.eye(n, dtype=np.int64) - a) % p
-    out = power + np.eye(n, dtype=np.int64)
+    out = np.eye(n, dtype=np.int64)
+    if n * (p - 1) ** 2 >= _FLOAT_EXACT:
+        for k in range(n - 1, 0, -1):  # products below p^2: exact in int64
+            out[:k, k:] = (out[:k, k:] - a[:k, k, None] * out[k, k:]) % p
+        return out
+    power = (out - a) % p
+    out = out + power
     span = 2
     while span < n:
         power = _mul_mod(power, power.astype(np.float64), p)
@@ -176,10 +182,10 @@ class PrimeEngine:
 
     def append_row(self, v: np.ndarray, slot: int, pivot: int, rest=()):
         """Normalize the pivot to 1, record the slot's own coefficient and
-        store.  The stack rest, the vectors still pending in v's batch,
-        is reduced against the new row by one rank-1 update, exact in
-        int64 since every product is below p^2 < 2^63.  With none pending
-        the inverse is bordered at once."""
+        store.  The stack rest, the vectors after v in its batch (some
+        perhaps never processed), is reduced against the new row by one
+        rank-1 update, exact in int64 as every product is below p^2 < 2^63.
+        With none after v the inverse is bordered at once."""
         p = self.p
         s = self.field.inv(int(v[pivot]))
         v = v * s % p
@@ -189,8 +195,8 @@ class PrimeEngine:
         self.pivots[self.nrows] = pivot
         self.nrows += 1
         if len(rest):
-            rest[:, :cols] -= np.outer(rest[:, pivot], v[:cols])
-            rest[:, :cols] %= p
+            rest[:, :cols] = (rest[:, :cols] - rest[:, pivot, None] * v[:cols]
+                              ) % p
         else:
             self._border()
 

@@ -6,14 +6,17 @@ from bisect import insort
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmpoints.bm import (NotLowerSetError, UnsupportedOrderError, bm_run,
-                         border, gpbm_run, spbm_run)
+from bmpoints.bm import (LOOKAHEAD, SPBM_AXIS, NotLowerSetError,
+                         UnsupportedOrderError, bm_run, border, gpbm_run,
+                         spbm_run)
 from bmpoints.cartesian import max_cartesian_subset
 from bmpoints.engine import PrimeEngine, RationalEngine
 from bmpoints.fields import make_field
-from bmpoints.newton import evaluation_matrix, newton_basis_rows
+from bmpoints.newton import (evaluation_matrix, newton_basis_cols,
+                             newton_basis_rows)
 from bmpoints.orders import INLEX, LEX, TDINLEX, exp_divides
-from bmpoints.points import EmptySetError, LineCover, PointSet, lower_set_of
+from bmpoints.points import (EmptySetError, LineCover, PointSet, line_cover,
+                             lower_set_of)
 from bmpoints.poly import poly_text
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
@@ -196,14 +199,16 @@ def test_extreme_sets_agree_and_certify(field, points):
 def _one_by_one_run(ps, order, cover=None, removed=()):
     """Reference loop that reduces one candidate at a time: (N, G
     exponents, G coefficients, Q coefficients, point_permutation,
-    processed)."""
+    processed).  Its shift filters scan L and G, independent of the
+    loop's own queueing."""
     field = ps.field
     run_points = (list(ps.points) if cover is None
                   else cover.flatten() + list(removed))
     eng = (PrimeEngine if field.char else RationalEngine)(field, run_points)
     N, L = [], [(0, 0)]
     if cover is not None:
-        basis = newton_basis_rows(cover)
+        basis = (newton_basis_rows(cover) if cover.axis == "rows"
+                 else newton_basis_cols(cover))
         eng.bulk_load(evaluation_matrix(basis, run_points))
         N = list(basis.index_order)
         L = border(N, order)
@@ -263,23 +268,36 @@ def _staircase_plus_loose(field, seed):
     (make_field("q:23"), 120), (BIG, 200), (QQ, 24),
 ], ids=["q23-120", "q2^31-1-200", "rational-24"])
 def test_batched_loop_matches_one_by_one(field, size, monkeypatch):
-    """Under tdinlex the batched loop finds the same G, N, Q,
-    point_permutation and processed count as a loop that reduces one
-    candidate at a time, with batches of more than one candidate, for bm
-    and for gpbm seeded from a staircase whose border spans two degrees."""
+    """Under lex, inlex and tdinlex the batched loop finds the same G, N,
+    Q, point_permutation and processed count as a loop that reduces one
+    candidate at a time, with batches of more than one candidate, for bm,
+    gpbm and spbm, also seeded from a staircase whose border spans two
+    degrees.  bm, and every runner on the triangle x + y <= 15, which has
+    17 corners, processes more candidates than one batch holds."""
     sizes = _batch_sizes(monkeypatch)
+    triangle = PointSet(field, [(x, y) for x in range(16)
+                                for y in range(16 - x)])
     sets = [gen_points(field, size, seed=11),
-            _staircase_plus_loose(field, seed=12)]
+            _staircase_plus_loose(field, seed=12), triangle]
     for ps in sets:
-        for run in (bm_run, gpbm_run):
-            res = run(ps, TDINLEX)
-            cover, removed = ((None, ()) if run is bm_run
-                              else max_cartesian_subset(ps))
-            want = _one_by_one_run(ps, TDINLEX, cover, removed)
-            got = (res.N, res.G_dense.exps, res.G_dense.coeffs.tolist(),
-                   res.Q_dense.coeffs.tolist(), res.point_permutation,
-                   res.processed)
-            assert got == want, run.__name__
+        for order in ALL_ORDERS:
+            runs = [bm_run, gpbm_run]
+            if order is not TDINLEX:
+                runs.append(spbm_run)
+            for run in runs:
+                res = run(ps, order)
+                cover, removed = (
+                    (None, ()) if run is bm_run
+                    else max_cartesian_subset(ps) if run is gpbm_run
+                    else (line_cover(ps, SPBM_AXIS[order.name]), ()))
+                want = _one_by_one_run(ps, order, cover, removed)
+                got = (res.N, res.G_dense.exps, res.G_dense.coeffs.tolist(),
+                       res.Q_dense.coeffs.tolist(), res.point_permutation,
+                       res.processed)
+                assert got == want, (run.__name__, order.name)
+                if run is bm_run or ps is triangle:
+                    assert res.processed > LOOKAHEAD, (run.__name__,
+                                                       order.name)
     seeded = gpbm_run(sets[1], TDINLEX)
     assert seeded.seeded_count == 4
     assert {sum(e) for e in border(seeded.N[:4], TDINLEX)} == {2, 3}
@@ -288,13 +306,18 @@ def test_batched_loop_matches_one_by_one(field, size, monkeypatch):
 
 @pytest.mark.parametrize("field", [F17, BIG, QQ], ids=["q17", "q2^31-1", "Q"])
 @pytest.mark.parametrize("order", [LEX, INLEX], ids=lambda o: o.name)
-def test_lex_batches_are_single_candidates(field, order, monkeypatch):
-    """Under lex and inlex every shift of a candidate sorts before the next
-    candidate, so every batch is one candidate."""
+def test_lookahead_batches(field, order, monkeypatch):
+    """No stack holds more than LOOKAHEAD candidates.  spbm stores every
+    row before its loop, so its simulated walk guesses every candidate a
+    basis element, rightly, and it stacks exactly the candidates it
+    processes; bm stacks several candidates per batch under lex too."""
     sizes = _batch_sizes(monkeypatch)
     ps = gen_points(field, 12 if field is QQ else 60, seed=3)
     for run in (bm_run, gpbm_run, spbm_run):
         res = run(ps, order)
-        assert len(sizes) == res.processed, run.__name__
-        assert set(sizes) == {1}, run.__name__
+        assert max(sizes) <= LOOKAHEAD, run.__name__
+        if run is spbm_run:
+            assert sum(sizes) == res.processed
+        if run is bm_run and order is LEX:
+            assert len(sizes) < res.processed
         sizes.clear()

@@ -58,3 +58,14 @@ def test_staircase_is_the_cover_lower_set(field, size, order):
     want = set(lower_set_of(line_cover(ps, SPBM_AXIS[order.name])))
     for run in (bm_run, gpbm_run):
         assert set(run(ps, order).N) == want, run.__name__
+
+
+def test_bm_lex_at_2000_points():
+    """The unseeded loop under lex over q:2^31-1 at 2000 points, in
+    batches of up to LOOKAHEAD candidates: the staircase is the lower set
+    of the row cover and the result certifies."""
+    ps = gen_points(make_field("q:2147483647"), 2000, seed=7)
+    res = bm_run(ps, LEX)
+    assert set(res.N) == set(lower_set_of(line_cover(ps, "rows")))
+    report = verify_result(res)
+    assert report.passed, report.text()
