@@ -7,8 +7,8 @@ from .cartesian import is_cartesian, max_cartesian_subset
 from .fields import (BadFieldSpecError, DivisionByZeroError, Field,
                      FieldError, NotPrimeError, PrimeField, RationalField,
                      ZeroDenominatorError, make_field)
-from .newton import (NewtonBasis, evaluation_matrix, interpolate,
-                     newton_basis_cols, newton_basis_rows)
+from .newton import (NewtonBasis, evaluation_matrix, newton_basis_cols,
+                     newton_basis_rows)
 from .orders import (INLEX, LEX, ORDERS, TDINLEX, TermOrder, exp_divides,
                      order_by_name)
 from .points import (DuplicatePointError, EmptySetError, LineCover, PointSet,

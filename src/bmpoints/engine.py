@@ -12,10 +12,10 @@ and the engine keeps its inverse.  A stack of vectors, one per row of an
 int64 array, reduces by two exact modular products, C = V[:, pivots] A^-1
 and V - C mat, instead of a loop over the rows.  A row appended from the
 stack reduces the vectors after it by one rank-1 update, and A^-1 is
-bordered once for all the rows appended since the last border, in the
-delayed, blocked style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008); a seeded block is inverted by 2x2 block recursion.  The
-products run in float64 on base-2^b limbs, so every sum stays exact.
+extended at the next reduction over all the rows stored since the last
+one, in the delayed, blocked style of FFLAS-FFPACK (Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008).  The products run in float64 on base-2^b
+limbs, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination with one gcd per row step, after
@@ -155,12 +155,9 @@ class PrimeEngine:
         v[:, :self.mu] = evals
         return v
 
-    def new_vector(self, evals) -> np.ndarray:
-        return self.new_vectors([evals])[0]
-
     def reduce_into(self, v: np.ndarray):
-        """Reduce v, one vector or a stack, in place against all rows;
-        returns the row coefficients, a stack's flattened vector by vector.
+        """Reduce the stack v in place against all rows; returns the row
+        coefficients, flattened vector by vector.
 
         The residual that is zero at every pivot is unique, so c equals the
         coefficients of a sequential row-by-row reduction.
@@ -170,9 +167,9 @@ class PrimeEngine:
         r, cols = self.nrows, self.ncols
         if not r:
             return np.zeros(0, dtype=np.int64)
-        c = _mul_mod(v[..., self.pivots[:r]], self.inv[:r, :r], self.p)
-        v[..., :cols] -= _mul_mod(c, self.mat[:r, :cols], self.p)
-        v[..., :cols] %= self.p
+        c = _mul_mod(v[:, self.pivots[:r]], self.inv[:r, :r], self.p)
+        v[:, :cols] -= _mul_mod(c, self.mat[:r, :cols], self.p)
+        v[:, :cols] %= self.p
         return c.ravel()
 
     def pivot_of(self, v: np.ndarray):
@@ -180,12 +177,12 @@ class PrimeEngine:
         nz = np.nonzero(v[:self.mu])[0]
         return int(nz[0]) if nz.size else None
 
-    def append_row(self, v: np.ndarray, slot: int, pivot: int, rest=()):
+    def append_row(self, v: np.ndarray, slot: int, pivot: int, rest):
         """Normalize the pivot to 1, record the slot's own coefficient and
         store.  The stack rest, the vectors after v in its batch (some
-        perhaps never processed), is reduced against the new row by one
-        rank-1 update, exact in int64 as every product is below p^2 < 2^63.
-        With none after v the inverse is bordered at once."""
+        perhaps never processed, perhaps none), is reduced against the new
+        row by one rank-1 update, exact in int64 as every product is below
+        p^2 < 2^63."""
         p = self.p
         s = self.field.inv(int(v[pivot]))
         v = v * s % p
@@ -194,11 +191,7 @@ class PrimeEngine:
         self.ncols = cols = max(self.ncols, self.mu + slot + 1)
         self.pivots[self.nrows] = pivot
         self.nrows += 1
-        if len(rest):
-            rest[:, :cols] = (rest[:, :cols] - rest[:, pivot, None] * v[:cols]
-                              ) % p
-        else:
-            self._border()
+        rest[:, :cols] = (rest[:, :cols] - rest[:, pivot, None] * v[:cols]) % p
 
     def _border(self) -> None:
         """Extend the inverse over the rows stored since the last border.
@@ -209,6 +202,8 @@ class PrimeEngine:
         before it, so D is unit upper triangular, and the inverse is
         [[A^-1, -A^-1 B D^-1], [0, D^-1]].  A^-1 (B D^-1) is taken with the
         narrow operand on the left, as the transpose of (B D^-1)^T A^-T.
+        With none bordered yet, D is the whole block, a seeded one
+        included, and _unitri_inverse inverts it by 2x2 block recursion.
         """
         b, r, p = self.bordered, self.nrows, self.p
         new = self.pivots[b:r]
@@ -228,14 +223,13 @@ class PrimeEngine:
         k, w = len(aug_rows), np.shape(aug_rows)[-1]
         self.mat[:k, :w] = aug_rows
         self.mat[:k, w:] = 0
-        square = self.mat[:k, :k].astype(np.int64)
+        square = self.mat[:k, :k]
         if (np.diagonal(square) != 1).any() or np.tril(square, -1).any():
             raise RuntimeError("seeded rows are not unit upper triangular")
-        self.inv[:k, :k] = _unitri_inverse(square, self.p)
         self.ncols = (self.width if self.mat[:k, self.mu + k:].any()
                       else self.mu + k)
         self.pivots[:k] = np.arange(k)
-        self.nrows = self.bordered = k
+        self.nrows = k
 
     def tail_terms(self, v: np.ndarray) -> np.ndarray:
         """The coefficient half of v, copied out of its stack: its
@@ -293,27 +287,19 @@ class RationalEngine:
             v = cache[step] = [a * t for a, t in zip(v, coords)] + [v[-1] * s]
         return v
 
-    def new_vector(self, evals) -> list:
-        return evals[:-1] + [0] * self.mu + evals[-1:]
-
     def new_vectors(self, evals) -> list:
         """A stack of vectors, one per entry of evals."""
-        return [self.new_vector(e) for e in evals]
+        return [e[:-1] + [0] * self.mu + e[-1:] for e in evals]
 
-    def reduce_into(self, v: list):
-        """Reduce v, one vector or a stack, in place against all rows, in
-        order; returns the row coefficients as Fractions, a stack's
-        flattened vector by vector."""
-        if v and isinstance(v[0], list):
-            return [c for w in v for c in self._reduce(w)]
-        return self._reduce(v)
-
-    def _reduce(self, v: list) -> list:
+    def reduce_into(self, v: list) -> list:
+        """Reduce the stack v in place against all rows, in order; returns
+        the row coefficients as Fractions, flattened vector by vector."""
         coeffs = []
         zero = self.field.zero
-        for row, p in zip(self.mat, self.pivots):
-            coeffs.append(Fraction(v[p], v[-1]) if v[p] else zero)
-            self._step(v, row, p)
+        for w in v:
+            for row, p in zip(self.mat, self.pivots):
+                coeffs.append(Fraction(w[p], w[-1]) if w[p] else zero)
+                self._step(w, row, p)
         return coeffs
 
     @staticmethod
@@ -344,7 +330,7 @@ class RationalEngine:
         self.mat.append([x // g for x in row] if g != 1 else row)
         self.pivots.append(pivot)
 
-    def append_row(self, v: list, slot: int, pivot: int, rest=()):
+    def append_row(self, v: list, slot: int, pivot: int, rest):
         """Store V/D over V[pivot], with the slot's own coefficient D, and
         step each vector of the stack rest by the stored row."""
         row = v[:-1]

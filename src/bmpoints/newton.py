@@ -22,22 +22,16 @@ arrays reduced mod p, each divided by its value at its own point.  Over Q
 the points are first scaled to integers, X = B x and Y = C y with B and C
 the lcms of their x- and y-denominators, so every product is a row of
 Python integers; coefficient column (i, j) is multiplied by B^i C^j, and
-each row is signed so that its entry at its own point is positive.  A
-basis builds its own rows, at its own points, on first use, and Fractions
-only when asked for.
+each row is signed so that its entry at its own point is positive.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .fields import Field
 from .points import (EmptySetError, LineCover, coordinate_scale,
                      lower_set_of, scale_points)
-from .poly import Polynomial
 
 
 def _zeros(field: Field, shape) -> np.ndarray:
@@ -53,14 +47,8 @@ def _mod(field: Field, a: np.ndarray) -> np.ndarray:
 
 
 class NewtonBasis:
-    """A Newton basis over a line cover.  rows is evaluation_matrix at
-    point_order, built on first use: row r holds element r's values at
-    point_order and then its coefficients over index_order, both divided by
-    its value at its own point, rows[r, r].
-
-    Over F_p that value is one.  Over Q the rows are Python integers and
-    rows[r, r] is positive; values, coeffs and polys build the Fractions
-    once, on first use.  values is upper unitriangular."""
+    """A Newton basis over a line cover: element r has index_order[r] and
+    is normalized at point_order[r].  evaluation_matrix builds its rows."""
 
     def __init__(self, cover: LineCover, index_order: list):
         self.field = cover.field
@@ -70,36 +58,6 @@ class NewtonBasis:
 
     def __len__(self):
         return len(self.index_order)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return evaluation_matrix(self, self.point_order)
-
-    @cached_property
-    def _normalized_rows(self) -> np.ndarray:
-        """rows divided by their diagonal entries, as field elements."""
-        rows = self.rows
-        if not self.field.char:
-            rows = np.frompyfunc(Fraction, 2, 1)(
-                rows, rows.diagonal()[:, None])
-        return rows
-
-    @property
-    def values(self) -> np.ndarray:
-        """values[r, m]: element r at point m of point_order."""
-        return self._normalized_rows[:, :len(self)]
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """coeffs[r, s]: element r's coefficient of index_order[s]."""
-        return self._normalized_rows[:, len(self):]
-
-    @cached_property
-    def polys(self) -> list:
-        """The basis elements as polynomials, built once from coeffs."""
-        return [Polynomial(self.field, {
-            e: c for e, c in zip(self.index_order, row) if c})
-            for row in self.coeffs.tolist()]
 
 
 def _variable(field: Field, points: list, index_order: list,
@@ -198,21 +156,3 @@ def evaluation_matrix(basis: NewtonBasis, points) -> np.ndarray:
                                    dtype=object)
     rows *= np.array([[1 if d > 0 else -1] for d in diag], dtype=object)
     return rows
-
-
-def interpolate(basis: NewtonBasis, values) -> Polynomial:
-    """The unique combination of the basis matching the values on its points.
-
-    Forward substitution against the triangular evaluation rows.
-    """
-    f = basis.field
-    resid = np.array([f.convert(v) for v in values], dtype=basis.values.dtype)
-    if len(resid) != len(basis):
-        raise ValueError(f"expected {len(basis)} values, got {len(resid)}")
-    total = _zeros(f, len(basis))
-    for k in range(len(basis)):
-        if c := resid[k]:
-            resid = _mod(f, resid - c * basis.values[k])
-            total = _mod(f, total + c * basis.coeffs[k])
-    return Polynomial(f, {e: c for e, c in zip(basis.index_order,
-                                               total.tolist()) if c})

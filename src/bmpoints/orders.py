@@ -4,8 +4,6 @@ from __future__ import annotations
 
 Exponent = tuple[int, int]
 
-LT, EQ, GT = -1, 0, 1
-
 
 class TermOrder:
     """A named total order on exponents, exposed as a sort key.
@@ -21,14 +19,6 @@ class TermOrder:
     def __init__(self, name: str, key):
         self.name = name
         self.key = key
-
-    def cmp(self, a: Exponent, b: Exponent) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
 
     def sorted(self, exps):
         return sorted(exps, key=self.key)

@@ -217,15 +217,16 @@ def _one_by_one_run(ps, order, cover=None, removed=()):
     while L:
         t = L.pop(0)
         processed += 1
-        v = eng.new_vector(eng.monomial_vector(t, cache))
-        eng.reduce_into(v)
+        V = eng.new_vectors([eng.monomial_vector(t, cache)])
+        eng.reduce_into(V)
+        v = V[0]
         piv = eng.pivot_of(v)
         if piv is None:
             g_lts.append(t)
             g_tails.append(list(eng.tail_terms(v)))
             L = [u for u in L if not exp_divides(t, u)]
         else:
-            eng.append_row(v, len(N), piv)
+            eng.append_row(v, len(N), piv, V[1:])
             N.append(t)
             for cand in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
                 if any(exp_divides(u, cand) for u in L):

@@ -1,4 +1,4 @@
-"""Row-reduction engines: bulk-loaded rows reduce a vector in place."""
+"""Row-reduction engines: bulk-loaded rows reduce a stack in place."""
 
 import random
 from fractions import Fraction as Fr
@@ -17,13 +17,19 @@ ROWS = [[1, 1, 1, 1, 0, 0],
         [0, 1, 2, 0, 1, 0]]
 
 
-def _vector(eng, values):
-    """An engine vector of field values: the values over F_p, and over Q
-    their integer numerators followed by their common denominator."""
+def _evals(eng, values) -> list:
+    """Field values in the form monomial_vector returns: the values over
+    F_p, and over Q their integer numerators followed by their common
+    denominator."""
     if eng.field.char:
-        return eng.new_vector(values)
+        return values
     den = lcm(*(c.denominator for c in values))
-    return eng.new_vector([(c * den).numerator for c in values] + [den])
+    return [(c * den).numerator for c in values] + [den]
+
+
+def _stack(eng, values):
+    """A one-vector stack of field values."""
+    return eng.new_vectors([_evals(eng, values)])
 
 
 def _entries(eng, v) -> list:
@@ -46,11 +52,11 @@ def test_reduce_into(engine_cls, field, evals, rows, coeffs, tail):
     if rows:
         eng.bulk_load(rows)  # unit diagonal: over Q every row is over a one
     assert eng.nrows == len(rows)
-    v = _vector(eng, [field.convert(c) for c in evals])
+    v = _stack(eng, [field.convert(c) for c in evals])
     got = eng.reduce_into(v)
     assert [field.convert(int(a)) for a in got] == coeffs
     want = evals + [0, 0, 0] if tail is None else [0, 0, 0] + tail
-    assert _entries(eng, v) == [field.convert(c) for c in want]
+    assert _entries(eng, v[0]) == [field.convert(c) for c in want]
 
 
 @pytest.mark.parametrize("engine_cls, field",
@@ -60,9 +66,10 @@ def test_bulk_load_empty(engine_cls, field):
     eng = engine_cls(field, [tuple(map(field.convert, pt)) for pt in POINTS])
     eng.bulk_load([])
     assert eng.nrows == 0
-    v = _vector(eng, [field.convert(c) for c in (3, 4, 5)])
+    v = _stack(eng, [field.convert(c) for c in (3, 4, 5)])
     assert len(eng.reduce_into(v)) == 0
-    assert _entries(eng, v) == [field.convert(c) for c in (3, 4, 5, 0, 0, 0)]
+    assert _entries(eng, v[0]) == [field.convert(c)
+                                   for c in (3, 4, 5, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("engine_cls, field",
@@ -108,7 +115,7 @@ def _matmul_mod_py(a, b, p):
 def test_prime_engine_matches_reference(p, mu, seeded, appended):
     """Bulk-loaded rows, then appends: every reduction returns the
     coefficients and residual of a sequential reduction on Python ints, and
-    the bordered inverse equals the inverse of the pivot block."""
+    after the last one the inverse equals that of the pivot block."""
     rng = np.random.default_rng(p * mu + seeded)
     field = make_field(f"q:{p}")
     eng = PrimeEngine(field, [(0, 0)] * mu)
@@ -119,15 +126,17 @@ def test_prime_engine_matches_reference(p, mu, seeded, appended):
     eng.bulk_load(seed_rows)
     rows = seed_rows.tolist()
     pivots = list(range(seeded))
-    while eng.nrows < seeded + appended:
+    while True:
         evals = rng.integers(0, p, mu).tolist()
         want_c, want_v = _reference_reduce(rows, pivots, evals + [0] * mu, p)
-        v = eng.new_vector(evals)
-        assert eng.reduce_into(v).tolist() == want_c
-        assert v.tolist() == want_v
-        piv = eng.pivot_of(v)
+        V = eng.new_vectors([evals])
+        assert eng.reduce_into(V).tolist() == want_c
+        assert V[0].tolist() == want_v
+        if eng.nrows == seeded + appended:
+            break
+        piv = eng.pivot_of(V[0])
         slot = eng.nrows
-        eng.append_row(v, slot, piv)
+        eng.append_row(V[0], slot, piv, V[1:])
         s = pow(want_v[piv], -1, p)
         rows.append([x * s % p for x in want_v])
         rows[-1][mu + slot] = s
@@ -210,18 +219,19 @@ def test_rational_engine_matches_reference():
         if eng.nrows == depth:
             break
         evals = [x**e[0] * y**e[1] for x, y in pts]
-        v = eng.new_vector(eng.monomial_vector(e, cache))
+        V = eng.new_vectors([eng.monomial_vector(e, cache)])
+        v = V[0]
         assert _entries(eng, v) == evals + [Fr(0)] * mu
         want_c, want_v = _reference_reduce_q(rows, pivots,
                                              evals + [Fr(0)] * mu)
-        assert eng.reduce_into(v) == want_c
+        assert eng.reduce_into(V) == want_c
         assert _entries(eng, v) == want_v
         piv = eng.pivot_of(v)
         assert piv == next((c for c in range(mu) if want_v[c]), None)
         if piv is None:
             continue
         slot = eng.nrows
-        eng.append_row(v, slot, piv)
+        eng.append_row(v, slot, piv, V[1:])
         s = 1 / want_v[piv]
         rows.append([x * s for x in want_v])
         rows[-1][mu + slot] = s
@@ -234,16 +244,6 @@ def test_rational_engine_matches_reference():
         assert [Fr(c, row[piv]) for c in row] == want
 
 
-def _evals(eng, values) -> list:
-    """Field values in the form monomial_vector returns: the values over
-    F_p, and over Q their integer numerators followed by their common
-    denominator."""
-    if eng.field.char:
-        return values
-    den = lcm(*(c.denominator for c in values))
-    return [(c * den).numerator for c in values] + [den]
-
-
 @pytest.mark.parametrize("engine_cls, field", [
     (PrimeEngine, make_field("q:23")),
     (PrimeEngine, make_field("q:2147483647")),
@@ -254,8 +254,8 @@ def test_batch_matches_one_by_one(engine_cls, field):
     residual as if reduced alone.  Walking the batch, append_row(..., rest)
     leaves every pending vector equal to a sequential reduction of its
     original values against all rows stored so far, a member in the span
-    of the rows before it reduces to zero, and the last append, with
-    nothing pending, leaves the inverse of the whole pivot block."""
+    of the rows before it reduces to zero, and the next reduction takes
+    every member to zero through the inverse of the whole pivot block."""
     rng = random.Random(field.char + 3)
     p = field.char
     mu, seeded = 24, 8
@@ -279,12 +279,12 @@ def test_batch_matches_one_by_one(engine_cls, field):
     values.append([field.add(a, field.mul(field.convert(2), b))
                    for a, b in zip(values[0], values[2])])
     values.append([rand() for _ in range(mu)])
-    singles = [eng.new_vector(_evals(eng, vals)) for vals in values]
+    singles = [_stack(eng, vals) for vals in values]
     single_coeffs = [c for v in singles for c in eng.reduce_into(v)]
     stack = eng.new_vectors([_evals(eng, vals) for vals in values])
     assert list(eng.reduce_into(stack)) == single_coeffs
     assert ([_entries(eng, v) for v in stack]
-            == [_entries(eng, v) for v in singles])
+            == [_entries(eng, v[0]) for v in singles])
 
     for k, vals in enumerate(values):
         v = stack[k]
@@ -307,6 +307,9 @@ def test_batch_matches_one_by_one(engine_cls, field):
     r = eng.nrows
     assert r == seeded + 5
     assert eng.pivot_indices() == pivots
+    again = eng.new_vectors([_evals(eng, vals) for vals in values])
+    eng.reduce_into(again)
+    assert all(eng.pivot_of(v) is None for v in again)
     if p:
         assert eng.mat[:r].astype(np.int64).tolist() == rows
         block = np.array(rows, dtype=np.int64)[:, pivots]

@@ -1,18 +1,18 @@
-"""Newton bases: construction goldens, triangularity, interpolation."""
+"""Newton bases: construction goldens, triangularity, rejected covers."""
 
 import random
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bmpoints.fields import make_field
-from bmpoints.newton import (evaluation_matrix, interpolate,
-                             newton_basis_cols, newton_basis_rows)
+from bmpoints.newton import (evaluation_matrix, newton_basis_cols,
+                             newton_basis_rows)
 from bmpoints.orders import INLEX, LEX, TDINLEX
-from bmpoints.points import PointSet, line_cover
-from bmpoints.poly import Polynomial, poly_text
+from bmpoints.points import EmptySetError, LineCover, PointSet, line_cover
+from bmpoints.poly import PolyMatrix, Polynomial, poly_text
 from bmpoints.randgen import gen_points
 from conftest import (EX1_N, EX1_POINTS, EX1_Q_TEXT, EX1_U, EX2_POINTS,
                       EX5_MCS_ORDER, EX5_SEED_N, EX5_SEED_Q_TEXT, F5, F7, QQ,
@@ -48,10 +48,22 @@ def _values(B) -> np.ndarray:
     return np.frompyfunc(Fr, 2, 1)(B, B.diagonal()[:, None])
 
 
+def _rows(basis) -> np.ndarray:
+    """The basis's Newton rows at its own points, as field values."""
+    return _values(evaluation_matrix(basis, basis.point_order))
+
+
+def _polys(basis) -> list:
+    """The basis elements as Polynomials, from the coefficient half of
+    their rows."""
+    return PolyMatrix(basis.field, basis.index_order,
+                      _rows(basis)[:, len(basis):]).polys()
+
+
 def test_cols_basis_first_example():
     cover = line_cover(PointSet(QQ, EX1_POINTS), "columns")
     basis = newton_basis_cols(cover)
-    assert [poly_text(p, INLEX) for p in basis.polys] == EX1_Q_TEXT
+    assert [poly_text(p, INLEX) for p in _polys(basis)] == EX1_Q_TEXT
     assert basis.index_order == EX1_N
     assert basis.point_order == EX1_U
 
@@ -59,7 +71,7 @@ def test_cols_basis_first_example():
 def test_rows_basis_f7_subset():
     cover = line_cover(PointSet(F7, EX5_MCS_ORDER), "rows")
     basis = newton_basis_rows(cover)
-    assert [poly_text(p, TDINLEX) for p in basis.polys] == EX5_SEED_Q_TEXT
+    assert [poly_text(p, TDINLEX) for p in _polys(basis)] == EX5_SEED_Q_TEXT
     assert basis.index_order == EX5_SEED_N
     assert basis.point_order == EX5_MCS_ORDER
 
@@ -69,26 +81,26 @@ def test_single_point_basis():
                         (newton_basis_cols, "columns")):
         cover = line_cover(PointSet(F7, [(3, 5)]), axis)
         basis = build(cover)
-        assert [poly_text(p, LEX) for p in basis.polys] == ["1"]
+        assert [poly_text(p, LEX) for p in _polys(basis)] == ["1"]
 
 
 def test_second_example_row_normalizer():
     cover = line_cover(PointSet(QQ, EX2_POINTS), "rows")
     basis = newton_basis_rows(cover)
     k = basis.index_order.index((1, 0))
-    assert basis.polys[k] == Polynomial(QQ, {(1, 0): Fr(2, 5)})
+    assert _polys(basis)[k] == Polynomial(QQ, {(1, 0): Fr(2, 5)})
 
 
 def test_grid_cols_basis():
     grid = PointSet(QQ, [(0, 0), (0, 1), (1, 0), (1, 1)])
     basis = newton_basis_cols(line_cover(grid, "columns"))
-    assert [poly_text(p, LEX) for p in basis.polys] == ["1", "y", "x", "xy"]
+    assert [poly_text(p, LEX) for p in _polys(basis)] == ["1", "y", "x", "xy"]
 
 
 def test_evaluation_matrix_goldens():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
-    B = _values(evaluation_matrix(basis, basis.point_order))
+    B = _rows(basis)
     assert B[0][:3].tolist() == [1, 1, 1]
     assert B[1][:3].tolist() == [0, 1, Fr(3, 2)]
     assert B[2][:3].tolist() == [0, 0, 1]
@@ -105,7 +117,7 @@ def test_evaluation_matrix_goldens():
     bs = newton_basis_rows(line_cover(single, "rows"))
     single_rows = evaluation_matrix(bs, bs.point_order)
     assert single_rows[:, :1].tolist() == [[1]]
-    assert single_rows[:, 1:].tolist() == bs.coeffs.tolist() == [[1]]
+    assert single_rows[:, 1:].tolist() == [[1]]
 
 
 @FIELDS
@@ -116,11 +128,11 @@ def test_recurrence_matches_reference(field):
             basis = build(cover)
             ref = reference_newton(cover)
             assert len(basis) == len(ref) == len(ps)
+            B = _rows(basis)
             for r, want in enumerate(ref):
-                got = dict(zip(basis.index_order, basis.coeffs[r].tolist()))
+                got = dict(zip(basis.index_order, B[r, len(ps):].tolist()))
                 assert {e: c for e, c in got.items() if c} == want.terms
-                assert basis.polys[r] == want
-                assert basis.values[r].tolist() == [
+                assert B[r, :len(ps)].tolist() == [
                     reference_value(want, pt) for pt in basis.point_order]
 
 
@@ -131,7 +143,9 @@ def test_evaluation_matrix_beyond_basis(field):
         if half == 0:
             continue
         for build, axis in BUILDS:
-            basis = build(line_cover(PointSet(field, ps[:half]), axis))
+            cover = line_cover(PointSet(field, ps[:half]), axis)
+            basis = build(cover)
+            own = _rows(basis)
             points = basis.point_order + ps.points[half:]
             raw = evaluation_matrix(basis, points)
             # integer rows over Q, each over a positive diagonal entry
@@ -140,11 +154,11 @@ def test_evaluation_matrix_beyond_basis(field):
                 assert all(type(c) is int for c in raw.flat)
             B = _values(raw)
             assert B.shape == (half, len(ps) + half)
-            assert B[:, :half].tolist() == basis.values.tolist()
+            assert B[:, :half].tolist() == own[:, :half].tolist()
             assert B[:, half:len(ps)].tolist() == values(
-                field, basis.polys, points[half:])
+                field, reference_newton(cover), points[half:])
             # then the coefficients, over the same entry at point r
-            assert B[:, len(ps):].tolist() == basis.coeffs.tolist()
+            assert B[:, len(ps):].tolist() == own[:, half:].tolist()
 
 
 def test_evaluation_matrix_checks_prefix():
@@ -158,37 +172,26 @@ def test_evaluation_matrix_checks_prefix():
 def test_unitriangular_square():
     ps1 = PointSet(QQ, EX1_POINTS)
     basis = newton_basis_cols(line_cover(ps1, "columns"))
-    B = _values(evaluation_matrix(basis, basis.point_order))
+    B = _rows(basis)
     n = len(basis)
     for k in range(n):
         assert B[k][k] == 1
         assert all(B[k][m] == 0 for m in range(k))
 
 
-def test_interpolate_goldens():
-    ps1 = PointSet(QQ, EX1_POINTS)
-    basis = newton_basis_cols(line_cover(ps1, "columns"))
-    y4 = Polynomial(QQ, {(0, 4): QQ.one})
-    # reproducing a basis polynomial and the zero function
-    q3_vals, y4_vals = values(QQ, [basis.polys[3], y4],
-                              basis.point_order)
-    assert interpolate(basis, q3_vals) == basis.polys[3]
-    assert interpolate(basis, [QQ.zero] * 9).is_zero()
-    # the minimal interpolant of y^4 data drops to degree 3
-    p = interpolate(basis, y4_vals)
-    expected = Polynomial.from_pairs(QQ, [
-        ((0, 3), 9), ((0, 2), -26), ((2, 1), Fr(9, 2)), ((1, 1), Fr(-15, 2)),
-        ((0, 1), 27), ((3, 0), 3), ((2, 0), Fr(-39, 2)), ((1, 0), Fr(51, 2)),
-        ((0, 0), -9)])
-    assert p == expected
-    p_vals, y4_vals = values(QQ, [p, y4], basis.point_order)
-    assert p_vals == y4_vals
-
-
-def test_interpolate_length_mismatch():
-    basis = newton_basis_rows(line_cover(PointSet(F7, [(0, 0)]), "rows"))
-    with pytest.raises(ValueError):
-        interpolate(basis, [1, 2])
+def test_build_rejects_other_axis_and_empty_cover():
+    """A cover of the other axis is a ValueError and an empty cover an
+    EmptySetError; growing line sizes are rejected too, as test_bm's
+    test_advance_rejects_coefficient_without_slot checks."""
+    rows = line_cover(PointSet(F7, EX5_MCS_ORDER), "rows")
+    cols = LineCover("columns", rows.groups, F7)
+    with pytest.raises(ValueError, match="expected a rows cover"):
+        newton_basis_rows(cols)
+    with pytest.raises(ValueError, match="expected a columns cover"):
+        newton_basis_cols(rows)
+    for build, axis in BUILDS:
+        with pytest.raises(EmptySetError):
+            build(LineCover(axis, [], F7))
 
 
 points_sets = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -201,7 +204,7 @@ def test_triangularity_random(pts):
     for build, axis in ((newton_basis_rows, "rows"),
                         (newton_basis_cols, "columns")):
         basis = build(line_cover(ps, axis))
-        vals = values(F5, basis.polys, basis.point_order)
+        vals = values(F5, _polys(basis), basis.point_order)
         for k in range(len(basis)):
             for m in range(k + 1):
                 want = F5.one if m == k else F5.zero
@@ -210,40 +213,13 @@ def test_triangularity_random(pts):
 
 @given(pts=points_sets)
 def test_support_inside_lower_set(pts):
+    """Every reference product stays inside the cover's lower set, so the
+    rows, which keep only its slots, lose no term."""
     ps = PointSet(F5, sorted(pts))
-    for build, axis in ((newton_basis_rows, "rows"),
-                        (newton_basis_cols, "columns")):
-        basis = build(line_cover(ps, axis))
+    for build, axis in BUILDS:
+        cover = line_cover(ps, axis)
+        basis = build(cover)
+        ref = reference_newton(cover)
         allowed = set(basis.index_order)
-        for poly in basis.polys:
-            assert set(poly.terms) <= allowed
-            assert all(c != F5.zero for c in poly.terms.values())
-
-
-@given(pts=points_sets, data=st.data())
-@settings(max_examples=40)
-def test_monomial_degree_reduction(pts, data):
-    ps = PointSet(F5, sorted(pts))
-    e = data.draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
-    mono = Polynomial(F5, {e: F5.one})
-    for build, axis, order in ((newton_basis_rows, "rows", LEX),
-                               (newton_basis_cols, "columns", INLEX)):
-        basis = build(line_cover(ps, axis))
-        [vals] = values(F5, [mono], basis.point_order)
-        p = interpolate(basis, vals)
-        if not p.is_zero():
-            assert order.cmp(p.leading_monomial(order), e) != 1
-
-
-@given(pts=points_sets, data=st.data())
-@settings(max_examples=40)
-def test_interpolate_reproduces_values(pts, data):
-    ps = PointSet(F5, sorted(pts))
-    vals = [data.draw(st.integers(0, 4)) for _ in ps]
-    for build, axis in ((newton_basis_rows, "rows"),
-                        (newton_basis_cols, "columns")):
-        basis = build(line_cover(ps, axis))
-        by_point = dict(zip(ps.points, vals))
-        p = interpolate(basis, [by_point[pt] for pt in basis.point_order])
-        [got] = values(F5, [p], ps.points)
-        assert got == [by_point[pt] for pt in ps]
+        assert all(set(poly.terms) <= allowed for poly in ref)
+        assert _polys(basis) == ref

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bmpoints.orders import (EQ, GT, INLEX, LEX, LT, ORDERS, TDINLEX,
-                             exp_divides, order_by_name)
+from bmpoints.orders import (INLEX, LEX, ORDERS, TDINLEX, exp_divides,
+                             order_by_name)
 
 exponents = st.tuples(st.integers(min_value=0, max_value=40),
                       st.integers(min_value=0, max_value=40))
@@ -13,19 +13,19 @@ orders = st.sampled_from([LEX, INLEX, TDINLEX])
 
 def test_pinned_comparisons():
     x, y = (1, 0), (0, 1)
-    assert LEX.cmp(y, x) == LT
-    assert INLEX.cmp(x, y) == LT
+    assert LEX.key(y) < LEX.key(x)
+    assert INLEX.key(x) < INLEX.key(y)
     # lex ignores degree entirely: y^9 below x
-    assert LEX.cmp((0, 9), (1, 0)) == LT
-    assert INLEX.cmp((9, 0), (0, 1)) == LT
+    assert LEX.key((0, 9)) < LEX.key((1, 0))
+    assert INLEX.key((9, 0)) < INLEX.key((0, 1))
     # graded order sorts by total degree first...
-    assert TDINLEX.cmp((0, 3), (1, 1)) == GT
+    assert TDINLEX.key((0, 3)) > TDINLEX.key((1, 1))
     # ...and breaks ties walking up the x-exponent: y^2 < xy < x^2
-    assert TDINLEX.cmp((0, 2), (1, 1)) == LT
-    assert TDINLEX.cmp((1, 1), (2, 0)) == LT
-    assert TDINLEX.cmp((2, 0), (1, 1)) == GT
+    assert TDINLEX.key((0, 2)) < TDINLEX.key((1, 1))
+    assert TDINLEX.key((1, 1)) < TDINLEX.key((2, 0))
+    assert TDINLEX.key((2, 0)) > TDINLEX.key((1, 1))
     for o in ORDERS.values():
-        assert o.cmp((2, 3), (2, 3)) == EQ
+        assert o.key((2, 3)) == o.key((2, 3))
 
 
 def test_order_registry():
@@ -45,10 +45,11 @@ def test_sorted_listings():
 
 @given(order=orders, a=exponents, b=exponents, c=exponents)
 def test_total_order_axioms(order, a, b, c):
-    assert order.cmp(a, b) == -order.cmp(b, a)
-    assert (order.cmp(a, b) == EQ) == (a == b)
-    if order.cmp(a, b) != GT and order.cmp(b, c) != GT:
-        assert order.cmp(a, c) != GT
+    ka, kb, kc = order.key(a), order.key(b), order.key(c)
+    assert (ka < kb) == (kb > ka)
+    assert (ka == kb) == (a == b)
+    if ka <= kb and kb <= kc:
+        assert ka <= kc
 
 
 def _mul(a, b):
@@ -58,16 +59,17 @@ def _mul(a, b):
 
 @given(order=orders, a=exponents, b=exponents, c=exponents)
 def test_multiplicative_and_well_order(order, a, b, c):
-    assert order.cmp((0, 0), a) != GT
-    assert order.cmp(a, _mul(a, c)) != GT
-    if order.cmp(a, b) == LT:
-        assert order.cmp(_mul(a, c), _mul(b, c)) == LT
+    key = order.key
+    assert key((0, 0)) <= key(a)
+    assert key(a) <= key(_mul(a, c))
+    if key(a) < key(b):
+        assert key(_mul(a, c)) < key(_mul(b, c))
 
 
 @given(order=orders, a=exponents, b=exponents)
 def test_divisibility_implies_below(order, a, b):
     if exp_divides(a, b):
-        assert order.cmp(a, b) != GT
+        assert order.key(a) <= order.key(b)
 
 
 @given(a=exponents, b=exponents)

@@ -11,7 +11,7 @@ import bmpoints.poly
 import bmpoints.verify
 from bmpoints.bm import bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
-from bmpoints.newton import newton_basis_rows
+from bmpoints.newton import evaluation_matrix, newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
 from bmpoints.poly import PolyMatrix, Polynomial, poly_text, values_at
@@ -89,7 +89,8 @@ def test_check_reduced_gb_failures():
 
 def test_check_newton():
     basis = newton_basis_rows(line_cover(PointSet(F7, EX5_MCS_ORDER), "rows"))
-    Q = PolyMatrix.from_polys(F7, basis.polys)
+    Q = PolyMatrix(F7, basis.index_order,
+                   evaluation_matrix(basis, basis.point_order)[:, len(basis):])
     assert check_newton(Q, basis.point_order).passed
     swapped = list(basis.point_order)
     swapped[0], swapped[1] = swapped[1], swapped[0]
