@@ -7,15 +7,16 @@ combination t - sum a_i q_i materializes from C for free at the end instead
 of costing a symbolic pass per reduction.
 
 Over F_p, row r is zero at the pivots of the rows before it and one at its
-own, so the pivot block A = mat[:r, pivots[:r]] is unit upper triangular,
-and the engine keeps its inverse.  A stack of vectors, one per row of an
-int64 array, reduces by two exact modular products, C = V[:, pivots] A^-1
-and V - C mat, instead of a loop over the rows.  A row appended from the
-stack reduces the vectors after it by one rank-1 update, and A^-1 is
-extended at the next reduction over all the rows stored since the last
-one, in the delayed, blocked style of FFLAS-FFPACK (Dumas, Giorgi and
-Pernet, ACM TOMS 35(3), 2008).  The products run in float64 on base-2^b
-limbs, so every sum stays exact.
+own, so the pivot block A = mat[:r, pivots[:r]] is unit upper triangular.
+A stack of vectors, one per row of an int64 array, reduces by solving
+C A = V[:, pivots] against A as stored, by forward substitution in diagonal
+blocks of _BASE_BLOCK rows, and then by one product V - C mat, instead of a
+loop over the rows: the blocked triangular solve of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks are
+inverted, so a seeded block costs no elimination beyond them, and a block
+is inverted again only after rows have joined it.  A row appended from the
+stack reduces the vectors after it by one rank-1 update.  The products run
+in float64 on base-2^b limbs, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination with one gcd per row step, after
@@ -35,7 +36,9 @@ from .points import coordinate_scale, scale_points
 
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
-# unitriangular blocks up to this size are inverted directly
+# rows per diagonal block of the solve: the trailing block is inverted again
+# after rows join it, so a larger block costs more per batch, and a smaller
+# one more products per solve
 _BASE_BLOCK = 32
 
 
@@ -68,23 +71,13 @@ def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
 
 
 def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of a unit upper triangular int64 matrix.
+    """Inverse mod p of a small unit upper triangular int64 matrix.
 
-    By 2x2 blocks: [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]].
-    A small block is I + N with N nilpotent: where one float64 product of
-    its size is exact, the inverse is (I - N)(I + N^2)(I + N^4)...; where
-    products need limbs, Gauss-Jordan from the last column is cheaper.
+    It is I + N with N nilpotent: where one float64 product of its size is
+    exact, the inverse is (I - N)(I + N^2)(I + N^4)...; where products need
+    limbs, Gauss-Jordan from the last column is cheaper.
     """
     n = a.shape[0]
-    if n > _BASE_BLOCK:
-        h = n // 2
-        out = np.zeros_like(a)
-        out[:h, :h] = _unitri_inverse(a[:h, :h], p)
-        out[h:, h:] = _unitri_inverse(a[h:, h:], p)
-        right = _mul_mod(out[:h, :h], a[:h, h:].astype(np.float64), p)
-        right = _mul_mod(right, out[h:, h:].astype(np.float64), p)
-        out[:h, h:] = (p - right) % p
-        return out
     out = np.eye(n, dtype=np.int64)
     if n * (p - 1) ** 2 >= _FLOAT_EXACT:
         for k in range(n - 1, 0, -1):  # products below p^2: exact in int64
@@ -116,8 +109,8 @@ def _divisor_chain(e, cache) -> list:
 
 
 class PrimeEngine:
-    """Augmented echelon matrix over F_p, reduced through the inverse of
-    its pivot block."""
+    """Augmented echelon matrix over F_p, reduced by a blocked triangular
+    solve against its pivot block."""
 
     def __init__(self, field, points):
         mu = len(points)
@@ -127,14 +120,16 @@ class PrimeEngine:
         self.width = 2 * mu
         self.xs = np.array([x for x, _ in points], dtype=np.int64)
         self.ys = np.array([y for _, y in points], dtype=np.int64)
-        # rows and the pivot block's inverse are float64, the right operands
-        # of every product; their entries lie in [0, p), so they are exact
+        # rows, and all the solve caches from them, are float64, the right
+        # operands of every product; their entries lie in [0, p), so they
+        # are exact
         self.mat = np.zeros((mu, self.width))
-        self.inv = np.zeros((mu, mu))
         self.pivots = np.zeros(mu, dtype=np.int64)
         self.nrows = 0
-        # inv holds the inverse of the pivot block of rows[:bordered]
-        self.bordered = 0
+        # per diagonal block of the pivot block, first one first: the rows
+        # above it at its pivots, and its inverse; the last may cover fewer
+        # rows than its block holds now
+        self.blocks: list = []
         # columns that may be nonzero in a row: the evaluation half and the
         # slots stored so far
         self.ncols = mu
@@ -160,17 +155,37 @@ class PrimeEngine:
         coefficients, flattened vector by vector.
 
         The residual that is zero at every pivot is unique, so c equals the
-        coefficients of a sequential row-by-row reduction.
+        coefficients of a sequential row-by-row reduction.  Block by block,
+        c_b = (v[:, pivots_b] - c_<b mat[:s_b, pivots_b]) D_b^-1, with s_b
+        the block's first row and D_b its diagonal block.
         """
-        if self.bordered < self.nrows:
-            self._border()
-        r, cols = self.nrows, self.ncols
+        r, cols, p = self.nrows, self.ncols, self.p
+        c = np.zeros((len(v), r), dtype=np.int64)
         if not r:
-            return np.zeros(0, dtype=np.int64)
-        c = _mul_mod(v[:, self.pivots[:r]], self.inv[:r, :r], self.p)
-        v[:, :cols] -= _mul_mod(c, self.mat[:r, :cols], self.p)
-        v[:, :cols] %= self.p
+            return c.ravel()
+        for s in range(0, r, _BASE_BLOCK):
+            e = min(s + _BASE_BLOCK, r)
+            above, d_inv = self._block(s, e)
+            w = v[:, self.pivots[s:e]]
+            if s:
+                w = (w - _mul_mod(c[:, :s], above, p)) % p
+            c[:, s:e] = _mul_mod(w, d_inv, p)
+        v[:, :cols] -= _mul_mod(c, self.mat[:r, :cols], p)
+        v[:, :cols] %= p
         return c.ravel()
+
+    def _block(self, s: int, e: int):
+        """The rows :s at the pivots of rows s..e-1, and the inverse of the
+        diagonal block of rows s..e-1.  Both are taken on the block's first
+        use and again only when rows have joined it since, because a gather
+        of scattered columns from every row above costs more than the
+        products that read it."""
+        b = s // _BASE_BLOCK
+        if b == len(self.blocks) or len(self.blocks[b][1]) < e - s:
+            cols = self.mat[:e, self.pivots[s:e]]
+            d_inv = _unitri_inverse(cols[s:].astype(np.int64), self.p)
+            self.blocks[b:] = [(cols[:s], d_inv.astype(np.float64))]
+        return self.blocks[b]
 
     def pivot_of(self, v: np.ndarray):
         """First nonzero coordinate of the evaluation half, or None."""
@@ -192,29 +207,6 @@ class PrimeEngine:
         self.pivots[self.nrows] = pivot
         self.nrows += 1
         rest[:, :cols] = (rest[:, :cols] - rest[:, pivot, None] * v[:cols]) % p
-
-    def _border(self) -> None:
-        """Extend the inverse over the rows stored since the last border.
-
-        With A the bordered block, B the old rows at the new pivots and D
-        the new rows at theirs, the pivot block is [[A, B], [0, D]]: each
-        new row is zero at the old pivots and at the pivots of the new rows
-        before it, so D is unit upper triangular, and the inverse is
-        [[A^-1, -A^-1 B D^-1], [0, D^-1]].  A^-1 (B D^-1) is taken with the
-        narrow operand on the left, as the transpose of (B D^-1)^T A^-T.
-        With none bordered yet, D is the whole block, a seeded one
-        included, and _unitri_inverse inverts it by 2x2 block recursion.
-        """
-        b, r, p = self.bordered, self.nrows, self.p
-        new = self.pivots[b:r]
-        d_inv = _unitri_inverse(self.mat[b:r, new].astype(np.int64), p)
-        if b:
-            y = _mul_mod(self.mat[:b, new].astype(np.int64),
-                         d_inv.astype(np.float64), p)
-            self.inv[:b, b:r] = ((p - _mul_mod(y.T, self.inv[:b, :b].T, p))
-                                 % p).T
-        self.inv[b:r, b:r] = d_inv
-        self.bordered = r
 
     def bulk_load(self, aug_rows) -> None:
         """Store unitriangular rows with entries in [0, p): row r has its

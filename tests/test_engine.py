@@ -110,12 +110,13 @@ def _matmul_mod_py(a, b, p):
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
 @pytest.mark.parametrize("mu, seeded, appended", [
     (80, 58, 14),    # reductions at depths 58..71 cross r = 64
+    (80, 20, 30),    # the first block fills up, then a second one starts
     (1000, 999, 1),  # depth 999, then a full pivot block
-], ids=["r=58..72", "r=999..1000"])
+], ids=["r=58..72", "r=20..50", "r=999..1000"])
 def test_prime_engine_matches_reference(p, mu, seeded, appended):
     """Bulk-loaded rows, then appends: every reduction returns the
-    coefficients and residual of a sequential reduction on Python ints, and
-    after the last one the inverse equals that of the pivot block."""
+    coefficients and residual of a sequential reduction on Python ints,
+    also after rows joined a partial diagonal block of the solve."""
     rng = np.random.default_rng(p * mu + seeded)
     field = make_field(f"q:{p}")
     eng = PrimeEngine(field, [(0, 0)] * mu)
@@ -144,12 +145,19 @@ def test_prime_engine_matches_reference(p, mu, seeded, appended):
     r = eng.nrows
     assert eng.mat[:r].astype(np.int64).tolist() == rows
     assert eng.pivot_indices() == pivots
-    block = np.array(rows, dtype=np.int64)[:, pivots]
-    inv = eng.inv[:r, :r].astype(np.int64)
-    assert (inv == _unitri_inverse(block, p)).all()
-    if r < 100:
-        eye = [[int(i == j) for j in range(r)] for i in range(r)]
-        assert _matmul_mod_py(inv.tolist(), block.tolist(), p) == eye
+
+
+@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
+@pytest.mark.parametrize("n", [1, 2, 31, 32])
+def test_unitri_inverse(p, n):
+    """A diagonal block's inverse, by powers of its nilpotent part where one
+    float64 product is exact (p = 23) and by Gauss-Jordan otherwise, times
+    the block is the identity on Python ints."""
+    rng = np.random.default_rng(p + n)
+    a = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    inv = _unitri_inverse(a, p)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert _matmul_mod_py(inv.tolist(), a.tolist(), p) == eye
 
 
 @pytest.mark.parametrize("bad", ["diagonal", "below"])
@@ -255,7 +263,7 @@ def test_batch_matches_one_by_one(engine_cls, field):
     leaves every pending vector equal to a sequential reduction of its
     original values against all rows stored so far, a member in the span
     of the rows before it reduces to zero, and the next reduction takes
-    every member to zero through the inverse of the whole pivot block."""
+    every member to zero."""
     rng = random.Random(field.char + 3)
     p = field.char
     mu, seeded = 24, 8
@@ -312,11 +320,6 @@ def test_batch_matches_one_by_one(engine_cls, field):
     assert all(eng.pivot_of(v) is None for v in again)
     if p:
         assert eng.mat[:r].astype(np.int64).tolist() == rows
-        block = np.array(rows, dtype=np.int64)[:, pivots]
-        inv = eng.inv[:r, :r].astype(np.int64)
-        assert (inv == _unitri_inverse(block, p)).all()
-        eye = [[int(i == j) for j in range(r)] for i in range(r)]
-        assert _matmul_mod_py(inv.tolist(), block.tolist(), p) == eye
     else:
         for row, piv, want in zip(eng.mat, eng.pivots, rows):
             assert row[piv] > 0

@@ -63,9 +63,16 @@ def test_staircase_is_the_cover_lower_set(field, size, order):
 def test_bm_lex_at_2000_points():
     """The unseeded loop under lex over q:2^31-1 at 2000 points, in
     batches of up to LOOKAHEAD candidates: the staircase is the lower set
-    of the row cover and the result certifies."""
+    of the row cover and the result certifies.  spbm on the same points
+    solves against a seeded block of 2000 rows, 63 diagonal blocks, and
+    agrees with bm."""
     ps = gen_points(make_field("q:2147483647"), 2000, seed=7)
     res = bm_run(ps, LEX)
     assert set(res.N) == set(lower_set_of(line_cover(ps, "rows")))
     report = verify_result(res)
+    assert report.passed, report.text()
+    seeded = spbm_run(ps, LEX)
+    assert seeded.G == res.G
+    assert set(seeded.N) == set(res.N)
+    report = verify_result(seeded)
     assert report.passed, report.text()
