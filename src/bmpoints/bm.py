@@ -19,7 +19,8 @@ slots of N, taken from the engine's coefficient half without a per-term
 pass: Q is the stored rows' half, each G element its residual's half plus
 its leading monomial.  The Polynomial lists G and Q are views built from
 them on first use.  The loop reduces up to LOOKAHEAD candidates at once,
-guessed by a simulated walk; _run says why a wrong guess changes no output.
+guessed by a walk simulated with the loop's own step, _advance; _run says
+why a wrong guess changes no output.
 """
 
 from __future__ import annotations
@@ -97,12 +98,18 @@ def border(exponents, order: TermOrder) -> list:
     return order.sorted(out - exps)
 
 
-def _queue(t, N, L, queued, key) -> None:
-    """Insert into L the shifts of t, just joined to N, that no pending
-    candidate or basis element divides.  A proper divisor of the x-shift
-    (i + 1, j) divides t, in N, or (i + 1, j - 1), so it has one exactly
-    when (i + 1, j - 1) is outside N or the shift is already queued (queued
-    keeps every candidate ever queued); the y-shift is the mirror."""
+def _advance(t, joins, N, L, queued, key) -> None:
+    """One walk step on t, just popped from L.  If t joins the staircase N
+    (a dict used as an ordered set), insert into L the shifts of t that no
+    pending candidate or basis element divides: a proper divisor of the
+    x-shift (i + 1, j) divides t, in N, or (i + 1, j - 1), so it has one
+    exactly when (i + 1, j - 1) is outside N or the shift is already queued
+    (queued keeps every candidate ever queued); the y-shift is the mirror.
+    Otherwise t is a basis element and its multiples leave L."""
+    if not joins:
+        L[:] = [u for u in L if not exp_divides(t, u)]
+        return
+    N[t] = None
     i, j = t
     for cand, other in (((i + 1, j), (i + 1, j - 1)),
                         ((i, j + 1), (i - 1, j + 1))):
@@ -114,16 +121,12 @@ def _queue(t, N, L, queued, key) -> None:
 def _lookahead(L, N, queued, free: int, key) -> list:
     """The first LOOKAHEAD candidates of a walk simulated on copies of L,
     N and queued: the first `free` members join N, the rest are basis
-    elements whose multiples are dropped."""
-    L, N, queued, batch = list(L), set(N), set(queued), []
+    elements."""
+    L, N, queued, batch = list(L), dict(N), set(queued), []
     while L and len(batch) < LOOKAHEAD:
         t = L.pop(0)
         batch.append(t)
-        if len(batch) <= free:
-            N.add(t)
-            _queue(t, N, L, queued, key)
-        else:
-            L = [u for u in L if not exp_divides(t, u)]
+        _advance(t, len(batch) <= free, N, L, queued, key)
     return batch
 
 
@@ -143,45 +146,42 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     The loop stacks the next candidates of a guessed walk (_lookahead: each
     joins N while rows are free, then each is a basis element), reduces
     them at once and processes the list's head while it is in the stack: a
-    zero residual yields a basis element, and a fresh pivot extends the
-    staircase, queues the shifts and stores a row, which reduces the vectors
-    after it.  Each residual is the unique one zero at every pivot, so a
-    wrong guess wastes a reduction, never changes an output.
+    zero residual yields a basis element, and a fresh pivot stores a row in
+    the engine's next slot, which reduces the vectors after it.  Either way
+    _advance takes the walk step the guess took for it.  Each residual is
+    the unique one zero at every pivot, so a wrong guess wastes a
+    reduction, never changes an output.  Every processed candidate joins N
+    or G, so processed counts the unseeded slots and the basis elements.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
                   else cover.flatten() + list(removed))
     eng = (PrimeEngine if field.char else RationalEngine)(field, run_points)
-    N, L = [], [(0, 0)]
+    N, L = {}, [(0, 0)]
     if cover is not None:
         basis = (newton_basis_rows(cover) if cover.axis == "rows"
                  else newton_basis_cols(cover))
         eng.bulk_load(evaluation_matrix(basis, run_points))
-        N = list(basis.index_order)
+        N = dict.fromkeys(basis.index_order)
         L = border(N, order)
-    seeded, processed = len(N), 0
-    in_n, queued = set(N), set(N) | set(L)
-    cache, g_lts, g_tails = {}, [], []
+    seeded, queued = len(N), set(N) | set(L)
+    g_lts, g_tails = [], []
     while L:
-        batch = _lookahead(L, in_n, queued, eng.mu - eng.nrows, order.key)
+        batch = _lookahead(L, N, queued, eng.mu - eng.nrows, order.key)
         at = {t: k for k, t in enumerate(batch)}
-        V = eng.new_vectors([eng.monomial_vector(t, cache) for t in batch])
+        V = eng.new_vectors([eng.monomial_vector(t) for t in batch])
         eng.reduce_into(V)
         while L and L[0] in at:
             t = L.pop(0)
             k = at[t]
-            processed += 1
-            v = V[k]
-            piv = eng.pivot_of(v)
+            piv = eng.pivot_of(V[k])
             if piv is None:
                 g_lts.append(t)
-                g_tails.append(eng.tail_terms(v))
-                L = [u for u in L if not exp_divides(t, u)]
+                g_tails.append(eng.tail_terms(V[k]))
             else:
-                eng.append_row(v, len(N), piv, V[k + 1:])
-                N.append(t)
-                in_n.add(t)
-                _queue(t, in_n, L, queued, order.key)
+                eng.append_row(V[k], piv, V[k + 1:])
+            _advance(t, piv is not None, N, L, queued, order.key)
+    N = list(N)
     # G ascending by leading monomial: the tails over N, then a one at
     # the element's own leading monomial
     rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))
@@ -198,7 +198,7 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
                     Q_dense=PolyMatrix(field, N, eng.coeff_terms()),
                     point_permutation=[imap[run_points[p]]
                                        for p in eng.pivot_indices()],
-                    seeded_count=seeded, processed=processed)
+                    seeded_count=seeded, processed=mu - seeded + g)
 
 
 def bm_run(ps: PointSet, order: TermOrder) -> BMResult:

@@ -11,10 +11,8 @@ keyed by integer-scaled coordinates, so the loop hashes no Fraction.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .points import (EmptySetError, PointSet, coordinate_scale, line_cover,
-                     scale_points)
+                     lower_set_of, scale_points)
 
 
 def _nested(chain) -> bool:
@@ -27,21 +25,6 @@ def _nested(chain) -> bool:
     return True
 
 
-def _sx_eq_sy(points) -> bool:
-    """S_x = S_y for distinct points.  S_x, the lower set of the row cover
-    (points.lower_set_of), has the row sizes as its rows, and S_y has the
-    column sizes as its columns; so they agree when the descending row
-    sizes are the conjugate of the descending column sizes."""
-    rows = sorted(Counter(y for _, y in points).values(), reverse=True)
-    cols = sorted(Counter(x for x, _ in points).values(), reverse=True)
-    conjugate, taller = [], len(cols)  # taller: columns of more than j
-    for j in range(len(rows)):
-        while taller and cols[taller - 1] <= j:
-            taller -= 1
-        conjugate.append(taller)
-    return rows == conjugate
-
-
 def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
     """Decide cartesianness by either of two equivalent criteria: the row
     and column covers yield the same lower set (S_x = S_y), or the lines of
@@ -49,7 +32,8 @@ def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
     if len(ps) == 0:
         raise EmptySetError("empty point set")
     if method == "sx_eq_sy":
-        return _sx_eq_sy(ps.points)
+        return (set(lower_set_of(line_cover(ps, "rows")))
+                == set(lower_set_of(line_cover(ps, "columns"))))
     if method == "nested_chains":
         rows = [frozenset(x for x, _ in g)
                 for _, g in line_cover(ps, "rows").groups]

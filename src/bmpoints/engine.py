@@ -4,7 +4,9 @@ Each engine owns an augmented matrix [E | C] of width 2*mu: the evaluation
 half E (one column per point) and the coefficient half C (one column per
 basis slot).  Every reduction acts on both halves at once, so the polynomial
 combination t - sum a_i q_i materializes from C for free at the end instead
-of costing a symbolic pass per reduction.
+of costing a symbolic pass per reduction.  An engine numbers the slots
+itself, the slot of a stored row being its row number, and caches the
+monomial vectors it builds.
 
 Over F_p, row r is zero at the pivots of the rows before it and one at its
 own, so the pivot block A = mat[:r, pivots[:r]] is unit upper triangular.
@@ -94,15 +96,15 @@ def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _divisor_chain(e, cache) -> list:
-    """e and its divisors down to the nearest cached one or (0, 0), lowest
-    first.
+    """e and its divisors down to the nearest cached one, lowest first;
+    the cache holds (0, 0) from the start.
 
     Each divisor drops one x while the x-exponent is positive, then one y,
     so the step up to (i, j) multiplies by x when i > 0 and by y otherwise.
     A loop rather than recursion, so any exponent is in reach.
     """
     chain = [e]
-    while chain[-1] not in cache and chain[-1] != (0, 0):
+    while chain[-1] not in cache:
         i, j = chain[-1]
         chain.append((i - 1, j) if i else (0, j - 1))
     return chain[::-1]
@@ -130,16 +132,15 @@ class PrimeEngine:
         # above it at its pivots, and its inverse; the last may cover fewer
         # rows than its block holds now
         self.blocks: list = []
-        # columns that may be nonzero in a row: the evaluation half and the
-        # slots stored so far
-        self.ncols = mu
+        # monomial vectors by exponent, each built from a cached divisor
+        self.cache = {(0, 0): np.ones(mu, dtype=np.int64)}
 
-    def monomial_vector(self, e, cache):
-        """Evaluations of x^i y^j at all points, built from cached divisors."""
+    def monomial_vector(self, e):
+        """Evaluations of x^i y^j at all points, built from the nearest
+        cached divisor and cached with every divisor on the way."""
+        cache = self.cache
         base, *steps = _divisor_chain(e, cache)
-        v = cache.get(base)
-        if v is None:
-            v = cache[base] = np.ones(self.mu, dtype=np.int64) % self.p
+        v = cache[base]
         for step in steps:
             v = cache[step] = v * (self.xs if step[0] else self.ys) % self.p
         return v
@@ -157,9 +158,11 @@ class PrimeEngine:
         The residual that is zero at every pivot is unique, so c equals the
         coefficients of a sequential row-by-row reduction.  Block by block,
         c_b = (v[:, pivots_b] - c_<b mat[:s_b, pivots_b]) D_b^-1, with s_b
-        the block's first row and D_b its diagonal block.
+        the block's first row and D_b its diagonal block.  No stored row
+        has a coefficient beyond slot r - 1, so only the first mu + r
+        columns change.
         """
-        r, cols, p = self.nrows, self.ncols, self.p
+        r, p, cols = self.nrows, self.p, self.mu + self.nrows
         c = np.zeros((len(v), r), dtype=np.int64)
         if not r:
             return c.ravel()
@@ -192,34 +195,36 @@ class PrimeEngine:
         nz = np.nonzero(v[:self.mu])[0]
         return int(nz[0]) if nz.size else None
 
-    def append_row(self, v: np.ndarray, slot: int, pivot: int, rest):
-        """Normalize the pivot to 1, record the slot's own coefficient and
-        store.  The stack rest, the vectors after v in its batch (some
-        perhaps never processed, perhaps none), is reduced against the new
-        row by one rank-1 update, exact in int64 as every product is below
+    def append_row(self, v: np.ndarray, pivot: int, rest):
+        """Normalize the pivot to 1 and store v as the next row, whose slot
+        is its row number, with that slot's own coefficient.  The stack
+        rest, the vectors after v in its batch (some perhaps never
+        processed, perhaps none), is reduced against the new row by one
+        rank-1 update, exact in int64 as every product is below
         p^2 < 2^63."""
-        p = self.p
+        p, r = self.p, self.nrows
         s = self.field.inv(int(v[pivot]))
         v = v * s % p
-        v[self.mu + slot] = s
-        self.mat[self.nrows] = v
-        self.ncols = cols = max(self.ncols, self.mu + slot + 1)
-        self.pivots[self.nrows] = pivot
-        self.nrows += 1
+        v[self.mu + r] = s
+        self.mat[r] = v
+        self.pivots[r] = pivot
+        self.nrows = r + 1
+        cols = self.mu + r + 1
         rest[:, :cols] = (rest[:, :cols] - rest[:, pivot, None] * v[:cols]) % p
 
     def bulk_load(self, aug_rows) -> None:
-        """Store unitriangular rows with entries in [0, p): row r has its
-        pivot, a one, at column r and is zero at the columns before it.
-        Rows narrower than the matrix are zero beyond their end."""
+        """Store k unitriangular rows with entries in [0, p): row r has its
+        pivot, a one, at column r and is zero at the columns before it, and
+        no coefficient beyond the k slots.  Rows narrower than the matrix
+        are zero beyond their end."""
         k, w = len(aug_rows), np.shape(aug_rows)[-1]
         self.mat[:k, :w] = aug_rows
         self.mat[:k, w:] = 0
-        square = self.mat[:k, :k]
-        if (np.diagonal(square) != 1).any() or np.tril(square, -1).any():
+        evals = self.mat[:k, :self.mu]
+        first = (evals != 0).argmax(axis=1)
+        if ((first != np.arange(k)).any() or (np.diagonal(evals) != 1).any()
+                or self.mat[:k, self.mu + k:].any()):
             raise RuntimeError("seeded rows are not unit upper triangular")
-        self.ncols = (self.width if self.mat[:k, self.mu + k:].any()
-                      else self.mu + k)
         self.pivots[:k] = np.arange(k)
         self.nrows = k
 
@@ -262,17 +267,18 @@ class RationalEngine:
         self.ys = [y for _, y in scaled]
         self.mat: list = []
         self.pivots: list = []
+        self.cache = {(0, 0): [1] * (mu + 1)}
 
     @property
     def nrows(self):
         return len(self.mat)
 
-    def monomial_vector(self, e, cache):
-        """X^i Y^j over B^i C^j, built from cached divisors."""
+    def monomial_vector(self, e):
+        """X^i Y^j over B^i C^j, built from the nearest cached divisor and
+        cached with every divisor on the way."""
+        cache = self.cache
         base, *steps = _divisor_chain(e, cache)
-        v = cache.get(base)
-        if v is None:
-            v = cache[base] = [1] * (self.mu + 1)
+        v = cache[base]
         b, c = self.scale
         for step in steps:
             coords, s = (self.xs, b) if step[0] else (self.ys, c)
@@ -322,24 +328,27 @@ class RationalEngine:
         self.mat.append([x // g for x in row] if g != 1 else row)
         self.pivots.append(pivot)
 
-    def append_row(self, v: list, slot: int, pivot: int, rest):
-        """Store V/D over V[pivot], with the slot's own coefficient D, and
-        step each vector of the stack rest by the stored row."""
+    def append_row(self, v: list, pivot: int, rest):
+        """Store V/D over V[pivot] as the next row, with its slot's own
+        coefficient D (the slot is the row number), and step each vector
+        of the stack rest by the stored row."""
         row = v[:-1]
-        row[self.mu + slot] = v[-1]
+        row[self.mu + self.nrows] = v[-1]
         self._store(row, pivot)
         for w in rest:
             self._step(w, self.mat[-1], pivot)
 
     def bulk_load(self, aug_rows) -> None:
-        """Store integer rows, row r over its entry at column r: that entry
-        must be positive and the columns before it zero, so the rows are
-        unit upper triangular over Q.  Rows narrower than the matrix are
-        zero beyond their end."""
+        """Store k integer rows, row r over its entry at column r: that
+        entry must be positive and the columns before it zero, so the rows
+        are unit upper triangular over Q, and no row has a coefficient
+        beyond the k slots.  Rows narrower than the matrix are zero beyond
+        their end."""
         rows = [[index(c) for c in row] + [0] * (self.width - len(row))
                 for row in aug_rows]
+        end = self.mu + len(rows)
         for r, row in enumerate(rows):
-            if row[r] <= 0 or any(row[:r]):
+            if row[r] <= 0 or any(row[:r]) or any(row[end:]):
                 raise RuntimeError("seeded rows are not unit upper triangular "
                                    "over a positive diagonal")
         self.mat, self.pivots = [], []

@@ -5,8 +5,7 @@ first.  Its group sizes are the staircase of a monomial basis for the
 points: lower_set_of turns a cover into that staircase, listed in cover
 order.  It is the one place that does so; the Newton basis of the cover is
 indexed by the same list.  is_cartesian's default criterion, S_x = S_y,
-compares the two covers' line sizes: the row sizes of S_x must be the
-conjugate of the column sizes of S_y.
+compares the lower sets of the row and the column cover as sets.
 """
 
 from __future__ import annotations

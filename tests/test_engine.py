@@ -80,13 +80,12 @@ def test_monomial_vector_high_exponent(engine_cls, field):
     pts = [tuple(map(field.convert, pt))
            for pt in [(Fr(1, 2), Fr(3)), (Fr(2, 3), Fr(-5, 4))]]
     eng = engine_cls(field, pts)
-    cache = {}
     power = (lambda a, k: pow(a, k, field.p)) if field.char else pow
     for e in [(1200, 1300), (1201, 1300), (0, 2600)]:
         want = [field.mul(power(x, e[0]), power(y, e[1])) for x, y in pts]
-        assert _entries(eng, eng.monomial_vector(e, cache)) == want, e
+        assert _entries(eng, eng.monomial_vector(e)) == want, e
     # every divisor on the way was cached: (0, 2600) grew from (0, 1300)
-    assert len(cache) == 1201 + 1300 + 1 + 1300
+    assert len(eng.cache) == 1201 + 1300 + 1 + 1300
 
 
 def _reference_reduce(rows, pivots, v, p):
@@ -137,7 +136,7 @@ def test_prime_engine_matches_reference(p, mu, seeded, appended):
             break
         piv = eng.pivot_of(V[0])
         slot = eng.nrows
-        eng.append_row(V[0], slot, piv, V[1:])
+        eng.append_row(V[0], piv, V[1:])
         s = pow(want_v[piv], -1, p)
         rows.append([x * s % p for x in want_v])
         rows[-1][mu + slot] = s
@@ -160,18 +159,21 @@ def test_unitri_inverse(p, n):
     assert _matmul_mod_py(inv.tolist(), a.tolist(), p) == eye
 
 
-@pytest.mark.parametrize("bad", ["diagonal", "below"])
+@pytest.mark.parametrize("bad", ["diagonal", "below", "slot"])
 def test_bulk_load_rejects_non_unitriangular(bad):
     """Over F_p the diagonal must be one; over Q a row is taken over its
-    diagonal entry, which must be positive."""
+    diagonal entry, which must be positive.  No row may have a coefficient
+    beyond the seeded slots."""
     for engine_cls, field, diagonals in ((PrimeEngine, F7, (2, 0)),
                                          (RationalEngine, QQ, (0, -1))):
         for diagonal in diagonals:
             rows = [list(row) for row in ROWS]
             if bad == "diagonal":
                 rows[1][1] = diagonal
-            else:
+            elif bad == "below":
                 rows[1][0] = 3
+            else:
+                rows[0][5] = 1  # slot 2, past the two seeded rows
             eng = engine_cls(field, [tuple(map(field.convert, pt))
                                      for pt in POINTS])
             with pytest.raises(RuntimeError, match="unit upper triangular"):
@@ -220,14 +222,13 @@ def test_rational_engine_matches_reference():
     eng.bulk_load([[(c * d).numerator for c in row]
                    for row, d in zip(rows, dens)])
     pivots = list(range(seeded))
-    cache = {}
     exps = sorted(((i, d - i) for d in range(10) for i in range(d + 1)),
                   key=lambda e: (sum(e), e))
     for e in exps:
         if eng.nrows == depth:
             break
         evals = [x**e[0] * y**e[1] for x, y in pts]
-        V = eng.new_vectors([eng.monomial_vector(e, cache)])
+        V = eng.new_vectors([eng.monomial_vector(e)])
         v = V[0]
         assert _entries(eng, v) == evals + [Fr(0)] * mu
         want_c, want_v = _reference_reduce_q(rows, pivots,
@@ -239,7 +240,7 @@ def test_rational_engine_matches_reference():
         if piv is None:
             continue
         slot = eng.nrows
-        eng.append_row(v, slot, piv, V[1:])
+        eng.append_row(v, piv, V[1:])
         s = 1 / want_v[piv]
         rows.append([x * s for x in want_v])
         rows[-1][mu + slot] = s
@@ -303,7 +304,7 @@ def test_batch_matches_one_by_one(engine_cls, field):
         residual = reference(vals + [field.convert(0)] * mu)[1]
         assert _entries(eng, v) == residual
         slot = eng.nrows
-        eng.append_row(v, slot, piv, stack[k + 1:])
+        eng.append_row(v, piv, stack[k + 1:])
         s = field.inv(residual[piv])
         rows.append([field.mul(x, s) for x in residual])
         rows[-1][mu + slot] = s

@@ -1,13 +1,16 @@
 """Seeded runs far above the oracle's cap: the runners agree and every
 result certifies, also on collinear sets whose staircase is one long line;
-under lex and inlex the staircase is also checked against a line cover."""
+under lex and inlex the staircase is also checked against a line cover,
+under tdinlex against a walk over degree layers."""
 
+import numpy as np
 import pytest
 
 from bmpoints.bm import SPBM_AXIS, bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover, lower_set_of
+from bmpoints.poly import PolyMatrix, value_sums
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
 
@@ -76,3 +79,49 @@ def test_bm_lex_at_2000_points():
     assert set(seeded.N) == set(res.N)
     report = verify_result(seeded)
     assert report.passed, report.text()
+
+
+def _tdinlex_staircase(ps) -> list:
+    """N under tdinlex by its definition, in walk order: degree layers
+    ascend, y^d first within a layer, and a monomial joins N when its
+    values at the points are independent of those of every smaller
+    monomial.  A multiple of a rejected monomial is skipped unvisited.
+    The values come from poly.value_sums and the elimination is an int64
+    one mod p written here, so no code is shared with the engine."""
+    p, mu = ps.field.char, len(ps)
+    rows, pivots, N, rejected = [], [], [], []
+    d = 0
+    while len(N) < mu:
+        # monomials of one degree do not divide each other
+        layer = [(i, d - i) for i in range(d + 1)
+                 if not any(a <= i and b <= d - i for a, b in rejected)]
+        assert layer, "every monomial of a degree rejected before N is full"
+        d += 1
+        ident = np.eye(len(layer), dtype=np.int64)
+        values, _ = value_sums(PolyMatrix(ps.field, layer, ident), ps.points)
+        for e, v in zip(layer, values):
+            for row, piv in zip(rows, pivots):
+                if v[piv]:
+                    v = (v - v[piv] * row) % p
+            nonzero = np.flatnonzero(v)
+            if nonzero.size:
+                piv = nonzero[0]
+                rows.append(v * pow(int(v[piv]), -1, p) % p)
+                pivots.append(piv)
+                N.append(e)
+            else:
+                rejected.append(e)
+    return N
+
+
+def test_tdinlex_staircase_matches_layer_walk():
+    """Above the dense oracle's cap under tdinlex, where no cover gives
+    the staircase: 300 points over q:23, where x^23 = x keeps N off the
+    first 300 monomials, so the walk must skip.  bm walks from an empty
+    staircase, so its N is also in the walk's order."""
+    ps = gen_points(make_field("q:23"), 300, seed=3)
+    want = _tdinlex_staircase(ps)
+    first = TDINLEX.sorted((i, d - i) for d in range(24) for i in range(d + 1))
+    assert set(want) != set(first)
+    assert bm_run(ps, TDINLEX).N == want
+    assert set(gpbm_run(ps, TDINLEX).N) == set(want)
