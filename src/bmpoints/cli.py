@@ -3,14 +3,19 @@
 Subcommands: compute (run an algorithm on a point file and print or
 serialize the result after verifying it), gen (seeded point-set files),
 bench (algorithm grid with CSV output), verify (re-check a stored result
-against its point file).  Results are checked by evaluating every
-polynomial at every point at once: over F_p by exact modular matrix
-products, over Q by one integer matrix product over common denominators.
-The JSON writer renders G and Q straight from their coefficient matrices,
-and verify reads them back into the same dense form.
+against its point file).  Results are checked with one monomial table of
+G's and Q's exponents at the points (verify.verify_parts): G at every
+point, Q on the triangle the Newton check reads, over F_p by exact
+modular matrix products that skip zero coefficient blocks, over Q by
+integer matrix products over common denominators.  The JSON writer
+renders G and Q straight from their coefficient matrices, each field
+element's text once where the field is no larger than a matrix's term
+count, and compute writes them after verify, _WRITE_ROWS rows at a time;
+verify reads them back into the same dense form.
 Exit codes: 0 success, 1 failed verification, 2 usage error (arguments or
 input files), 3 internal error (an exception raised by the runner, the
-checks or the output code).
+checks or the output code; a writer fault may leave a truncated document
+on stdout).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import sys
 import traceback
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
-from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -39,28 +43,9 @@ from .verify import verify_parts, verify_result
 
 def result_json_text(result: BMResult, report=None) -> str:
     """The result as JSON text, byte for byte json.dumps(doc, indent=2) of
-    its document, with report's "verify" block last when given.
-
-    dumps uses its C encoder only without indent, so with indent=2 it walks
-    every term in Python.  Here G and Q are rendered from their matrices
-    (_rows_json) and each array is one join; the verify block goes through
-    dumps itself.
-    """
-    enc = encode_basestring_ascii
-    order = result.order
-    items = [("field", enc(result.field.name)),
-             ("order", enc(order.name)),
-             ("algorithm", enc(result.algorithm)),
-             ("G", _rows_json(result.G_dense, order)),
-             ("N", _json_array([f"[\n      {i},\n      {j}\n    ]"
-                                for i, j in result.N], "  ")),
-             ("Q", _rows_json(result.Q_dense, order)),
-             ("pointPermutation", _json_array(
-                 [str(k) for k in result.point_permutation], "  "))]
-    if report is not None:
-        items.append(("verify", json.dumps(report.to_json(), indent=2)
-                      .replace("\n", "\n  ")))
-    return "{\n" + ",\n".join(f"  {enc(k)}: {v}" for k, v in items) + "\n}"
+    its document, with report's "verify" block last when given: the
+    pieces of _json_pieces joined."""
+    return "".join(_json_pieces(result, report))
 
 
 def result_to_json(result: BMResult) -> dict:
@@ -70,35 +55,84 @@ def result_to_json(result: BMResult) -> dict:
     return json.loads(result_json_text(result))
 
 
+def _json_pieces(result: BMResult, report=None):
+    """result_json_text as a run of strings, G and Q a block of
+    _WRITE_ROWS rows at a time, so that compute can write each before the
+    next is rendered.
+
+    dumps uses its C encoder only without indent, so with indent=2 it walks
+    every term in Python.  Here G and Q are rendered from their matrices
+    (_rows_json); the verify block goes through dumps itself.
+    """
+    enc = encode_basestring_ascii
+    order = result.order
+    items = [("field", [enc(result.field.name)]),
+             ("order", [enc(order.name)]),
+             ("algorithm", [enc(result.algorithm)]),
+             ("G", _rows_json(result.G_dense, order)),
+             ("N", [_json_array([f"[\n      {i},\n      {j}\n    ]"
+                                 for i, j in result.N], "  ")]),
+             ("Q", _rows_json(result.Q_dense, order)),
+             ("pointPermutation", [_json_array(
+                 [str(k) for k in result.point_permutation], "  ")])]
+    if report is not None:
+        items.append(("verify", [json.dumps(report.to_json(), indent=2)
+                                 .replace("\n", "\n  ")]))
+    sep = "{\n"
+    for key, pieces in items:
+        yield f"{sep}  {enc(key)}: "
+        yield from pieces
+        sep = ",\n"
+    yield "\n}"
+
+
 # closes one term's coefficient string and opens the next term
 _TERM_SEP = '"\n      ],\n      '
 
+# rows of G or Q rendered at a time: every array of perfbench's workloads
+# (at most 130 rows) is one block
+_WRITE_ROWS = 256
 
-def _rows_json(polys: PolyMatrix, order: TermOrder) -> str:
+
+def _rows_json(polys: PolyMatrix, order: TermOrder):
     """The rows as a JSON array of [i, j, "c"] term arrays, each row's
-    nonzero terms descending under order.
+    nonzero terms descending under order, in pieces of _WRITE_ROWS rows.
 
     The columns are put in descending order once, and every column gets
-    its rendered `[i, j, "` prefix once; a term is then its column's
-    prefix plus its coefficient, in the order np.nonzero lists them.  Both
-    fields format an element as str() does, which here runs without a
-    Python call per term.
+    its rendered `[i, j, "` prefix once; a row is then one join of its
+    terms' prefixes, coefficients and separators, in the order np.nonzero
+    lists them.  Both fields format an element as str() does.  Over a
+    field with no more elements than the array has nonzero terms, each
+    element's text is rendered once and looked up per term; otherwise
+    str() runs per term, without a Python call of ours.
     """
+    if not len(polys):
+        yield "[]"
+        return
     exps = polys.exps
     perm = sorted(range(len(exps)), key=lambda c: order.key(exps[c]),
                   reverse=True)
     prefix = [f'[\n        {exps[c][0]},\n        {exps[c][1]},\n        "'
               for c in perm]
-    coeffs = polys.coeffs[:, perm]
-    rows, cols = np.nonzero(coeffs)
-    terms = list(map(add, map(prefix.__getitem__, cols.tolist()),
-                     map(str, coeffs[rows, cols].tolist())))
-    out, start = [], 0
-    for n in np.bincount(rows, minlength=len(polys)).tolist():
-        out.append(f"[\n      {_TERM_SEP.join(terms[start:start + n])}"
-                   '"\n      ]\n    ]' if n else "[]")
-        start += n
-    return _json_array(out, "  ")
+    p = polys.field.char
+    text = str
+    if 0 < p <= np.count_nonzero(polys.coeffs):
+        text = [str(v) for v in range(p)].__getitem__
+    sep = "[\n    "
+    for r0 in range(0, len(polys), _WRITE_ROWS):
+        coeffs = polys.coeffs[r0:r0 + _WRITE_ROWS][:, perm]
+        rows, cols = np.nonzero(coeffs)
+        pieces = [_TERM_SEP] * (3 * len(cols))
+        pieces[0::3] = map(prefix.__getitem__, cols.tolist())
+        pieces[1::3] = map(text, coeffs[rows, cols].tolist())
+        out, start = [], 0
+        for n in np.bincount(rows, minlength=len(coeffs)).tolist():
+            out.append(f"[\n      {''.join(pieces[start:start + 3 * n - 1])}"
+                       '"\n      ]\n    ]' if n else "[]")
+            start += 3 * n
+        yield sep + ",\n    ".join(out)
+        sep = ",\n    "
+    yield "\n  ]"
 
 
 def _json_array(items: list, pad: str) -> str:
@@ -199,7 +233,9 @@ def _cmd_compute(args) -> int:
     result = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}[algo](ps, order)
     report = verify_result(result)
     if args.out == "json":
-        print(result_json_text(result, report))
+        for piece in _json_pieces(result, report):
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
     else:
         print(result_text(result))
         print("verify: " + ("PASS" if report.passed else "FAIL"))

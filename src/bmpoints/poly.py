@@ -11,6 +11,7 @@ from exponent to coefficient, the library's view of one row.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 
 import numpy as np
@@ -149,98 +150,223 @@ class PolyMatrix:
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
 
+# rows and columns of the blocks whose zero coefficients skip a product
+_BLOCK = 128
+
 
 def _power_rows(base: np.ndarray, exps, p: int) -> np.ndarray:
-    """rows[r] = base ** exps[r] mod p, for ascending exponents >= 0."""
+    """rows[r] = base ** exps[r] mod p, for ascending exponents >= 0: one
+    multiplication per exponent step of one, square-and-multiply across a
+    wider gap."""
     rows = np.empty((len(exps), base.size), dtype=np.int64)
     cur = np.ones_like(base)
     prev = 0
     for r, e in enumerate(exps):
-        step, n, sq = np.ones_like(base), e - prev, base
-        while n:
-            if n & 1:
-                step = step * sq % p
-            n >>= 1
-            if n:
-                sq = sq * sq % p
-        cur = cur * step % p
+        if e == prev + 1:
+            cur = cur * base % p
+        elif e != prev:
+            step, n, sq = np.ones_like(base), e - prev, base
+            while n:
+                if n & 1:
+                    step = step * sq % p
+                n >>= 1
+                if n:
+                    sq = sq * sq % p
+            cur = cur * step % p
         rows[r] = cur
         prev = e
     return rows
 
 
-def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """coeffs @ table mod p, exactly, for int64 entries in [0, p).
+def _runs(mask: np.ndarray) -> list:
+    """(start, stop) of every run of True in a boolean vector."""
+    runs, start = [], 0
+    for on, run in groupby(mask.tolist()):
+        stop = start + len(list(run))
+        if on:
+            runs.append((start, stop))
+        start = stop
+    return runs
 
-    The monomial axis is cut into chunks and the coefficients into base-2^b
-    limbs, with b as large as keeps every float64 sum below 2^53.
+
+def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
+                lower: bool = False) -> np.ndarray:
+    """coeffs @ table mod p, exactly, for int64 coeffs in [0, p) and a
+    float64 table with entries of absolute value at most p // 2.  With
+    lower, only the entries [k, m] with m <= k are sure to be computed;
+    the others are exact or zero.
+
+    Both axes of coeffs are cut into _BLOCK-wide blocks, and the product
+    of a zero coefficient block is skipped, so the skip is read from the
+    input alone.  The monomial axis is cut into chunks and the
+    coefficients into base-2^b limbs, with b as large as keeps every
+    float64 sum below 2^53; the sums of a chunk add up in float64 and are
+    reduced once.  When one limb holds every coefficient, as over q:23,
+    that is a single float64 product.  engine._mul_mod runs the same
+    scheme; this copy keeps the certificate free of engine code.
     """
-    out = np.zeros((coeffs.shape[0], table.shape[1]), dtype=np.int64)
+    n, depth = coeffs.shape
+    out = np.zeros((n, table.shape[1]), dtype=np.int64)
     width = (p - 1).bit_length()
-    span = (_FLOAT_EXACT - 1) // (p - 1)  # monomials per chunk: b >= 1
-    for t0 in range(0, table.shape[0], span):
+    span = (_FLOAT_EXACT - 1) // (p // 2)  # monomials per chunk: b >= 1
+    for t0 in range(0, depth, span):
         c = coeffs[:, t0:t0 + span]
-        t = table[t0:t0 + span].astype(np.float64)
-        limb_max = (_FLOAT_EXACT - 1) // (t.shape[0] * (p - 1))
-        bits = (limb_max + 1).bit_length() - 1
-        mask = (1 << bits) - 1
-        for shift in range(0, width, bits):
-            limb = ((c >> shift) & mask).astype(np.float64)
-            part = (limb @ t).astype(np.int64) % p
-            out = (out + part * pow(2, shift, p)) % p
+        t = table[t0:t0 + span]
+        bits = ((_FLOAT_EXACT - 1) // (c.shape[1] * (p // 2))
+                + 1).bit_length() - 1
+        shifts = range(0, width, bits)
+        nonzero = np.logical_or.reduceat(
+            np.logical_or.reduceat(c != 0, range(0, n, _BLOCK), axis=0),
+            range(0, c.shape[1], _BLOCK), axis=1)
+        for r0, blocks in zip(range(0, n, _BLOCK), nonzero):
+            runs = _runs(blocks)
+            if not runs:
+                continue
+            r1 = min(r0 + _BLOCK, n)
+            cols = r1 if lower else t.shape[1]
+            if len(shifts) == 1:
+                limbs = c[r0:r1].astype(np.float64)
+            else:
+                limbs = np.concatenate([(c[r0:r1] >> s) & ((1 << bits) - 1)
+                                        for s in shifts]).astype(np.float64)
+            acc = None
+            for a, b in runs:
+                a, b = a * _BLOCK, b * _BLOCK
+                part = limbs[:, a:b] @ t[a:b, :cols]
+                if acc is None:
+                    acc = part
+                else:
+                    acc += part
+            parts = acc.astype(np.int64)
+            h = r1 - r0
+            block = out[r0:r1, :cols]
+            block += parts[:h]
+            for k in range(1, len(shifts)):
+                block %= p
+                block += parts[k * h:(k + 1) * h] % p * pow(2, shifts[k], p)
+            block %= p
     return out
 
 
 def _scaled_powers(coords, exps, top: int) -> np.ndarray:
-    """rows[r, m] = a^exps[r] * b^(top - exps[r]) for coords[m] = a/b."""
+    """rows[r, m] = a^exps[r] * b^(top - exps[r]) for coords[m] = a/b, for
+    ascending exponents: one multiplication per exponent step."""
+    nums = np.array([v.numerator for v in coords], dtype=object)
+    dens = np.array([v.denominator for v in coords], dtype=object)
+    ones = np.ones(len(coords), dtype=object)
+    num_pow, den_pow = [ones], [ones]
+    for _ in range(top):
+        num_pow.append(num_pow[-1] * nums)
+        den_pow.append(den_pow[-1] * dens)
     rows = np.empty((len(exps), len(coords)), dtype=object)
     for r, e in enumerate(exps):
-        rows[r] = [v.numerator**e * v.denominator**(top - e) for v in coords]
+        rows[r] = num_pow[e] * den_pow[top - e]
     return rows
+
+
+class MonomialTable:
+    """The values of the monomials exps at points, computed once for every
+    PolyMatrix whose exponents are among exps.
+
+    Over F_p values[r, m] is exps[r] at points[m] mod p, as an exact
+    float64 of absolute value at most p // 2, which leaves the limbs of
+    _matmul_mod one bit more.  Over Q, with x = a/b, y = c/d and I, J the
+    largest exponents, values[r, m] is the integer a^i b^(I-i) c^j d^(J-j)
+    and exps[r] at points[m] is values[r, m] / dens[m], with dens[m] =
+    b^I d^J.  A negative exponent is a ValueError.
+    """
+
+    __slots__ = ("field", "exps", "points", "row", "values", "dens")
+
+    def __init__(self, field: Field, exps: list, points):
+        self.field = field
+        self.exps = exps
+        self.points = list(points)
+        self.row = {e: r for r, e in enumerate(exps)}
+        xs = sorted({i for i, _ in exps})
+        ys = sorted({j for _, j in exps})
+        if (xs and xs[0] < 0) or (ys and ys[0] < 0):
+            raise ValueError("cannot evaluate a negative exponent")
+        xrow = {i: r for r, i in enumerate(xs)}
+        yrow = {j: r for r, j in enumerate(ys)}
+        xsel = [xrow[i] for i, _ in exps]
+        ysel = [yrow[j] for _, j in exps]
+        p = field.char
+        if p:
+            pts = np.array(self.points, dtype=np.int64).reshape(-1, 2) % p
+            half = p // 2
+            self.values = ((_power_rows(pts[:, 0], xs, p)[xsel]
+                            * _power_rows(pts[:, 1], ys, p)[ysel] + half) % p
+                           - half).astype(np.float64)
+            self.dens = None
+            return
+        I, J = max(xs, default=0), max(ys, default=0)
+        self.values = (
+            _scaled_powers([x for x, _ in self.points], xs, I)[xsel]
+            * _scaled_powers([y for _, y in self.points], ys, J)[ysel])
+        self.dens = np.array([x.denominator**I * y.denominator**J
+                              for x, y in self.points], dtype=object)
+
+    def sums(self, polys: PolyMatrix, lower: bool = False):
+        """(sums, dens) for polys at the table's points, as value_sums gives
+        them; the exponents of polys must be among the table's.
+
+        With lower, polys row k is evaluated only at points m <= k, the
+        triangle the Newton check reads, and (sums, dens) are square: over
+        F_p the entries above it are exact or zero, over Q zero.  Over F_p
+        a product whose coefficient block is zero is skipped
+        (_matmul_mod); a PolyMatrix over a prefix of exps uses the table as
+        it is, any other is padded out to exps.  Over Q no row is padded:
+        the product reads the table rows of its exponents, and under lower
+        each row takes one product over its nonzero coefficients.
+        """
+        n = len(polys)
+        idx = [self.row[e] for e in polys.exps]
+        prefix = idx == list(range(len(idx)))
+        width = n if lower else len(self.points)
+        p = self.field.char
+        if p:
+            if prefix:
+                coeffs, table = polys.coeffs, self.values[:len(idx)]
+            else:
+                coeffs = np.zeros((n, len(self.exps)), dtype=np.int64)
+                coeffs[:, idx] = polys.coeffs
+                table = self.values
+            sums = _matmul_mod(coeffs, table, p, lower)[:, :width]
+            return sums, np.broadcast_to(np.int64(1), sums.shape)
+        rows = polys.coeffs.tolist()
+        L = [lcm(*(c.denominator for c in row)) for row in rows]
+        coeffs = np.array([[c.numerator * (lk // c.denominator) for c in row]
+                           for row, lk in zip(rows, L)],
+                          dtype=object).reshape(n, len(idx))
+        table = self.values[:len(idx)] if prefix else self.values[idx]
+        if lower:
+            sums = np.zeros((n, n), dtype=object)
+            for k in range(n):
+                nz = np.flatnonzero(coeffs[k])
+                sums[k, :k + 1] = coeffs[k, nz] @ table[nz, :k + 1]
+        else:
+            sums = coeffs @ table
+        return sums, np.outer(np.array(L, dtype=object), self.dens[:width])
 
 
 def value_sums(polys: PolyMatrix, points):
     """(sums, dens): polys row k at points[m] is sums[k, m] / dens[k, m],
     exactly, with every denominator positive.
 
-    The monomial table covers exactly the exponents of polys, whether or
-    not they lie in N, so corrupt input is evaluated as is; a negative
-    exponent is a ValueError.  Over F_p the sums are the values, one exact
-    modular matrix product as int64, and the denominators are a read-only
-    broadcast of one.  Over Q, with x = a/b, y = c/d and I, J the largest
-    exponents, the table holds the integers a^i b^(I-i) c^j d^(J-j) and
-    each row's coefficients are scaled by L, the lcm of their
-    denominators; one integer matrix product then gives every value as a
-    sum over L b^I d^J, both object arrays of Python integers.
+    The monomial table (MonomialTable) covers exactly the exponents of
+    polys, whether or not they lie in N, so corrupt input is evaluated as
+    is; a negative exponent is a ValueError.  Its powers take one
+    multiplication per exponent step.  Over F_p the sums are the values,
+    one exact modular matrix product as int64 (_matmul_mod), and the
+    denominators are a read-only broadcast of one.  Over Q each row's
+    coefficients are scaled by L, the lcm of their denominators; one
+    integer matrix product with the table then gives every value as a sum
+    over L b^I d^J, both object arrays of Python integers.  The
+    certificate builds one table for G and Q and calls MonomialTable.sums
+    for each.
     """
-    exps = polys.exps
-    xs = sorted({i for i, _ in exps})
-    ys = sorted({j for _, j in exps})
-    if (xs and xs[0] < 0) or (ys and ys[0] < 0):
-        raise ValueError("cannot evaluate a negative exponent")
-    xrow = {i: r for r, i in enumerate(xs)}
-    yrow = {j: r for r, j in enumerate(ys)}
-    xsel = [xrow[i] for i, _ in exps]
-    ysel = [yrow[j] for _, j in exps]
-    p = polys.field.char
-    if p:
-        pts = np.array(points, dtype=np.int64).reshape(-1, 2) % p
-        table = (_power_rows(pts[:, 0], xs, p)[xsel]
-                 * _power_rows(pts[:, 1], ys, p)[ysel] % p)
-        sums = _matmul_mod(polys.coeffs, table, p)
-        return sums, np.broadcast_to(np.int64(1), sums.shape)
-    rows = polys.coeffs.tolist()
-    L = [lcm(*(c.denominator for c in row)) for row in rows]
-    coeffs = np.array([[c.numerator * (lk // c.denominator) for c in row]
-                       for row, lk in zip(rows, L)],
-                      dtype=object).reshape(len(rows), len(exps))
-    I, J = max(xs, default=0), max(ys, default=0)
-    table = (_scaled_powers([x for x, _ in points], xs, I)[xsel]
-             * _scaled_powers([y for _, y in points], ys, J)[ysel])
-    dens = np.outer(np.array(L, dtype=object),
-                    np.array([x.denominator**I * y.denominator**J
-                              for x, y in points], dtype=object))
-    return coeffs @ table, dens
+    return MonomialTable(polys.field, polys.exps, points).sums(polys)
 
 
 def values_at(polys: PolyMatrix, points) -> np.ndarray:

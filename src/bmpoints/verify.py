@@ -4,12 +4,17 @@ brute-force oracle.
 The checks take G and Q in dense form (poly.PolyMatrix: an exponent list
 and a coefficient matrix), as a run hands them over or as `bmpoints
 verify` reads them from JSON.  A leading monomial is the nonzero column
-that ranks highest under the order.  The vanishing and Newton checks
-evaluate every polynomial at every point at once with `poly.value_sums`:
-over F_p by a few exact modular matrix products, over Q by one integer
-matrix product over common denominators.  They compare integer sums with
-zero or their denominators, so no value becomes a Fraction.  Neither
-field's path uses the engine code.
+that ranks highest under the order.  verify_parts builds one
+poly.MonomialTable over Q's exponents and G's others, at the points in
+pointPermutation order (input order when the permutation is invalid), and
+the vanishing and Newton checks both evaluate against it: G at every
+point, Q only on the triangle m <= k.  Over F_p these are exact modular
+matrix products in 128-row blocks that skip a block whose coefficients
+are zero in the input; over Q, integer matrix products over common
+denominators, Q's row by row over its nonzero coefficients.  The checks
+compare integer sums with zero or their denominators, so no value becomes
+a Fraction.  Every check reads only the points, G, N, Q and the
+permutation, and neither field's path uses the engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
@@ -28,7 +33,7 @@ import numpy as np
 
 from .orders import LEX, TermOrder, exp_divides
 from .points import PointSet, is_lower
-from .poly import PolyMatrix, Polynomial, poly_text, value_sums
+from .poly import MonomialTable, PolyMatrix, Polynomial, poly_text
 
 
 class CapExceededError(ValueError):
@@ -65,16 +70,24 @@ class VerifyReport:
                            for n, ok, d in self.checks]}
 
 
-def check_vanishing(G: PolyMatrix, ps: PointSet) -> VerifyReport:
+def check_vanishing(G: PolyMatrix, ps: PointSet,
+                    table: MonomialTable = None) -> VerifyReport:
     """Every polynomial must evaluate to zero at every point: every value's
-    integer sum is zero."""
+    integer sum is zero.  table, when given, covers G's exponents at ps's
+    points in any order; the detail names the first failing polynomial
+    and, of its failing points, the first in ps."""
+    if table is None:
+        table = MonomialTable(G.field, G.exps, ps.points)
+    sums = table.sums(G)[0] != 0
     rep = VerifyReport()
-    nonzero = np.flatnonzero(value_sums(G, ps.points)[0] != 0)
+    bad = np.flatnonzero(sums.any(axis=1))
     detail = ""
-    if nonzero.size:
-        k, m = divmod(int(nonzero[0]), len(ps))
+    if bad.size:
+        k = int(bad[0])
+        at = ps.index_map()
+        m = min(at[table.points[c]] for c in np.flatnonzero(sums[k]).tolist())
         detail = f"{poly_text(G.polynomial(k), LEX)} is nonzero at {ps[m]}"
-    rep.add("vanishing", not nonzero.size, detail)
+    rep.add("vanishing", not bad.size, detail)
     return rep
 
 
@@ -132,16 +145,24 @@ def _multiple_of_any(lms):
     return lambda e: (k := bisect_right(xs, e[0])) > 0 and low[k - 1] <= e[1]
 
 
-def check_newton(Q: PolyMatrix, ordered_points) -> VerifyReport:
+def check_newton(Q: PolyMatrix, ordered_points,
+                 table: MonomialTable = None) -> VerifyReport:
     """Triangular unit evaluations: Q[k] at point m is delta(k, m), m <= k,
-    so a value's integer sum is zero, or its denominator on the diagonal."""
+    so a value's integer sum is zero, or its denominator on the diagonal.
+    Only that triangle is evaluated.  table, when given, covers Q's
+    exponents at points that start with ordered_points."""
     if len(Q) != len(ordered_points):
         raise ValueError(
             f"{len(Q)} polynomials against {len(ordered_points)} points")
+    if table is None:
+        table = MonomialTable(Q.field, Q.exps, ordered_points)
+    elif table.points[:len(Q)] != list(ordered_points):
+        raise ValueError("the table's points do not start with the "
+                         "ordered points")
     rep = VerifyReport()
     detail = ""
     if len(Q):
-        sums, dens = value_sums(Q, ordered_points)
+        sums, dens = table.sums(Q, lower=True)
         want = np.where(np.eye(len(Q), dtype=bool), dens, 0)
         wrong = np.flatnonzero(np.tril(sums != want))
         if wrong.size:
@@ -154,15 +175,28 @@ def check_newton(Q: PolyMatrix, ordered_points) -> VerifyReport:
 
 def verify_parts(ps: PointSet, order: TermOrder, G: PolyMatrix, N,
                  Q: PolyMatrix, perm) -> VerifyReport:
-    """Full battery on a run's output, whether fresh or deserialized."""
-    rep = VerifyReport()
-    rep.extend(check_vanishing(G, ps))
-    rep.extend(check_reduced_gb(G, N, order, n_points=len(ps)))
+    """Full battery on a run's output, whether fresh or deserialized.
+
+    One monomial table over Q's exponents, then G's others, serves both
+    evaluating checks.  Its points are in pointPermutation order, then the
+    points it leaves out, or in input order when the permutation is
+    invalid.
+    """
     perm_ok = (len(set(perm)) == len(perm) == len(Q)
                and all(0 <= k < len(ps) for k in perm))
+    cols = list(perm) if perm_ok else []
+    taken = set(cols)
+    cols += [k for k in range(len(ps)) if k not in taken]
+    q_exps = set(Q.exps)
+    table = MonomialTable(ps.field,
+                          Q.exps + [e for e in G.exps if e not in q_exps],
+                          [ps[k] for k in cols])
+    rep = VerifyReport()
+    rep.extend(check_vanishing(G, ps, table))
+    rep.extend(check_reduced_gb(G, N, order, n_points=len(ps)))
     rep.add("permutation indices valid", perm_ok)
     if perm_ok:
-        rep.extend(check_newton(Q, [ps[k] for k in perm]))
+        rep.extend(check_newton(Q, [ps[k] for k in perm], table))
     else:
         rep.add("newton triangularity", False, "skipped: bad permutation")
     q_lms = [Q.exps[c] for c in Q.leading(order).tolist()]

@@ -318,6 +318,43 @@ def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: invariant broken" in err
 
 
+def test_writer_fault_after_first_block_exits_3(tmp_path, capsys,
+                                               monkeypatch):
+    """compute --out json writes each block as it is rendered, after
+    verify: a renderer fault once bytes are out still exits 3, leaving a
+    truncated document on stdout and the traceback on stderr."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 3)])
+    args = ["compute", "--field", "q:7", "--order", "lex",
+            "--points", str(pts), "--out", "json"]
+    real = cli._rows_json
+    calls = []
+
+    def renderer(polys, order):
+        calls.append(len(polys))
+        if len(calls) == 2:  # Q, after G and N are written
+            raise RuntimeError("renderer broke")
+        yield from real(polys, order)
+
+    monkeypatch.setattr(cli, "_rows_json", renderer)
+    assert run_cli(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith('{\n  "field": "q:7"')
+    assert '"G": [' in captured.out and '"N": [' in captured.out
+    assert captured.out.endswith('"Q": ')
+    assert "Traceback" in captured.err
+    assert "internal error: RuntimeError: renderer broke" in captured.err
+
+    def broken(result):
+        raise RuntimeError("check broke")
+
+    monkeypatch.setattr(cli, "verify_result", broken)
+    assert run_cli(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: check broke" in captured.err
+
+
 def test_internal_value_and_key_errors_exit_3(tmp_path, capsys, monkeypatch):
     """Only reading the input may give 2; the runner's errors are faults."""
     pts = tmp_path / "pts.txt"

@@ -14,7 +14,8 @@ from bmpoints.fields import make_field
 from bmpoints.newton import evaluation_matrix, newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
-from bmpoints.poly import PolyMatrix, Polynomial, poly_text, values_at
+from bmpoints.poly import (_BLOCK, MonomialTable, PolyMatrix, Polynomial,
+                           poly_text, values_at)
 from bmpoints.randgen import gen_points
 from bmpoints.verify import (CapExceededError, VerifyReport, check_newton,
                              check_reduced_gb, check_vanishing, oracle_dense,
@@ -97,6 +98,11 @@ def test_check_newton():
     assert not check_newton(Q, swapped).passed
     with pytest.raises(ValueError):
         check_newton(Q, basis.point_order[:-1])
+    # a shared table must list the ordered points first
+    shared = MonomialTable(F7, Q.exps, basis.point_order)
+    assert check_newton(Q, basis.point_order, shared).passed
+    with pytest.raises(ValueError):
+        check_newton(Q, swapped, shared)
 
 
 def test_report_aggregation():
@@ -173,7 +179,7 @@ def _reference_values(polys, points):
                          ids=["no-polys", "zero-poly", "sparse", "dense"])
 def test_values_mod_p_matches_evaluate(field, n_polys, n_terms):
     # compared with conftest.reference_value, not with Polynomial.evaluate,
-    # which delegates to values_at; "dense" at p = 2^31-1 has over 64
+    # which delegates to values_at; "dense" at p = 2^31-1 has over 128
     # monomials, which takes three limbs
     rng = random.Random(n_polys * 1000 + n_terms)
     polys, points = _random_case(field, rng, n_polys, n_terms, 9, 90)
@@ -183,11 +189,12 @@ def test_values_mod_p_matches_evaluate(field, n_polys, n_terms):
 
 
 def test_values_mod_p_chunks_monomial_axis(monkeypatch):
-    # with a 2^10 exactness bound, 200 monomials at p = 23 need chunks of
-    # at most 46 monomials, each split into one-bit limbs
+    # with a 2^10 exactness bound and table entries of absolute value at
+    # most 11, monomials at p = 23 go in chunks of at most 93, each split
+    # into one-bit limbs
     monkeypatch.setattr(bmpoints.poly, "_FLOAT_EXACT", 2**10)
     polys, points = _random_case(F23, random.Random(3), 5, 200, 12, 40)
-    assert len({e for q in polys for e in q.terms}) > 46
+    assert len({e for q in polys for e in q.terms}) > 93
     got = values_at(PolyMatrix.from_polys(F23, polys), points)
     assert got.tolist() == _reference_values(polys, points)
 
@@ -217,13 +224,28 @@ def _first_newton_failure(Q, points):
     return ""
 
 
-@pytest.mark.parametrize("field, n", [(BIG, 30), (QQ, 20)],
-                         ids=["p=2^31-1", "rational"])
-def test_corrupted_reports(field, n):
+def _zero_block_entry(coeffs):
+    """(row, column) of the first row of a row block of the evaluator
+    (poly._BLOCK rows) and a column of a coefficient block that is zero
+    there, or None."""
+    for r0 in range(0, coeffs.shape[0], _BLOCK):
+        for c0 in range(0, coeffs.shape[1], _BLOCK):
+            if not coeffs[r0:r0 + _BLOCK, c0:c0 + _BLOCK].any():
+                return r0, c0
+    return None
+
+
+# p = 2^31-1 at 300 points spans three evaluation blocks, of which Q's
+# true coefficient matrix leaves three zero
+@pytest.mark.parametrize("field, n, rounds",
+                         [(BIG, 30, 8), (QQ, 20, 8), (BIG, 300, 1)],
+                         ids=["p=2^31-1", "rational", "p=2^31-1-blocks"])
+def test_corrupted_reports(field, n, rounds):
     ps = gen_points(field, n, seed=11)
     res = gpbm_run(ps, TDINLEX)
     rng = random.Random(4)
-    for _ in range(8):
+    ordered = [ps[i] for i in res.point_permutation]
+    for _ in range(rounds):
         G, Q, perm = list(res.G), list(res.Q), list(res.point_permutation)
         k = rng.randrange(len(G))
         G[k] = Polynomial.from_pairs(
@@ -234,7 +256,6 @@ def test_corrupted_reports(field, n):
                                   for e, v in Q[k].terms.items()})
         a, b = rng.sample(range(len(perm)), 2)
         perm[a], perm[b] = perm[b], perm[a]
-        ordered = [ps[i] for i in res.point_permutation]
         swapped = [ps[i] for i in perm]
         details = {name: detail for name, _, detail in
                    verify_parts(ps, TDINLEX, PolyMatrix.from_polys(field, G),
@@ -246,6 +267,21 @@ def test_corrupted_reports(field, n):
                               ordered).checks[0]
         assert newton[1] is False
         assert newton[2] == _first_newton_failure(Q, ordered)
+        # a term where the true Q has a zero coefficient block: the
+        # product may skip only blocks that are zero in its input
+        entry = _zero_block_entry(res.Q_dense.coeffs)
+        if entry is None:
+            continue
+        k, c0 = entry
+        coeffs = res.Q_dense.coeffs.copy()
+        coeffs[k, c0 + rng.randrange(_BLOCK)] = rng.randrange(1, field.p)
+        bad = PolyMatrix(field, res.Q_dense.exps, coeffs)
+        details = {name: detail for name, _, detail in
+                   verify_parts(ps, TDINLEX, res.G_dense, res.N, bad,
+                                res.point_permutation).checks}
+        assert details["vanishing"] == ""
+        assert details["newton triangularity"] == \
+            _first_newton_failure(bad.polys(), ordered) != ""
 
 
 def _imported_names(module) -> set:

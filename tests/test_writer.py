@@ -16,11 +16,16 @@ from bmpoints.randgen import gen_points
 from conftest import EX1_POINTS, EX2_POINTS, EX5_POINTS
 
 BIG = make_field("q:2147483647")
+F23 = make_field("q:23")
 RUNNERS = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}
 
 CASES = {
     "q7-golden": ("q:7", EX5_POINTS),
     "q2^31-1": ("q:2147483647", gen_points(BIG, 30, seed=5).points),
+    # Q spans two writer blocks, with each element's text rendered once
+    # over q:23 and str() per term over q:2^31-1
+    "q23-300": ("q:23", gen_points(F23, 300, seed=5).points),
+    "q2^31-1-300": ("q:2147483647", gen_points(BIG, 300, seed=5).points),
     # G and Q hold negative and fractional coefficients
     "rational-ex1": ("rational", EX1_POINTS),
     "rational-ex2": ("rational", EX2_POINTS),
