@@ -65,7 +65,7 @@ class BMResult:
     pivot point.  G_dense has the exponents N followed by G's leading
     monomials, row k holding G[k]'s tail and a one at its own leading
     monomial; Q_dense has the exponents N.  G and Q are their rows as
-    Polynomials.
+    Polynomials, for library users and tests; compute never reads them.
     """
 
     field: Field

@@ -4,18 +4,15 @@ Subcommands: compute (run an algorithm on a point file and print or
 serialize the result after verifying it), gen (seeded point-set files),
 bench (algorithm grid with CSV output), verify (re-check a stored result
 against its point file).  Results are checked with one monomial table of
-G's and Q's exponents at the points (verify.verify_parts): G at every
-point, Q on the triangle the Newton check reads, over F_p by exact
-modular matrix products that skip zero coefficient blocks, over Q by
-integer matrix products over common denominators.  The JSON writer
-renders G and Q straight from their coefficient matrices, each field
-element's text once where the field is no larger than a matrix's term
-count, and compute writes them after verify, _WRITE_ROWS rows at a time;
-verify reads them back into the same dense form.
+G's and Q's exponents at the points (verify.verify_parts).  Both output
+formats render G and Q from their coefficient matrices through one term
+walk (poly.render_rows) in one sort of G's columns, and compute writes
+them after verify, poly.RENDER_ROWS rows at a time; verify reads a JSON
+result back into the same dense form.
 Exit codes: 0 success, 1 failed verification, 2 usage error (arguments or
 input files), 3 internal error (an exception raised by the runner, the
-checks or the output code; a writer fault may leave a truncated document
-on stdout).
+checks or the output code; a writer fault may leave truncated output on
+stdout), 141 stdout closed before the output was written (as by head).
 """
 
 from __future__ import annotations
@@ -23,9 +20,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -34,11 +33,14 @@ import numpy as np
 from .bench import RUNNERS, bench_csv, run_bench
 from .bm import SPBM_AXIS, BMResult, bm_run, gpbm_run, spbm_run
 from .fields import make_field
-from .orders import ORDERS, TermOrder, order_by_name
+from .orders import ORDERS, order_by_name
 from .points import EmptySetError, format_point_file, parse_point_file
-from .poly import PolyMatrix, monomial_text, poly_matrix_from_json, poly_text
+from .poly import (PolyMatrix, monomial_text, poly_matrix_from_json,
+                   render_rows, text_rows)
 from .randgen import gen_points
 from .verify import verify_parts, verify_result
+
+EXIT_PIPE = 141  # stdout closed early: 128 + SIGPIPE, as a shell reports
 
 
 def result_json_text(result: BMResult, report=None) -> str:
@@ -55,24 +57,36 @@ def result_to_json(result: BMResult) -> dict:
     return json.loads(result_json_text(result))
 
 
+def result_text(result: BMResult) -> str:
+    """The result as text: the pieces of _text_pieces joined."""
+    return "".join(_text_pieces(result))
+
+
+def _column_orders(result: BMResult):
+    """G's column order, and Q's: G's order restricted to Q's columns,
+    which are G's first len(N)."""
+    perm = result.G_dense.column_order(result.order)
+    return perm, perm[perm < len(result.Q_dense.exps)]
+
+
 def _json_pieces(result: BMResult, report=None):
     """result_json_text as a run of strings, G and Q a block of
-    _WRITE_ROWS rows at a time, so that compute can write each before the
-    next is rendered.
+    poly.RENDER_ROWS rows at a time, so that compute can write each before
+    the next is rendered.
 
     dumps uses its C encoder only without indent, so with indent=2 it walks
     every term in Python.  Here G and Q are rendered from their matrices
     (_rows_json); the verify block goes through dumps itself.
     """
     enc = encode_basestring_ascii
-    order = result.order
+    g_perm, q_perm = _column_orders(result)
     items = [("field", [enc(result.field.name)]),
-             ("order", [enc(order.name)]),
+             ("order", [enc(result.order.name)]),
              ("algorithm", [enc(result.algorithm)]),
-             ("G", _rows_json(result.G_dense, order)),
+             ("G", _rows_json(result.G_dense, g_perm)),
              ("N", [_json_array([f"[\n      {i},\n      {j}\n    ]"
                                  for i, j in result.N], "  ")]),
-             ("Q", _rows_json(result.Q_dense, order)),
+             ("Q", _rows_json(result.Q_dense, q_perm)),
              ("pointPermutation", [_json_array(
                  [str(k) for k in result.point_permutation], "  ")])]
     if report is not None:
@@ -86,51 +100,19 @@ def _json_pieces(result: BMResult, report=None):
     yield "\n}"
 
 
-# closes one term's coefficient string and opens the next term
-_TERM_SEP = '"\n      ],\n      '
-
-# rows of G or Q rendered at a time: every array of perfbench's workloads
-# (at most 130 rows) is one block
-_WRITE_ROWS = 256
-
-
-def _rows_json(polys: PolyMatrix, order: TermOrder):
-    """The rows as a JSON array of [i, j, "c"] term arrays, each row's
-    nonzero terms descending under order, in pieces of _WRITE_ROWS rows.
-
-    The columns are put in descending order once, and every column gets
-    its rendered `[i, j, "` prefix once; a row is then one join of its
-    terms' prefixes, coefficients and separators, in the order np.nonzero
-    lists them.  Both fields format an element as str() does.  Over a
-    field with no more elements than the array has nonzero terms, each
-    element's text is rendered once and looked up per term; otherwise
-    str() runs per term, without a Python call of ours.
-    """
+def _rows_json(polys: PolyMatrix, perm: np.ndarray):
+    """The rows as a JSON array of [i, j, "c"] term arrays, terms in the
+    column order perm, in pieces of poly.RENDER_ROWS rows (render_rows)."""
     if not len(polys):
         yield "[]"
         return
     exps = polys.exps
-    perm = sorted(range(len(exps)), key=lambda c: order.key(exps[c]),
-                  reverse=True)
-    prefix = [f'[\n        {exps[c][0]},\n        {exps[c][1]},\n        "'
-              for c in perm]
-    p = polys.field.char
-    text = str
-    if 0 < p <= np.count_nonzero(polys.coeffs):
-        text = [str(v) for v in range(p)].__getitem__
+    columns = [f'[\n        {exps[c][0]},\n        {exps[c][1]},\n        "'
+               for c in perm.tolist()]
     sep = "[\n    "
-    for r0 in range(0, len(polys), _WRITE_ROWS):
-        coeffs = polys.coeffs[r0:r0 + _WRITE_ROWS][:, perm]
-        rows, cols = np.nonzero(coeffs)
-        pieces = [_TERM_SEP] * (3 * len(cols))
-        pieces[0::3] = map(prefix.__getitem__, cols.tolist())
-        pieces[1::3] = map(text, coeffs[rows, cols].tolist())
-        out, start = [], 0
-        for n in np.bincount(rows, minlength=len(coeffs)).tolist():
-            out.append(f"[\n      {''.join(pieces[start:start + 3 * n - 1])}"
-                       '"\n      ]\n    ]' if n else "[]")
-            start += 3 * n
-        yield sep + ",\n    ".join(out)
+    for rows in render_rows(polys, perm, columns, '"\n      ],\n      '):
+        yield sep + ",\n    ".join(
+            [f'[\n      {r}"\n      ]\n    ]' if r else "[]" for r in rows])
         sep = ",\n    "
     yield "\n  ]"
 
@@ -142,20 +124,19 @@ def _json_array(items: list, pad: str) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-def result_text(result: BMResult) -> str:
-    order = result.order
-    lines = [f"field: {result.field.name}",
-             f"order: {order.name}",
-             f"algorithm: {result.algorithm}",
-             f"points: {len(result.points)}",
-             "G:"]
-    lines += [f"  {poly_text(g, order)}" for g in result.G]
-    lines.append("N: " + ", ".join(monomial_text(e) for e in result.N))
-    lines.append("Q:")
-    lines += [f"  {poly_text(q, order)}" for q in result.Q]
-    lines.append("pointPermutation: "
-                 + " ".join(str(k) for k in result.point_permutation))
-    return "\n".join(lines)
+def _text_pieces(result: BMResult):
+    """result_text as a run of strings, G and Q a block of
+    poly.RENDER_ROWS rows at a time (text_rows), one line per row."""
+    g_perm, q_perm = _column_orders(result)
+    yield (f"field: {result.field.name}\norder: {result.order.name}\n"
+           f"algorithm: {result.algorithm}\npoints: {len(result.points)}\nG:")
+    for rows in text_rows(result.G_dense, g_perm):
+        yield "".join(["\n  " + r for r in rows])
+    yield "\nN: " + ", ".join(monomial_text(e) for e in result.N) + "\nQ:"
+    for rows in text_rows(result.Q_dense, q_perm):
+        yield "".join(["\n  " + r for r in rows])
+    yield "\npointPermutation: " + " ".join(
+        str(k) for k in result.point_permutation)
 
 
 class UsageError(Exception):
@@ -233,14 +214,13 @@ def _cmd_compute(args) -> int:
     result = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}[algo](ps, order)
     report = verify_result(result)
     if args.out == "json":
-        for piece in _json_pieces(result, report):
-            sys.stdout.write(piece)
-        sys.stdout.write("\n")
+        pieces = _json_pieces(result, report)
     else:
-        print(result_text(result))
-        print("verify: " + ("PASS" if report.passed else "FAIL"))
-        if not report.passed:
-            print(report.text())
+        verdict = "PASS" if report.passed else "FAIL\n" + report.text()
+        pieces = chain(_text_pieces(result), [f"\nverify: {verdict}"])
+    for piece in pieces:
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
     return 0 if report.passed else 1
 
 
@@ -348,7 +328,11 @@ def run_cli(argv) -> int:
     handlers = {"compute": _cmd_compute, "gen": _cmd_gen,
                 "bench": _cmd_bench, "verify": _cmd_verify}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as head does
+        return EXIT_PIPE
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -359,7 +343,11 @@ def run_cli(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return run_cli(sys.argv[1:] if argv is None else argv)
+    code = run_cli(sys.argv[1:] if argv is None else argv)
+    if code == EXIT_PIPE:
+        # the interpreter's last flush of stdout then writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

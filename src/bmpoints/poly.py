@@ -3,9 +3,10 @@ evaluation at many points at once.
 
 A PolyMatrix holds many polynomials as the rows of one coefficient matrix
 over a list of exponents: int64 over F_p, an object array over Q.  It is
-the form a run produces (G and Q over the slots of N), the form the writer
-renders and the form the certificate checks.  A Polynomial is a sparse map
-from exponent to coefficient, the library's view of one row.
+the form a run produces (G and Q over the slots of N), the form both
+writers render, text and JSON through one term walk (render_rows), and
+the form the certificate checks.  A Polynomial is a sparse map from
+exponent to coefficient, the library's view of one row.
 """
 
 from __future__ import annotations
@@ -36,40 +37,16 @@ class Polynomial:
         self.field = field
         self.terms = terms
 
-    # -- construction ---------------------------------------------------
-
     @classmethod
     def from_pairs(cls, field: Field, pairs) -> "Polynomial":
         """Sum of (exponent, raw coefficient) pairs, canonicalized."""
         return PolyMatrix.from_terms(field, [[
             (e, field.convert(raw)) for e, raw in pairs]]).polynomial(0)
 
-    # -- queries --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def terms_sorted(self, order: TermOrder):
-        """Terms as (exponent, coefficient) pairs, descending under order."""
-        terms = self.terms
-        return [(e, terms[e])
-                for e in sorted(terms, key=order.key, reverse=True)]
-
-    def leading_term(self, order: TermOrder):
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
-    def leading_monomial(self, order: TermOrder) -> Exponent:
-        return self.leading_term(order)[0]
-
     def evaluate(self, point):
         """Exact value at point = (x, y): an int over F_p, a Fraction over Q."""
         return values_at(PolyMatrix.from_polys(self.field, [self]),
                          [point]).item(0)
-
-    # -- dunders --------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.field == self.field
@@ -131,18 +108,20 @@ class PolyMatrix:
         """Every row as a Polynomial."""
         return [self.polynomial(k) for k in range(len(self))]
 
-    def leading(self, order: TermOrder) -> np.ndarray:
-        """Column of each row's leading monomial: the nonzero column whose
-        exponent ranks highest under order."""
+    def column_order(self, order: TermOrder) -> np.ndarray:
+        """The columns, their exponents descending under order."""
         exps = self.exps
-        by_rank = sorted(range(len(exps)), key=lambda c: order.key(exps[c]))
-        rank = np.empty(len(exps), dtype=np.intp)
-        rank[by_rank] = np.arange(1, len(exps) + 1)
-        best = np.where(self.coeffs.astype(bool), rank, 0).max(axis=1,
-                                                               initial=0)
-        if not best.all():
+        return np.array(sorted(range(len(exps)), key=lambda c: order.key(
+            exps[c]), reverse=True), dtype=np.intp)
+
+    def leading(self, order: TermOrder) -> np.ndarray:
+        """Column of each row's leading monomial: its first nonzero column
+        in column_order."""
+        perm = self.column_order(order)
+        nonzero = (self.coeffs != 0)[:, perm]
+        if not nonzero.any(axis=1).all():
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return np.array(by_rank, dtype=np.intp)[best - 1]
+        return perm[nonzero.argmax(axis=1)] if perm.size else perm
 
 
 # -- exact evaluation ---------------------------------------------------
@@ -382,45 +361,77 @@ def values_at(polys: PolyMatrix, points) -> np.ndarray:
 
 def monomial_text(e: Exponent) -> str:
     """Render x^i y^j without a coefficient; (0,0) renders as "1"."""
-    i, j = e
-    parts = []
-    if i == 1:
-        parts.append("x")
-    elif i > 1:
-        parts.append(f"x^{i}")
-    if j == 1:
-        parts.append("y")
-    elif j > 1:
-        parts.append(f"y^{j}")
-    return "".join(parts) if parts else "1"
+    return "".join(v if k == 1 else f"{v}^{k}"
+                   for v, k in zip("xy", e) if k) or "1"
+
+
+# rows of a matrix rendered at a time: every array of perfbench's
+# workloads (at most 130 rows) is one block
+RENDER_ROWS = 256
+
+
+def render_rows(polys: PolyMatrix, perm: np.ndarray, columns, glue: str,
+                monomials: bool = False):
+    """The rows' texts, a list per RENDER_ROWS rows: each row's nonzero
+    terms in the column order perm, joined by glue; "" for a zero row.
+
+    columns[k], the text of column perm[k], is rendered once.  A term is
+    its column's text and then its coefficient's, as str() renders it;
+    with monomials the coefficient comes first, and 1 and -1 show as ""
+    and "-" before a nonempty column text.  Over a field with no more
+    elements than the matrix has nonzero terms, each element's text is
+    rendered once and looked up per term.
+    """
+    columns = np.array(columns, dtype=object)
+    shown = columns != ""
+    p = polys.field.char
+    text = str
+    if 0 < p <= np.count_nonzero(polys.coeffs):
+        text = [str(v) for v in range(p)].__getitem__
+    for r0 in range(0, len(polys), RENDER_ROWS):
+        coeffs = polys.coeffs[r0:r0 + RENDER_ROWS][:, perm]
+        rows, cols = np.nonzero(coeffs)
+        values = coeffs[rows, cols]
+        # a term is [column, coefficient, glue], or with monomials
+        # [glue, coefficient, column]; a row drops its last or first glue
+        pieces = [glue] * (3 * len(cols))
+        pieces[2 if monomials else 0::3] = columns[cols].tolist()
+        pieces[1::3] = map(text, values.tolist())
+        if monomials:  # "1" and "-1" lose their 1
+            for t in np.flatnonzero((abs(values) == 1)
+                                    & shown[cols]).tolist():
+                pieces[3 * t + 1] = pieces[3 * t + 1][:-1]
+        out, start = [], int(monomials)
+        for n in np.bincount(rows, minlength=len(coeffs)).tolist():
+            out.append("".join(pieces[start:start + 3 * n - 1]))
+            start += 3 * n
+        yield out
+
+
+def text_rows(polys: PolyMatrix, perm: np.ndarray):
+    """render_rows as text, e.g. "-1/2xy+y-1"; "0" for a zero row."""
+    columns = ["" if polys.exps[c] == (0, 0) else monomial_text(
+        polys.exps[c]) for c in perm.tolist()]
+    for rows in render_rows(polys, perm, columns, "+", monomials=True):
+        yield [r.replace("+-", "-") or "0" for r in rows]
+
+
+def row_text(polys: PolyMatrix, k: int, order: TermOrder) -> str:
+    """Row k as text, terms descending under order."""
+    row = PolyMatrix(polys.field, polys.exps, polys.coeffs[k:k + 1])
+    return next(text_rows(row, row.column_order(order)))[0]
 
 
 def poly_text(p: Polynomial, order: TermOrder) -> str:
-    """Terms descending under order, e.g. "2x^3+x^2+4x"."""
-    if p.is_zero():
-        return "0"
-    f = p.field
-    chunks = []
-    for e, c in p.terms_sorted(order):
-        mono = monomial_text(e)
-        if e == (0, 0):
-            text = f.format(c)
-        elif c == f.one:
-            text = mono
-        elif f.char == 0 and c == -f.one:
-            text = "-" + mono
-        else:
-            text = f.format(c) + mono
-        if chunks and not text.startswith("-"):
-            chunks.append("+")
-        chunks.append(text)
-    return "".join(chunks)
+    """Terms descending under order, e.g. "2x^3+x^2+4x"; "0" for zero."""
+    return row_text(PolyMatrix.from_polys(p.field, [p]), 0, order)
 
 
 def poly_json_terms(p: Polynomial, order: TermOrder) -> list:
     """JSON form: [i, j, "coeff"] triples descending under order."""
-    fmt = p.field.format
-    return [[i, j, fmt(c)] for (i, j), c in p.terms_sorted(order)]
+    m = PolyMatrix.from_polys(p.field, [p])
+    return [[*m.exps[c], str(m.coeffs[0, c])]
+            for c in m.column_order(order).tolist()]
 
 
 def poly_matrix_from_json(field: Field, entries) -> PolyMatrix:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .orders import LEX, TermOrder, exp_divides
 from .points import PointSet, is_lower
-from .poly import MonomialTable, PolyMatrix, Polynomial, poly_text
+from .poly import MonomialTable, PolyMatrix, Polynomial, row_text
 
 
 class CapExceededError(ValueError):
@@ -86,7 +86,7 @@ def check_vanishing(G: PolyMatrix, ps: PointSet,
         k = int(bad[0])
         at = ps.index_map()
         m = min(at[table.points[c]] for c in np.flatnonzero(sums[k]).tolist())
-        detail = f"{poly_text(G.polynomial(k), LEX)} is nonzero at {ps[m]}"
+        detail = f"{row_text(G, k, LEX)} is nonzero at {ps[m]}"
     rep.add("vanishing", not bad.size, detail)
     return rep
 

@@ -102,6 +102,11 @@ def values(field, polys, points):
     return values_at(PolyMatrix.from_polys(field, polys), points).tolist()
 
 
+def leading_monomials(polys, order):
+    """Each row's leading monomial, read by PolyMatrix.leading."""
+    return [polys.exps[c] for c in polys.leading(order).tolist()]
+
+
 def reference_newton(cover):
     """The Newton elements of a cover, each built as a Polynomial product of
     linear factors term by term and normalized at its point: the reference

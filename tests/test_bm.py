@@ -22,7 +22,8 @@ from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
 from conftest import (EX1_BORDER, EX1_G_TEXT, EX1_N, EX1_Q_TEXT, EX1_U,
                       EX2_G_TEXT, EX2_N, EX5_G_LTS, EX5_G_Y6, EX5_MCS_ORDER,
-                      EX5_N_SET, EX5_SEED_N, F5, F7, F17, QQ, values)
+                      EX5_N_SET, EX5_SEED_N, F5, F7, F17, QQ,
+                      leading_monomials, values)
 
 ALL_ORDERS = (LEX, INLEX, TDINLEX)
 BIG = make_field("q:2147483647")
@@ -61,7 +62,7 @@ def test_second_example_golden(ex2):
     res = spbm_run(ex2, LEX)
     assert res.N == EX2_N
     assert [poly_text(g, LEX) for g in res.G] == EX2_G_TEXT
-    assert [q.leading_monomial(LEX) for q in res.Q] == res.N
+    assert leading_monomials(res.Q_dense, LEX) == res.N
     ordered = [ex2.points[i] for i in res.point_permutation]
     vals = values(QQ, res.Q, ordered)
     for k in range(len(res.Q)):
@@ -76,8 +77,8 @@ def test_f7_subset_golden(ex5):
     assert res.run_points[:9] == EX5_MCS_ORDER
     assert res.N[:9] == EX5_SEED_N
     assert len(res.N) == 20 and set(res.N) == EX5_N_SET
-    assert {g.leading_monomial(TDINLEX) for g in res.G} == EX5_G_LTS
-    by_lt = {g.leading_monomial(TDINLEX): g for g in res.G}
+    assert set(leading_monomials(res.G_dense, TDINLEX)) == EX5_G_LTS
+    by_lt = dict(zip(leading_monomials(res.G_dense, TDINLEX), res.G))
     assert poly_text(by_lt[(0, 6)], TDINLEX) == EX5_G_Y6
     assert res.processed <= 3 * 20 + 1
 
@@ -127,7 +128,7 @@ def test_bm_n_ascending_and_q_slots():
         for order in ALL_ORDERS:
             res = bm_run(ps, order)
             assert res.N == order.sorted(res.N)
-            assert [q.leading_monomial(order) for q in res.Q] == res.N
+            assert leading_monomials(res.Q_dense, order) == res.N
             assert res.processed <= 3 * len(ps) + 1
 
 
@@ -158,7 +159,7 @@ def test_algorithms_agree(seed, size):
         for res in others:
             assert res.G == base.G
             assert set(res.N) == set(base.N)
-            assert {q.leading_monomial(order) for q in res.Q} == set(res.N)
+            assert set(leading_monomials(res.Q_dense, order)) == set(res.N)
 
 
 @given(seed=st.integers(0, 400), size=st.integers(1, 11))

@@ -320,30 +320,33 @@ def test_exit_codes_are_distinct(tmp_path, capsys, monkeypatch):
 
 def test_writer_fault_after_first_block_exits_3(tmp_path, capsys,
                                                monkeypatch):
-    """compute --out json writes each block as it is rendered, after
-    verify: a renderer fault once bytes are out still exits 3, leaving a
-    truncated document on stdout and the traceback on stderr."""
+    """compute writes each block as it is rendered, after verify: a
+    renderer fault once bytes are out still exits 3, leaving a truncated
+    result on stdout and the traceback on stderr."""
     pts = tmp_path / "pts.txt"
     _write_points(pts, [(0, 0), (1, 0), (2, 3)])
     args = ["compute", "--field", "q:7", "--order", "lex",
-            "--points", str(pts), "--out", "json"]
-    real = cli._rows_json
-    calls = []
+            "--points", str(pts)]
+    for out, renderer_name, head, tail in (
+            ("json", "_rows_json", '{\n  "field": "q:7"', '"Q": '),
+            ("text", "text_rows", "field: q:7\n", "\nQ:")):
+        real = getattr(cli, renderer_name)
+        calls = []
 
-    def renderer(polys, order):
-        calls.append(len(polys))
-        if len(calls) == 2:  # Q, after G and N are written
-            raise RuntimeError("renderer broke")
-        yield from real(polys, order)
+        def renderer(polys, perm, real=real, calls=calls):
+            calls.append(len(polys))
+            if len(calls) == 2:  # Q, after G and N are written
+                raise RuntimeError("renderer broke")
+            yield from real(polys, perm)
 
-    monkeypatch.setattr(cli, "_rows_json", renderer)
-    assert run_cli(args) == 3
-    captured = capsys.readouterr()
-    assert captured.out.startswith('{\n  "field": "q:7"')
-    assert '"G": [' in captured.out and '"N": [' in captured.out
-    assert captured.out.endswith('"Q": ')
-    assert "Traceback" in captured.err
-    assert "internal error: RuntimeError: renderer broke" in captured.err
+        monkeypatch.setattr(cli, renderer_name, renderer)
+        assert run_cli(args + ["--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith(head)
+        assert "G:" in captured.out or '"G": [' in captured.out
+        assert captured.out.endswith(tail)
+        assert "Traceback" in captured.err
+        assert "internal error: RuntimeError: renderer broke" in captured.err
 
     def broken(result):
         raise RuntimeError("check broke")
@@ -353,6 +356,60 @@ def test_writer_fault_after_first_block_exits_3(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: RuntimeError: check broke" in captured.err
+
+
+class _ClosedAfterFirstWrite:
+    """A stdout whose reader goes away after the first block."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path, capsys,
+                                                   monkeypatch):
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 3)])
+    args = ["compute", "--field", "q:7", "--order", "lex",
+            "--points", str(pts)]
+    for out in ("json", "text"):
+        stdout = _ClosedAfterFirstWrite()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli(args + ["--out", out]) == cli.EXIT_PIPE == 141
+        assert stdout.writes == 2
+        assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_ends_the_process_quietly(tmp_path):
+    """`bmpoints compute ... | head -c 100` with more output than the pipe
+    holds: exit 141, nothing on stderr."""
+    pts = tmp_path / "pts.txt"
+    assert run_cli(["gen", "--field", "q:2147483647", "--n", "400",
+                    "--seed", "1", "-o", str(pts)]) == 0
+    src = str(Path(bmpoints.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for out in ("json", "text"):
+        with subprocess.Popen(
+                [sys.executable, "-m", "bmpoints.cli", "compute", "--field",
+                 "q:2147483647", "--order", "lex", "--points", str(pts),
+                 "--out", out],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=120) == 141
 
 
 def test_internal_value_and_key_errors_exit_3(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Sparse polynomials: leading terms, evaluation, rendering, JSON."""
+"""Polynomials: leading monomials, evaluation, rendering, JSON."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,8 @@ from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.poly import (PolyMatrix, Polynomial, ZeroPolynomialError,
                            monomial_text, poly_json_terms,
-                           poly_matrix_from_json, poly_text, values_at)
+                           poly_matrix_from_json, poly_text, text_rows,
+                           values_at)
 from conftest import reference_value
 
 F7 = make_field("q:7")
@@ -24,18 +25,24 @@ f7_polys = st.dictionaries(exponents, st.integers(min_value=1, max_value=6),
                            max_size=8).map(lambda d: Polynomial(F7, d))
 
 
-@given(p=f7_polys)
-def test_leading_term(p):
+@given(polys=st.lists(f7_polys, max_size=4))
+def test_leading_term(polys):
+    m = PolyMatrix.from_polys(F7, polys)
     for order in (LEX, INLEX, TDINLEX):
-        if p.is_zero():
+        keys = [order.key(m.exps[c]) for c in m.column_order(order).tolist()]
+        assert keys == sorted(keys, reverse=True)
+        if not all(p.terms for p in polys):
             with pytest.raises(ZeroPolynomialError):
-                p.leading_term(order)
+                m.leading(order)
             continue
-        lm, lc = p.leading_term(order)
-        assert p.leading_monomial(order) == lm and p.terms[lm] == lc
-        # every other monomial sits strictly below the leading one
-        for e in p.terms:
-            assert order.key(e) < order.key(lm) or e == lm
+        lead = m.leading(order).tolist()
+        assert len(lead) == len(polys)
+        for k, (p, c) in enumerate(zip(polys, lead)):
+            lm = m.exps[c]
+            assert p.terms[lm] == m.coeffs[k, c]
+            # every other monomial sits strictly below the leading one
+            for e in p.terms:
+                assert order.key(e) < order.key(lm) or e == lm
 
 
 @given(p=f7_polys)
@@ -110,26 +117,49 @@ def test_evaluate_matches_reference(field):
     assert zero == field.zero and type(zero) is type(field.zero)
 
 
+def _reference_text(field, terms):
+    """Terms as text, one at a time: a unit coefficient shows only its
+    sign before a monomial, and "+" joins all but negative terms."""
+    chunks = []
+    for e, c in terms:
+        mono = monomial_text(e)
+        if e == (0, 0):
+            text = str(c)
+        elif c == 1:
+            text = mono
+        elif not field.char and c == -1:
+            text = "-" + mono
+        else:
+            text = str(c) + mono
+        if chunks and not text.startswith("-"):
+            chunks.append("+")
+        chunks.append(text)
+    return "".join(chunks) or "0"
+
+
 @pytest.mark.parametrize("order", [LEX, INLEX, TDINLEX],
                          ids=lambda o: o.name)
 @pytest.mark.parametrize("field", [QQ, F23, BIG],
                          ids=["rational", "p=23", "p=2^31-1"])
 def test_term_order_matches_reference(field, order):
     rng = random.Random(field.char + 29)
-    for n_terms in (0, 1, 4, 30):
-        for _ in range(12):
-            q = Polynomial.from_pairs(
-                field, [((rng.randrange(20), rng.randrange(20)),
-                         _random_coefficient(field, rng))
-                        for _ in range(n_terms)])
-            ref = sorted(q.terms.items(), key=lambda t: order.key(t[0]),
-                         reverse=True)
-            assert q.terms_sorted(order) == ref
-            chunks = [poly_text(Polynomial(field, {e: c}), order)
-                      for e, c in ref]
-            text = "".join(c if k == 0 or c.startswith("-") else "+" + c
-                           for k, c in enumerate(chunks))
-            assert poly_text(q, order) == (text or "0")
+    units = [field.one, field.convert(-1)]
+    polys = [Polynomial.from_pairs(
+                 field, [((rng.randrange(20), rng.randrange(20)),
+                          rng.choice(units + [_random_coefficient(field, rng)]
+                                     * 2))
+                         for _ in range(n_terms)])
+             for n_terms in (0, 1, 4, 30) for _ in range(12)]
+    polys.append(Polynomial(field, {}))
+    m = PolyMatrix.from_polys(field, polys)
+    texts = [t for rows in text_rows(m, m.column_order(order)) for t in rows]
+    assert texts[0] == texts[-1] == "0"
+    for q, text in zip(polys, texts, strict=True):
+        ref = sorted(q.terms.items(), key=lambda t: order.key(t[0]),
+                     reverse=True)
+        assert text == _reference_text(field, ref) == poly_text(q, order)
+        assert poly_json_terms(q, order) == [[i, j, str(c)]
+                                             for (i, j), c in ref]
 
 
 def test_evaluate_high_exponent():

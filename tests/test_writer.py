@@ -1,7 +1,10 @@
-"""The JSON writer renders G and Q from their coefficient matrices, byte
-for byte as json.dumps(indent=2) and term for term as poly_json_terms."""
+"""The writers render G and Q from their coefficient matrices: JSON byte
+for byte as json.dumps(indent=2) and term for term as poly_json_terms,
+text byte for byte as recorded before both shared one renderer."""
 
+import hashlib
 import json
+from pathlib import Path
 from fractions import Fraction as Fr
 
 import pytest
@@ -18,6 +21,10 @@ from conftest import EX1_POINTS, EX2_POINTS, EX5_POINTS
 BIG = make_field("q:2147483647")
 F23 = make_field("q:23")
 RUNNERS = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}
+# SHA-256 of the default (text) compute output of every run of _runs,
+# keyed "case/order/algo"
+TEXT_DIGESTS = json.loads(
+    (Path(__file__).parent / "text_digests.json").read_text())
 
 CASES = {
     "q7-golden": ("q:7", EX5_POINTS),
@@ -42,19 +49,24 @@ def _runs():
                     yield case, order.name, algo
 
 
-@pytest.mark.parametrize("case, order, algo", list(_runs()))
-def test_writer_matches_dumps_and_poly_terms(case, order, algo, tmp_path,
-                                             capsys):
+def _write_case(case, tmp_path):
     spec, points = CASES[case]
     path = tmp_path / "pts.txt"
     path.write_text("".join(f"{x},{y}\n" for x, y in points))
+    return spec, path
+
+
+@pytest.mark.parametrize("case, order, algo", list(_runs()))
+def test_writer_matches_dumps_and_poly_terms(case, order, algo, tmp_path,
+                                             capsys):
+    spec, path = _write_case(case, tmp_path)
     assert run_cli(["compute", "--field", spec, "--order", order,
                     "--algo", algo, "--points", str(path),
                     "--out", "json"]) == 0
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
-    res = RUNNERS[algo](PointSet(make_field(spec), points),
+    res = RUNNERS[algo](PointSet(make_field(spec), CASES[case][1]),
                         order_by_name(order))
     body = {k: v for k, v in doc.items() if k != "verify"}
     assert body == result_to_json(res)
@@ -62,13 +74,24 @@ def test_writer_matches_dumps_and_poly_terms(case, order, algo, tmp_path,
     assert doc["Q"] == [poly_json_terms(q, res.order) for q in res.Q]
 
 
+@pytest.mark.parametrize("case, order, algo", list(_runs()))
+def test_text_matches_recorded_digests(case, order, algo, tmp_path, capsys):
+    spec, path = _write_case(case, tmp_path)
+    assert run_cli(["compute", "--field", spec, "--order", order,
+                    "--algo", algo, "--points", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\nverify: PASS\n")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == TEXT_DIGESTS[f"{case}/{order}/{algo}"])
+
+
 @pytest.mark.parametrize("spec, order", [("q:23", "lex"),
                                          ("q:23", "tdinlex"),
                                          ("rational", "tdinlex")])
 def test_compute_json_builds_no_polynomial(spec, order, tmp_path, capsys,
                                            monkeypatch):
-    """compute --out json runs, verifies and writes from the matrices; a
-    fallback to Polynomial dicts would raise here and exit 3."""
+    """compute runs, verifies and writes either format from the matrices;
+    a fallback to Polynomial dicts would raise here and exit 3."""
     field = make_field(spec)
     path = tmp_path / "pts.txt"
     path.write_text("".join(f"{x},{y}\n" for x, y in
@@ -78,6 +101,9 @@ def test_compute_json_builds_no_polynomial(spec, order, tmp_path, capsys,
         raise AssertionError("compute built a Polynomial")
 
     monkeypatch.setattr(Polynomial, "__init__", refuse)
-    assert run_cli(["compute", "--field", spec, "--order", order,
-                    "--points", str(path), "--out", "json"]) == 0
+    args = ["compute", "--field", spec, "--order", order,
+            "--points", str(path)]
+    assert run_cli(args + ["--out", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["verify"]["passed"] is True
+    assert run_cli(args + ["--out", "text"]) == 0
+    assert capsys.readouterr().out.endswith("\nverify: PASS\n")
