@@ -21,9 +21,13 @@ stack reduces the vectors after it by one rank-1 update.  The products run
 in float64 on base-2^b limbs, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
-denominator (fraction-free elimination with one gcd per row step, after
-Bareiss, Math. Comp. 22, 1968), a stack is a list of vectors, and
-Fractions appear only in the output.
+denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
+1968), a stack is a list of vectors, and Fractions appear only in the
+output.  A row step takes the gcd of the whole vector only when it grows
+the denominator.  A row whose pivot entry divides the vector's entry there
+leaves the denominator as it is, so the numerators stay the exact entries
+times that denominator: their content divides it, and the next step that
+grows the denominator divides the content out.
 """
 
 from __future__ import annotations
@@ -251,10 +255,15 @@ class RationalEngine:
     their one positive denominator as the last entry.  A stored row is a
     primitive integer list over its own pivot entry, which is positive.  A
     reduction step by a row R over d takes the vector V/D to
-    (d V - V[p] R)/(d D), with d and V[p] first divided by their gcd, and
-    divides out the gcd of the whole result, so no entry pays a gcd of its
-    own.  Fractions are built only for what the engine hands out:
-    reduction coefficients and the terms of G and Q.
+    (d V - V[p] R)/(d D), with d and V[p] first divided by their gcd.  A
+    step that leaves d > 1 divides out the gcd of the whole result, so no
+    entry pays a gcd of its own.  A step that leaves d = 1, where R[p]
+    divides V[p], is V - (V[p]/R[p]) R over the same D, with no multiply
+    and no gcd of the whole vector: the numerators are the new entries
+    times D, so the vector may keep a content, but one that divides D, and
+    the next step with d > 1 removes it.  Every consumer normalizes: _store
+    divides a row by its gcd, and what the engine hands out is built as
+    Fractions: reduction coefficients and the terms of G and Q.
     """
 
     def __init__(self, field, points):
@@ -304,8 +313,10 @@ class RationalEngine:
     @staticmethod
     def _step(v: list, row: list, p: int) -> None:
         """One row step in place: V/D to (d V - V[p] R)/(d D) for the row R
-        over d = R[p], with d and V[p] first divided by their gcd, then the
-        gcd of the whole result divided out."""
+        over d = R[p], with d and V[p] first divided by their gcd.  If that
+        leaves d = 1, the step is V - (V[p]/R[p]) R over the same D, and any
+        content stays, dividing D; otherwise the gcd of the whole result
+        is divided out."""
         a = v[p]
         if not a:
             return
@@ -313,6 +324,9 @@ class RationalEngine:
         h = gcd(a, d)
         if h > 1:
             a, d = a // h, d // h
+        if d == 1:
+            v[:-1] = [x - a * y if y else x for x, y in zip(v, row)]
+            return
         w = [d * x - a * y if y else d * x for x, y in zip(v, row)]
         w.append(d * v[-1])
         g = gcd(*w)

@@ -1,5 +1,7 @@
 """Cartesian criteria and maximal cartesian subsets."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as Fr
 
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from bmpoints.bm import bm_run, gpbm_run, spbm_run
 from bmpoints.cartesian import is_cartesian, max_cartesian_subset
+from bmpoints.cli import result_to_json
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import (EmptySetError, PointSet, coordinate_scale,
@@ -200,3 +203,72 @@ def test_gpbm_rational_block_with_new_denominators(seed):
             assert res.G == want.G, res.algorithm
             assert set(res.N) == set(want.N), res.algorithm
             assert verify_result(res).passed, res.algorithm
+
+
+def _digest(res) -> str:
+    """SHA-256 of the run's G, N, Q and pointPermutation as compute's JSON
+    gives them, keys sorted."""
+    doc = result_to_json(res)
+    keep = {k: doc[k] for k in ("G", "N", "Q", "pointPermutation")}
+    return hashlib.sha256(json.dumps(keep, sort_keys=True).encode()).hexdigest()
+
+
+# the runs of _pinned_runs, recorded before RationalEngine stopped taking a
+# vector's content on steps that keep its denominator
+PINNED_RATIONAL_DIGESTS = {
+    "block6+5 lex bm":
+        "088c20cacead12a35dd60e6670d1ae77b458a4f83c2bbed86e4b9bb589ff16e1",
+    "block6+5 lex gpbm":
+        "947c68cfcf90d86f1e151cc47fb36302a11ba8f3acfdf896bdffac942d251eaa",
+    "block6+5 lex spbm":
+        "3f792e037103b99ad07f13d3cd82408826487f2f017d463ea0cb5a1c2b942ffe",
+    "block6+5 inlex bm":
+        "fd4b71a1581ee9226c158d9dbb746c0df9581a83d3bca421cab92d7a3cc30de0",
+    "block6+5 inlex gpbm":
+        "3fa4b223f4d77d0bdefa6ab95fea88ab95fcf4c3f0d54341de3d0b06e781c774",
+    "block6+5 inlex spbm":
+        "29dfce61de7da47ce438fc7e07d89802679fe5197f5c168213d587fd70b2b1ac",
+    "block6+5 tdinlex bm":
+        "779dd054ef0f7f11e44777b4f8eb497b4d6d0c049356a5a061906f2f8444dd81",
+    "block6+5 tdinlex gpbm":
+        "a19ed833d2217453b12cb52981245a5f6e7a08cd3d48f8a9fd1479bb8ca9f262",
+    "block8+10 lex bm":
+        "bc44f6731b6c3e8673574c69ca4a610339c864f945979fb2a3898733668c32dc",
+    "block8+10 lex gpbm":
+        "f4996abb101c63436a36decf52326de8fc8e3d029ca67497f1907e2cd26396ad",
+    "block8+10 lex spbm":
+        "6264693e770bae9a278843a6fcf984d3fc66d6f7a9e02eb81921648187913347",
+    "block8+10 inlex bm":
+        "49155017f0e40fa4e453d33efa140fbba47de91178a7efc70e7b673d774bffb8",
+    "block8+10 inlex gpbm":
+        "334721e03ff0feab4f868f84c14af1dbcf1ac3ba9d2a0e488f41ebbb1f716cf0",
+    "block8+10 inlex spbm":
+        "5f8cc7e6da82ff1e4ee61f05906f8a0849d823a39536cb7eb5d218c52049758b",
+    "block8+10 tdinlex bm":
+        "465e157df5a12157915834728b1751fbcb582caaba3c0b429e69d8bd7947a938",
+    "block8+10 tdinlex gpbm":
+        "f666c4ebb9153528b4e21d2b47ef973834fc5cefb0c9c6afcefbde58d449473b",
+    "gen30 seed5 tdinlex bm":
+        "7c466e14e245aa736cd1cc1f632c971670474110920f0825e3bc5140adbf2854",
+}
+
+
+def _pinned_runs():
+    """Rational runs through the seeded path, two triangular blocks plus
+    loose points, and one unseeded tdinlex run: (name, result)."""
+    rng = random.Random(22)
+    coords = sorted({Fr(a, b) for a in range(-6, 7) for b in (1, 2, 3)})
+    runners = {"bm": bm_run, "gpbm": gpbm_run, "spbm": spbm_run}
+    for width, extra in ((6, 5), (8, 10)):
+        ps = _block_plus_noise(QQ, rng, width, extra, coords)
+        for order in (LEX, INLEX, TDINLEX):
+            for algo in ("bm", "gpbm", "spbm"):
+                if algo != "spbm" or order is not TDINLEX:
+                    yield (f"block{width}+{extra} {order.name} {algo}",
+                           runners[algo](ps, order))
+    yield "gen30 seed5 tdinlex bm", bm_run(gen_points(QQ, 30, 5), TDINLEX)
+
+
+def test_rational_runs_match_pinned_digests():
+    got = {name: _digest(res) for name, res in _pinned_runs()}
+    assert got == PINNED_RATIONAL_DIGESTS

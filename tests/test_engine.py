@@ -253,6 +253,49 @@ def test_rational_engine_matches_reference():
         assert [Fr(c, row[piv]) for c in row] == want
 
 
+def test_rational_step_keeps_denominator_when_pivot_divides():
+    """A row whose pivot entry divides the vector's entry there steps the
+    numerators alone: the denominator stays and the content is kept, until
+    a step by a row over a pivot entry above one divides it out.  A row
+    appended from a vector that still has content is primitive over a
+    positive pivot entry."""
+    # row 0 over 3, row 1 over 2; the vector (6, 1, 3)/3 has 6 at pivot 0
+    rows = [[3, 2, 0, 3, 0, 0], [0, 2, 1, 0, 1, 0]]
+    rows_q = [[Fr(c, row[r]) for c in row] for r, row in enumerate(rows)]
+    evals = [6, 1, 3, 3]
+    want_v = [Fr(c, evals[-1]) for c in evals[:-1]] + [Fr(0)] * 3
+    pts = [tuple(map(QQ.convert, pt)) for pt in POINTS]
+    for depth in (1, 2):
+        eng = RationalEngine(QQ, pts)
+        eng.bulk_load(rows[:depth])
+        V = eng.new_vectors([evals])
+        v = V[0]
+        want_c, want = _reference_reduce_q(rows_q[:depth],
+                                           list(range(depth)), want_v)
+        assert eng.reduce_into(V) == want_c
+        assert _entries(eng, v) == want
+        if depth == 1:
+            # V - 2 R over the unchanged 3, with its content 3 kept
+            assert v == [0, -3, 3, -6, 0, 0, 3]
+            assert gcd(*v) == 3
+        else:
+            assert gcd(*v) == 1
+    eng = RationalEngine(QQ, pts)
+    eng.bulk_load(rows[:1])
+    V = eng.new_vectors([evals, evals])
+    eng.reduce_into(V)
+    piv = eng.pivot_of(V[0])
+    assert piv == 1 and V[0][piv] < 0
+    eng.append_row(V[0], piv, V[1:])
+    row = eng.mat[-1]
+    assert row == [0, 1, -1, 2, -1, 0]
+    assert row[piv] > 0 and gcd(*row) == 1
+    # the same vector again is minus the new slot: its tail reads -1
+    # though a d = 1 step kept the content 3 of -3/3
+    assert _entries(eng, V[1]) == [0, 0, 0, 0, -1, 0]
+    assert eng.tail_terms(V[1]) == [0, -1, 0]
+
+
 @pytest.mark.parametrize("engine_cls, field", [
     (PrimeEngine, make_field("q:23")),
     (PrimeEngine, make_field("q:2147483647")),
