@@ -43,23 +43,11 @@ from .verify import verify_parts, verify_result
 EXIT_PIPE = 141  # stdout closed early: 128 + SIGPIPE, as a shell reports
 
 
-def result_json_text(result: BMResult, report=None) -> str:
-    """The result as JSON text, byte for byte json.dumps(doc, indent=2) of
-    its document, with report's "verify" block last when given: the
-    pieces of _json_pieces joined."""
-    return "".join(_json_pieces(result, report))
-
-
 def result_to_json(result: BMResult) -> dict:
     """The result's JSON document: field, order, algorithm, G and Q as
     lists of [i, j, "c"] triples descending under the order, N and
     pointPermutation."""
-    return json.loads(result_json_text(result))
-
-
-def result_text(result: BMResult) -> str:
-    """The result as text: the pieces of _text_pieces joined."""
-    return "".join(_text_pieces(result))
+    return json.loads("".join(_json_pieces(result)))
 
 
 def _column_orders(result: BMResult):
@@ -70,9 +58,10 @@ def _column_orders(result: BMResult):
 
 
 def _json_pieces(result: BMResult, report=None):
-    """result_json_text as a run of strings, G and Q a block of
-    poly.RENDER_ROWS rows at a time, so that compute can write each before
-    the next is rendered.
+    """The result as JSON text, byte for byte json.dumps(doc, indent=2) of
+    its document, with report's "verify" block last when given: a run of
+    strings, G and Q a block of poly.RENDER_ROWS rows at a time, so that
+    compute can write each before the next is rendered.
 
     dumps uses its C encoder only without indent, so with indent=2 it walks
     every term in Python.  Here G and Q are rendered from their matrices
@@ -125,7 +114,7 @@ def _json_array(items: list, pad: str) -> str:
 
 
 def _text_pieces(result: BMResult):
-    """result_text as a run of strings, G and Q a block of
+    """The result as text, a run of strings, G and Q a block of
     poly.RENDER_ROWS rows at a time (text_rows), one line per row."""
     g_perm, q_perm = _column_orders(result)
     yield (f"field: {result.field.name}\norder: {result.order.name}\n"

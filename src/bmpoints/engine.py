@@ -53,9 +53,9 @@ def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
 
     x is cut into base-2^b limbs, with b as large as keeps every float64 sum
     below 2^53, and all limbs go through m in one product.  The certificate's
-    evaluator (poly._matmul_mod) keeps its own copy of this scheme, on
-    blocks that skip zero coefficients and with balanced table entries, so
-    it shares no code with the engine.
+    evaluator (poly._matmul_mod) keeps its own copy of this scheme, on row
+    blocks read up to their last nonzero column and with balanced table
+    entries, so it shares no code with the engine.
     """
     depth = m.shape[0]
     bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1

@@ -12,7 +12,6 @@ exponent to coefficient, the library's view of one row.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
 
 import numpy as np
@@ -129,7 +128,7 @@ class PolyMatrix:
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
 
-# rows and columns of the blocks whose zero coefficients skip a product
+# rows per block of _matmul_mod, each read up to its last nonzero column
 _BLOCK = 128
 
 
@@ -157,17 +156,6 @@ def _power_rows(base: np.ndarray, exps, p: int) -> np.ndarray:
     return rows
 
 
-def _runs(mask: np.ndarray) -> list:
-    """(start, stop) of every run of True in a boolean vector."""
-    runs, start = [], 0
-    for on, run in groupby(mask.tolist()):
-        stop = start + len(list(run))
-        if on:
-            runs.append((start, stop))
-        start = stop
-    return runs
-
-
 def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
                 lower: bool = False) -> np.ndarray:
     """coeffs @ table mod p, exactly, for int64 coeffs in [0, p) and a
@@ -175,14 +163,15 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
     lower, only the entries [k, m] with m <= k are sure to be computed;
     the others are exact or zero.
 
-    Both axes of coeffs are cut into _BLOCK-wide blocks, and the product
-    of a zero coefficient block is skipped, so the skip is read from the
-    input alone.  The monomial axis is cut into chunks and the
-    coefficients into base-2^b limbs, with b as large as keeps every
-    float64 sum below 2^53; the sums of a chunk add up in float64 and are
-    reduced once.  When one limb holds every coefficient, as over q:23,
-    that is a single float64 product.  engine._mul_mod runs the same
-    scheme; this copy keeps the certificate free of engine code.
+    coeffs is cut into _BLOCK-row blocks, and each block is read only up
+    to its last nonzero column, so a block's depth is read from the input
+    alone and a block with no nonzero coefficient takes no product.  The
+    monomial axis is cut into chunks and the coefficients into base-2^b
+    limbs, with b as large as keeps every float64 sum below 2^53; the sums
+    of a chunk add up in float64 and are reduced once.  When one limb
+    holds every coefficient, as over q:23, that is a single float64
+    product.  engine._mul_mod runs the same scheme; this copy keeps the
+    certificate free of engine code.
     """
     n, depth = coeffs.shape
     out = np.zeros((n, table.shape[1]), dtype=np.int64)
@@ -194,29 +183,20 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
         bits = ((_FLOAT_EXACT - 1) // (c.shape[1] * (p // 2))
                 + 1).bit_length() - 1
         shifts = range(0, width, bits)
-        nonzero = np.logical_or.reduceat(
-            np.logical_or.reduceat(c != 0, range(0, n, _BLOCK), axis=0),
-            range(0, c.shape[1], _BLOCK), axis=1)
-        for r0, blocks in zip(range(0, n, _BLOCK), nonzero):
-            runs = _runs(blocks)
-            if not runs:
-                continue
+        for r0 in range(0, n, _BLOCK):
             r1 = min(r0 + _BLOCK, n)
+            used = np.flatnonzero(c[r0:r1].any(axis=0))
+            if not used.size:
+                continue
+            d = used[-1] + 1
+            rows = c[r0:r1, :d]
             cols = r1 if lower else t.shape[1]
             if len(shifts) == 1:
-                limbs = c[r0:r1].astype(np.float64)
+                limbs = rows.astype(np.float64)
             else:
-                limbs = np.concatenate([(c[r0:r1] >> s) & ((1 << bits) - 1)
+                limbs = np.concatenate([(rows >> s) & ((1 << bits) - 1)
                                         for s in shifts]).astype(np.float64)
-            acc = None
-            for a, b in runs:
-                a, b = a * _BLOCK, b * _BLOCK
-                part = limbs[:, a:b] @ t[a:b, :cols]
-                if acc is None:
-                    acc = part
-                else:
-                    acc += part
-            parts = acc.astype(np.int64)
+            parts = (limbs @ t[:d, :cols]).astype(np.int64)
             h = r1 - r0
             block = out[r0:r1, :cols]
             block += parts[:h]
@@ -287,17 +267,23 @@ class MonomialTable:
                               for x, y in self.points], dtype=object)
 
     def sums(self, polys: PolyMatrix, lower: bool = False):
-        """(sums, dens) for polys at the table's points, as value_sums gives
-        them; the exponents of polys must be among the table's.
+        """(sums, dens): polys row k at points[m] is sums[k, m] / dens[k, m],
+        exactly, with every denominator positive; the exponents of polys
+        must be among the table's.
+
+        Over F_p the sums are the values, one exact modular matrix product
+        as int64 (_matmul_mod), and the denominators are a read-only
+        broadcast of one; a PolyMatrix over a prefix of exps uses the table
+        as it is, any other is padded out to exps.  Over Q each row's
+        coefficients are scaled by L, the lcm of their denominators; one
+        integer matrix product with the table rows of its exponents then
+        gives every value as a sum over L b^I d^J, both object arrays of
+        Python integers.  No row is padded.
 
         With lower, polys row k is evaluated only at points m <= k, the
         triangle the Newton check reads, and (sums, dens) are square: over
-        F_p the entries above it are exact or zero, over Q zero.  Over F_p
-        a product whose coefficient block is zero is skipped
-        (_matmul_mod); a PolyMatrix over a prefix of exps uses the table as
-        it is, any other is padded out to exps.  Over Q no row is padded:
-        the product reads the table rows of its exponents, and under lower
-        each row takes one product over its nonzero coefficients.
+        F_p the entries above it are exact or zero; over Q they are zero,
+        and each row takes one product over its nonzero coefficients.
         """
         n = len(polys)
         idx = [self.row[e] for e in polys.exps]
@@ -329,29 +315,15 @@ class MonomialTable:
         return sums, np.outer(np.array(L, dtype=object), self.dens[:width])
 
 
-def value_sums(polys: PolyMatrix, points):
-    """(sums, dens): polys row k at points[m] is sums[k, m] / dens[k, m],
-    exactly, with every denominator positive.
-
-    The monomial table (MonomialTable) covers exactly the exponents of
-    polys, whether or not they lie in N, so corrupt input is evaluated as
-    is; a negative exponent is a ValueError.  Its powers take one
-    multiplication per exponent step.  Over F_p the sums are the values,
-    one exact modular matrix product as int64 (_matmul_mod), and the
-    denominators are a read-only broadcast of one.  Over Q each row's
-    coefficients are scaled by L, the lcm of their denominators; one
-    integer matrix product with the table then gives every value as a sum
-    over L b^I d^J, both object arrays of Python integers.  The
-    certificate builds one table for G and Q and calls MonomialTable.sums
-    for each.
-    """
-    return MonomialTable(polys.field, polys.exps, points).sums(polys)
-
-
 def values_at(polys: PolyMatrix, points) -> np.ndarray:
     """values[k, m] = polys row k at points[m], exactly: int64 over F_p,
-    an object array of Fractions over Q, both from value_sums."""
-    sums, dens = value_sums(polys, points)
+    an object array of Fractions over Q.
+
+    The monomial table covers exactly the exponents of polys, whether or
+    not they lie in N, so corrupt input is evaluated as is; a negative
+    exponent is a ValueError.
+    """
+    sums, dens = MonomialTable(polys.field, polys.exps, points).sums(polys)
     if polys.field.char:
         return sums
     return np.frompyfunc(Fraction, 2, 1)(sums, dens)

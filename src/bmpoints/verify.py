@@ -9,8 +9,8 @@ poly.MonomialTable over Q's exponents and G's others, at the points in
 pointPermutation order (input order when the permutation is invalid), and
 the vanishing and Newton checks both evaluate against it: G at every
 point, Q only on the triangle m <= k.  Over F_p these are exact modular
-matrix products in 128-row blocks that skip a block whose coefficients
-are zero in the input; over Q, integer matrix products over common
+matrix products in 128-row blocks, each read up to its last nonzero
+column in the input; over Q, integer matrix products over common
 denominators, Q's row by row over its nonzero coefficients.  The checks
 compare integer sums with zero or their denominators, so no value becomes
 a Fraction.  Every check reads only the points, G, N, Q and the

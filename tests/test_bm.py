@@ -26,6 +26,7 @@ from conftest import (EX1_BORDER, EX1_G_TEXT, EX1_N, EX1_Q_TEXT, EX1_U,
                       leading_monomials, values)
 
 ALL_ORDERS = (LEX, INLEX, TDINLEX)
+F23 = make_field("q:23")
 BIG = make_field("q:2147483647")
 
 
@@ -176,12 +177,13 @@ def test_cartesian_subset_monomials_inside_escalier(seed, size):
 @pytest.mark.parametrize("field, points", [
     (BIG, [(x, y) for x in range(7) for y in range(7)]),
     (F7, [(x, y) for x in range(7) for y in range(7)]),
+    (F23, [(x, y) for x in range(23) for y in range(23)]),
     (BIG, [(2**31 - 2, 12345)]),
     (BIG, [(x * 104729, 2**30) for x in range(12)]),
     (BIG, [(2**31 - 2, y * y + 1) for y in range(12)]),
     (BIG, list(gen_points(BIG, 40, seed=8))),
-], ids=["grid-7x7", "plane-F7", "single-point", "one-row", "one-column",
-        "random-40"])
+], ids=["grid-7x7", "plane-F7", "plane-F23", "single-point", "one-row",
+        "one-column", "random-40"])
 def test_extreme_sets_agree_and_certify(field, points):
     ps = PointSet(field, points)
     for order in ALL_ORDERS:
@@ -192,9 +194,13 @@ def test_extreme_sets_agree_and_certify(field, points):
             assert res.G == runs[0].G, res.algorithm
             assert set(res.N) == set(runs[0].N), res.algorithm
             assert verify_result(res).passed, res.algorithm
-    if field is F7 and len(points) == 49:
-        # the ideal of the whole plane F_7^2 is (x^7 - x, y^7 - y)
-        assert {poly_text(g, LEX) for g in runs[0].G} == {"x^7+6x", "y^7+6y"}
+    p = field.char
+    if len(points) == p * p:
+        # the ideal of the whole plane F_p^2 is (x^p - x, y^p - y); at
+        # p = 23, Q spans five row blocks of the certificate's product and
+        # G's tails are one term each
+        assert {poly_text(g, LEX) for g in runs[0].G} == {
+            f"x^{p}+{p - 1}x", f"y^{p}+{p - 1}y"}
 
 
 def _one_by_one_run(ps, order, cover=None, removed=()):

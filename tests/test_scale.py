@@ -10,7 +10,7 @@ from bmpoints.bm import SPBM_AXIS, bm_run, gpbm_run, spbm_run
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover, lower_set_of
-from bmpoints.poly import PolyMatrix, value_sums
+from bmpoints.poly import PolyMatrix, values_at
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
 
@@ -86,7 +86,7 @@ def _tdinlex_staircase(ps) -> list:
     ascend, y^d first within a layer, and a monomial joins N when its
     values at the points are independent of those of every smaller
     monomial.  A multiple of a rejected monomial is skipped unvisited.
-    The values come from poly.value_sums and the elimination is an int64
+    The values come from poly.values_at and the elimination is an int64
     one mod p written here, so no code is shared with the engine."""
     p, mu = ps.field.char, len(ps)
     rows, pivots, N, rejected = [], [], [], []
@@ -98,7 +98,7 @@ def _tdinlex_staircase(ps) -> list:
         assert layer, "every monomial of a degree rejected before N is full"
         d += 1
         ident = np.eye(len(layer), dtype=np.int64)
-        values, _ = value_sums(PolyMatrix(ps.field, layer, ident), ps.points)
+        values = values_at(PolyMatrix(ps.field, layer, ident), ps.points)
         for e, v in zip(layer, values):
             for row, piv in zip(rows, pivots):
                 if v[piv]:

@@ -4,6 +4,7 @@ import ast
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bmpoints.engine
@@ -15,7 +16,7 @@ from bmpoints.newton import evaluation_matrix, newton_basis_rows
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
 from bmpoints.poly import (_BLOCK, MonomialTable, PolyMatrix, Polynomial,
-                           poly_text, values_at)
+                           _matmul_mod, poly_text, values_at)
 from bmpoints.randgen import gen_points
 from bmpoints.verify import (CapExceededError, VerifyReport, check_newton,
                              check_reduced_gb, check_vanishing, oracle_dense,
@@ -203,6 +204,63 @@ def test_values_mod_p_rejects_negative_exponent():
     with pytest.raises(ValueError):
         values_at(PolyMatrix.from_polys(F7, [Polynomial(F7, {(0, -1): 1})]),
                   [(1, 2)])
+
+
+def _block_coeffs(p, rng):
+    """Coefficients mod p over 150 monomials in four _BLOCK-row blocks:
+    rows that end at different columns up to 37, an all-zero block, a
+    block whose only nonzero entry is in the last column, and a lower
+    triangular block cut off at 22 rows."""
+    coeffs = np.zeros((3 * _BLOCK + 22, 150), dtype=np.int64)
+    for k in range(_BLOCK):
+        end = rng.randrange(38)
+        coeffs[k, :end] = [rng.randrange(p) for _ in range(end)]
+    coeffs[2 * _BLOCK + rng.randrange(_BLOCK), -1] = rng.randrange(1, p)
+    for k in range(3 * _BLOCK, len(coeffs)):
+        coeffs[k, :k - 3 * _BLOCK + 1] = rng.randrange(1, p)
+    return coeffs
+
+
+def _matmul_mod_reference(coeffs, table, p):
+    """coeffs @ table mod p in Python integers."""
+    rows = table.astype(np.int64).tolist()
+    out = []
+    for row in coeffs.tolist():
+        acc = [0] * len(rows[0])
+        for c, t in zip(row, rows):
+            if c:
+                acc = [a + c * v for a, v in zip(acc, t)]
+        out.append([a % p for a in acc])
+    return out
+
+
+def _check_matmul_mod(p, rng):
+    coeffs = _block_coeffs(p, rng)
+    half = p // 2
+    table = np.array([[rng.randint(-half, half)
+                       for _ in range(len(coeffs) + 3)]
+                      for _ in range(coeffs.shape[1])], dtype=np.float64)
+    want = _matmul_mod_reference(coeffs, table, p)
+    assert _matmul_mod(coeffs, table, p).tolist() == want
+    got = _matmul_mod(coeffs, table, p, lower=True)
+    assert got.shape == (len(coeffs), table.shape[1])
+    for k, (row, ref) in enumerate(zip(got.tolist(), want)):
+        assert row[:k + 1] == ref[:k + 1]
+        assert all(v in (0, r) for v, r in zip(row[k + 1:], ref[k + 1:]))
+
+
+# p = 23 takes one limb, p = 2^31-1 three at this depth
+@pytest.mark.parametrize("field", [F23, BIG], ids=["p=23", "p=2^31-1"])
+def test_matmul_mod_matches_python_ints(field):
+    _check_matmul_mod(field.p, random.Random(field.p))
+
+
+def test_matmul_mod_chunks_and_limbs(monkeypatch):
+    # as in test_values_mod_p_chunks_monomial_axis: the 150 monomials go
+    # in chunks of 93 and 57, each split into five one-bit limbs, so the
+    # first block is empty in the second chunk and the third in the first
+    monkeypatch.setattr(bmpoints.poly, "_FLOAT_EXACT", 2**10)
+    _check_matmul_mod(23, random.Random(5))
 
 
 def _first_vanishing_failure(G, ps):
