@@ -183,19 +183,20 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
             _advance(t, piv is not None, N, L, queued, order.key)
     N = list(N)
     # G ascending by leading monomial: the tails over N, then a one at
-    # the element's own leading monomial
+    # the element's own leading monomial, as its denominator over itself
     rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))
     mu, g = len(N), len(g_lts)
     G = np.zeros((g, mu + g), dtype=np.int64 if field.char else object)
+    dens = np.ones(g, dtype=G.dtype)
     for k, r in enumerate(rank):
-        G[k, :mu] = g_tails[r]
-    G[range(g), range(mu, mu + g)] = field.one
+        G[k, :mu], dens[k] = g_tails[r]
+    G[range(g), range(mu, mu + g)] = dens
     imap = ps.index_map()
     return BMResult(field=field, order=order, algorithm=algorithm,
                     points=ps, run_points=run_points, N=N,
                     G_dense=PolyMatrix(field, N + [g_lts[r] for r in rank],
-                                       G),
-                    Q_dense=PolyMatrix(field, N, eng.coeff_terms()),
+                                       G, None if field.char else dens),
+                    Q_dense=PolyMatrix(field, N, *eng.coeff_terms()),
                     point_permutation=[imap[run_points[p]]
                                        for p in eng.pivot_indices()],
                     seeded_count=seeded, processed=mu - seeded + g)

@@ -22,17 +22,19 @@ in float64 on base-2^b limbs, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
-1968), a stack is a list of vectors, and Fractions appear only in the
-output.  A row step takes the gcd of the whole vector only when it grows
-the denominator.  A row whose pivot entry divides the vector's entry there
-leaves the denominator as it is, so the numerators stay the exact entries
-times that denominator: their content divides it, and the next step that
-grows the denominator divides the content out.
+1968), a stack is a list of vectors, and no value becomes a Fraction: a
+reduction coefficient is a (numerator, denominator) pair, and the
+coefficient halves handed out for G and Q are integer rows over their
+least common denominators, the form of poly.PolyMatrix.  A row step takes
+the gcd of the whole vector only when it grows the denominator.  A row
+whose pivot entry divides the vector's entry there leaves the denominator
+as it is, so the numerators stay the exact entries times that
+denominator: their content divides it, and the next step that grows the
+denominator divides the content out.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import index
 
@@ -113,6 +115,12 @@ def _divisor_chain(e, cache) -> list:
         i, j = chain[-1]
         chain.append((i - 1, j) if i else (0, j - 1))
     return chain[::-1]
+
+
+def _lowest(half: list, den: int) -> tuple:
+    """(half, den) divided by their gcd, for den > 0."""
+    g = gcd(den, *half)
+    return ([c // g for c in half], den // g) if g > 1 else (half, den)
 
 
 class PrimeEngine:
@@ -233,14 +241,16 @@ class PrimeEngine:
         self.pivots[:k] = np.arange(k)
         self.nrows = k
 
-    def tail_terms(self, v: np.ndarray) -> np.ndarray:
-        """The coefficient half of v, copied out of its stack: its
-        coefficient of each slot."""
-        return v[self.mu:].copy()
+    def tail_terms(self, v: np.ndarray) -> tuple:
+        """(half, 1): the coefficient half of v, copied out of its stack,
+        its coefficient of each slot, over the denominator one."""
+        return v[self.mu:].copy(), 1
 
-    def coeff_terms(self) -> np.ndarray:
-        """The coefficient halves of the stored rows, one row per slot."""
-        return self.mat[:self.nrows, self.mu:].astype(np.int64)
+    def coeff_terms(self) -> tuple:
+        """(coeffs, None): the coefficient halves of the stored rows, one
+        row per slot; None stands for the denominators, as in
+        poly.PolyMatrix over F_p."""
+        return self.mat[:self.nrows, self.mu:].astype(np.int64), None
 
     def pivot_indices(self) -> list:
         return [int(p) for p in self.pivots[:self.nrows]]
@@ -262,8 +272,9 @@ class RationalEngine:
     and no gcd of the whole vector: the numerators are the new entries
     times D, so the vector may keep a content, but one that divides D, and
     the next step with d > 1 removes it.  Every consumer normalizes: _store
-    divides a row by its gcd, and what the engine hands out is built as
-    Fractions: reduction coefficients and the terms of G and Q.
+    divides a row by its gcd, and a coefficient half handed out for G or
+    Q is divided by its gcd with its denominator (_lowest).  Reduction
+    coefficients are handed out as (V[p], D) pairs, not reduced.
     """
 
     def __init__(self, field, points):
@@ -301,12 +312,12 @@ class RationalEngine:
 
     def reduce_into(self, v: list) -> list:
         """Reduce the stack v in place against all rows, in order; returns
-        the row coefficients as Fractions, flattened vector by vector."""
+        the row coefficients, flattened vector by vector: a nonzero one as
+        a pair (numerator, denominator) of ints, a zero one as 0."""
         coeffs = []
-        zero = self.field.zero
         for w in v:
             for row, p in zip(self.mat, self.pivots):
-                coeffs.append(Fraction(w[p], w[-1]) if w[p] else zero)
+                coeffs.append((w[p], w[-1]) if w[p] else 0)
                 self._step(w, row, p)
         return coeffs
 
@@ -370,20 +381,20 @@ class RationalEngine:
         for r, row in enumerate(rows):
             self._store(row, r)
 
-    def _half(self, v: list, den: int) -> list:
-        return [Fraction(c, den) if c else 0 for c in v[self.mu:2 * self.mu]]
+    def tail_terms(self, v: list) -> tuple:
+        """(numerators, denominator): the coefficient half of v over its
+        least common denominator."""
+        return _lowest(v[self.mu:2 * self.mu], v[-1])
 
-    def tail_terms(self, v: list) -> list:
-        """The coefficient half of v as Fractions, zeros as 0."""
-        return self._half(v, v[-1])
-
-    def coeff_terms(self) -> np.ndarray:
-        """The coefficient halves of the stored rows as an object array,
-        one row per slot."""
+    def coeff_terms(self) -> tuple:
+        """(coeffs, dens): the coefficient halves of the stored rows, one
+        row per slot, as an object array of integers, row r over its least
+        common denominator dens[r]."""
         out = np.zeros((self.nrows, self.mu), dtype=object)
+        dens = np.zeros(self.nrows, dtype=object)
         for r, (row, p) in enumerate(zip(self.mat, self.pivots)):
-            out[r] = self._half(row, row[p])
-        return out
+            out[r], dens[r] = _lowest(row[self.mu:], row[p])
+        return out, dens
 
     def pivot_indices(self) -> list:
         return list(self.pivots)

@@ -2,17 +2,19 @@
 evaluation at many points at once.
 
 A PolyMatrix holds many polynomials as the rows of one coefficient matrix
-over a list of exponents: int64 over F_p, an object array over Q.  It is
-the form a run produces (G and Q over the slots of N), the form both
-writers render, text and JSON through one term walk (render_rows), and
-the form the certificate checks.  A Polynomial is a sparse map from
-exponent to coefficient, the library's view of one row.
+over a list of exponents: int64 over F_p; over Q, rows of Python integers,
+each over its own least common denominator.  It is the form a run
+produces (G and Q over the slots of N), the form both writers render, text
+and JSON through one term walk (render_rows), and the form the
+certificate checks.  A Polynomial is a sparse map from exponent to
+coefficient, the library's view of one row, with Fraction coefficients
+over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -58,23 +60,28 @@ class Polynomial:
 class PolyMatrix:
     """Polynomials as the rows of one coefficient matrix.
 
-    coeffs[k, c] is polynomial k's coefficient of x^i y^j, (i, j) =
-    exps[c]; the exponents are distinct.  Over F_p coeffs is int64 with
-    entries in [0, p), over Q an object array of Fractions and integer
-    zeros.  Instances are treated as immutable.
+    Polynomial k's coefficient of x^i y^j, (i, j) = exps[c], is
+    coeffs[k, c]; the exponents are distinct.  Over F_p coeffs is int64
+    with entries in [0, p) and dens is None.  Over Q the coefficient is
+    coeffs[k, c] / dens[k]: coeffs is an object array of Python integers,
+    and dens[k] > 0 is row k's least common denominator, so gcd(dens[k],
+    *coeffs[k]) == 1.  Instances are treated as immutable.
     """
 
-    __slots__ = ("field", "exps", "coeffs")
+    __slots__ = ("field", "exps", "coeffs", "dens")
 
-    def __init__(self, field: Field, exps: list, coeffs: np.ndarray):
+    def __init__(self, field: Field, exps: list, coeffs: np.ndarray,
+                 dens: np.ndarray = None):
         self.field = field
         self.exps = exps
         self.coeffs = coeffs
+        self.dens = dens
 
     @classmethod
     def from_terms(cls, field: Field, rows) -> "PolyMatrix":
         """Rows of (exponent, coefficient) pairs, coefficients already in
-        the field; the terms of one exponent in one row add up."""
+        the field; the terms of one exponent in one row add up.  Over Q
+        each row is then scaled by the lcm of its denominators."""
         col: dict = {}
         ks, cs, vals = [], [], []
         for k, row in enumerate(rows):
@@ -89,7 +96,13 @@ class PolyMatrix:
                   np.array(vals, dtype=coeffs.dtype))
         if field.char:
             coeffs %= field.char
-        return cls(field, list(col), coeffs)
+            return cls(field, list(col), coeffs)
+        rows = coeffs.tolist()
+        dens = [lcm(*(c.denominator for c in row)) for row in rows]
+        nums = np.array([[c.numerator * (d // c.denominator) for c in row]
+                         for row, d in zip(rows, dens)],
+                        dtype=object).reshape(coeffs.shape)
+        return cls(field, list(col), nums, np.array(dens, dtype=object))
 
     @classmethod
     def from_polys(cls, field: Field, polys) -> "PolyMatrix":
@@ -100,8 +113,12 @@ class PolyMatrix:
         return self.coeffs.shape[0]
 
     def polynomial(self, k: int) -> Polynomial:
-        return Polynomial(self.field, {e: c for e, c in zip(
-            self.exps, self.coeffs[k].tolist()) if c})
+        row = self.coeffs[k].tolist()
+        if self.dens is not None:
+            d = self.dens[k]
+            row = [Fraction(c, d) if c else 0 for c in row]
+        return Polynomial(self.field, {e: c for e, c in zip(self.exps, row)
+                                       if c})
 
     def polys(self) -> list:
         """Every row as a Polynomial."""
@@ -274,11 +291,11 @@ class MonomialTable:
         Over F_p the sums are the values, one exact modular matrix product
         as int64 (_matmul_mod), and the denominators are a read-only
         broadcast of one; a PolyMatrix over a prefix of exps uses the table
-        as it is, any other is padded out to exps.  Over Q each row's
-        coefficients are scaled by L, the lcm of their denominators; one
-        integer matrix product with the table rows of its exponents then
-        gives every value as a sum over L b^I d^J, both object arrays of
-        Python integers.  No row is padded.
+        as it is, any other is padded out to exps.  Over Q the rows are
+        already integers over their denominators L = polys.dens; one
+        integer matrix product with the table rows of its exponents gives
+        every value as a sum over L b^I d^J, both object arrays of Python
+        integers.  No row is padded.
 
         With lower, polys row k is evaluated only at points m <= k, the
         triangle the Newton check reads, and (sums, dens) are square: over
@@ -299,11 +316,7 @@ class MonomialTable:
                 table = self.values
             sums = _matmul_mod(coeffs, table, p, lower)[:, :width]
             return sums, np.broadcast_to(np.int64(1), sums.shape)
-        rows = polys.coeffs.tolist()
-        L = [lcm(*(c.denominator for c in row)) for row in rows]
-        coeffs = np.array([[c.numerator * (lk // c.denominator) for c in row]
-                           for row, lk in zip(rows, L)],
-                          dtype=object).reshape(n, len(idx))
+        coeffs = polys.coeffs
         table = self.values[:len(idx)] if prefix else self.values[idx]
         if lower:
             sums = np.zeros((n, n), dtype=object)
@@ -312,7 +325,7 @@ class MonomialTable:
                 sums[k, :k + 1] = coeffs[k, nz] @ table[nz, :k + 1]
         else:
             sums = coeffs @ table
-        return sums, np.outer(np.array(L, dtype=object), self.dens[:width])
+        return sums, np.outer(polys.dens, self.dens[:width])
 
 
 def values_at(polys: PolyMatrix, points) -> np.ndarray:
@@ -342,17 +355,24 @@ def monomial_text(e: Exponent) -> str:
 RENDER_ROWS = 256
 
 
+def _ratio_text(c: int, d: int) -> str:
+    """str(Fraction(c, d)) for d > 0, at one gcd."""
+    g = gcd(c, d)
+    return str(c // g) if g == d else f"{c // g}/{d // g}"
+
+
 def render_rows(polys: PolyMatrix, perm: np.ndarray, columns, glue: str,
                 monomials: bool = False):
     """The rows' texts, a list per RENDER_ROWS rows: each row's nonzero
     terms in the column order perm, joined by glue; "" for a zero row.
 
     columns[k], the text of column perm[k], is rendered once.  A term is
-    its column's text and then its coefficient's, as str() renders it;
-    with monomials the coefficient comes first, and 1 and -1 show as ""
-    and "-" before a nonempty column text.  Over a field with no more
-    elements than the matrix has nonzero terms, each element's text is
-    rendered once and looked up per term.
+    its column's text and then its coefficient's, as str() renders it, a
+    rational c / d in lowest terms; with monomials the coefficient comes
+    first, and 1 and -1 (|c| = d over Q) show as "" and "-" before a
+    nonempty column text.  Over a field with no more elements than the
+    matrix has nonzero terms, each element's text is rendered once and
+    looked up per term.
     """
     columns = np.array(columns, dtype=object)
     shown = columns != ""
@@ -368,14 +388,19 @@ def render_rows(polys: PolyMatrix, perm: np.ndarray, columns, glue: str,
         # [glue, coefficient, column]; a row drops its last or first glue
         pieces = [glue] * (3 * len(cols))
         pieces[2 if monomials else 0::3] = columns[cols].tolist()
-        pieces[1::3] = map(text, values.tolist())
+        if polys.dens is None:
+            one = 1
+            pieces[1::3] = map(text, values.tolist())
+        else:  # each term over its row's denominator
+            one = polys.dens[r0:r0 + RENDER_ROWS][rows]
+            pieces[1::3] = map(_ratio_text, values.tolist(), one.tolist())
         if monomials:  # "1" and "-1" lose their 1
-            for t in np.flatnonzero((abs(values) == 1)
+            for t in np.flatnonzero((abs(values) == one)
                                     & shown[cols]).tolist():
                 pieces[3 * t + 1] = pieces[3 * t + 1][:-1]
         out, start = [], int(monomials)
         for n in np.bincount(rows, minlength=len(coeffs)).tolist():
-            out.append("".join(pieces[start:start + 3 * n - 1]))
+            out.append("".join(pieces[start:start + 3 * n - 1]) if n else "")
             start += 3 * n
         yield out
 
@@ -390,7 +415,8 @@ def text_rows(polys: PolyMatrix, perm: np.ndarray):
 
 def row_text(polys: PolyMatrix, k: int, order: TermOrder) -> str:
     """Row k as text, terms descending under order."""
-    row = PolyMatrix(polys.field, polys.exps, polys.coeffs[k:k + 1])
+    dens = None if polys.dens is None else polys.dens[k:k + 1]
+    row = PolyMatrix(polys.field, polys.exps, polys.coeffs[k:k + 1], dens)
     return next(text_rows(row, row.column_order(order)))[0]
 
 
@@ -401,9 +427,8 @@ def poly_text(p: Polynomial, order: TermOrder) -> str:
 
 def poly_json_terms(p: Polynomial, order: TermOrder) -> list:
     """JSON form: [i, j, "coeff"] triples descending under order."""
-    m = PolyMatrix.from_polys(p.field, [p])
-    return [[*m.exps[c], str(m.coeffs[0, c])]
-            for c in m.column_order(order).tolist()]
+    return [[i, j, str(c)] for (i, j), c in sorted(
+        p.terms.items(), key=lambda t: order.key(t[0]), reverse=True)]
 
 
 def poly_matrix_from_json(field: Field, entries) -> PolyMatrix:

@@ -10,11 +10,13 @@ pointPermutation order (input order when the permutation is invalid), and
 the vanishing and Newton checks both evaluate against it: G at every
 point, Q only on the triangle m <= k.  Over F_p these are exact modular
 matrix products in 128-row blocks, each read up to its last nonzero
-column in the input; over Q, integer matrix products over common
-denominators, Q's row by row over its nonzero coefficients.  The checks
-compare integer sums with zero or their denominators, so no value becomes
-a Fraction.  Every check reads only the points, G, N, Q and the
-permutation, and neither field's path uses the engine code.
+column in the input; over Q, integer matrix products of the rows'
+numerators, each row over its denominator, Q's row by row over its
+nonzero coefficients.  The checks compare integer sums with zero or their
+denominators, and "monic" compares each leading numerator with its row's
+denominator, so no value becomes a Fraction.  Every check reads only the
+points, G, N, Q and the permutation, and neither field's path uses the
+engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
@@ -99,7 +101,8 @@ def check_reduced_gb(G: PolyMatrix, N, order: TermOrder,
     lead = G.leading(order)
     lms = [G.exps[c] for c in lead.tolist()]
     rows = np.arange(len(G))
-    rep.add("monic", bool((G.coeffs[rows, lead] == G.field.one).all()))
+    one = G.field.one if G.dens is None else G.dens
+    rep.add("monic", bool((G.coeffs[rows, lead] == one).all()))
 
     clash = next(((a, b) for a in lms for b in lms
                   if a != b and exp_divides(a, b)), None)

@@ -205,8 +205,9 @@ def test_extreme_sets_agree_and_certify(field, points):
 
 def _one_by_one_run(ps, order, cover=None, removed=()):
     """Reference loop that reduces one candidate at a time: (N, G
-    exponents, G coefficients, Q coefficients, point_permutation,
-    processed).  Its shift filters scan L and G, independent of the
+    exponents, G coefficients, G denominators, Q coefficients, Q
+    denominators, point_permutation, processed); the denominators are
+    None over F_p.  Its shift filters scan L and G, independent of the
     loop's own queueing."""
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -230,7 +231,7 @@ def _one_by_one_run(ps, order, cover=None, removed=()):
         piv = eng.pivot_of(v)
         if piv is None:
             g_lts.append(t)
-            g_tails.append(list(eng.tail_terms(v)))
+            g_tails.append(eng.tail_terms(v))
             L = [u for u in L if not exp_divides(t, u)]
         else:
             eng.append_row(v, piv, V[1:])
@@ -243,12 +244,19 @@ def _one_by_one_run(ps, order, cover=None, removed=()):
                 insort(L, cand, key=order.key)
     rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))
     mu = len(N)
-    G = [g_tails[r] + [field.one if k == j else 0 for j in range(len(rank))]
+    G = [list(g_tails[r][0]) + [g_tails[r][1] if k == j else 0
+                                for j in range(len(rank))]
          for k, r in enumerate(rank)]
+    g_dens = None if field.char else [g_tails[r][1] for r in rank]
+    q_coeffs, q_dens = eng.coeff_terms()
     imap = ps.index_map()
-    return (N, N + [g_lts[r] for r in rank], G,
-            eng.coeff_terms().tolist(),
+    return (N, N + [g_lts[r] for r in rank], G, g_dens, q_coeffs.tolist(),
+            None if q_dens is None else q_dens.tolist(),
             [imap[run_points[p]] for p in eng.pivot_indices()], processed)
+
+
+def _dens(m):
+    return None if m.dens is None else m.dens.tolist()
 
 
 def _batch_sizes(monkeypatch) -> list:
@@ -300,7 +308,8 @@ def test_batched_loop_matches_one_by_one(field, size, monkeypatch):
                     else (line_cover(ps, SPBM_AXIS[order.name]), ()))
                 want = _one_by_one_run(ps, order, cover, removed)
                 got = (res.N, res.G_dense.exps, res.G_dense.coeffs.tolist(),
-                       res.Q_dense.coeffs.tolist(), res.point_permutation,
+                       _dens(res.G_dense), res.Q_dense.coeffs.tolist(),
+                       _dens(res.Q_dense), res.point_permutation,
                        res.processed)
                 assert got == want, (run.__name__, order.name)
                 if run is bm_run or ps is triangle:

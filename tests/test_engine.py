@@ -32,6 +32,16 @@ def _stack(eng, values):
     return eng.new_vectors([_evals(eng, values)])
 
 
+def _coeffs(eng, got) -> list:
+    """reduce_into's coefficients as field values: over Q a nonzero one is
+    a (numerator, denominator) pair of ints and a zero one the int 0."""
+    if eng.field.char:
+        return [int(a) for a in got]
+    assert all(type(a) is tuple and a[0] and a[1] > 0 if a
+               else type(a) is int for a in got)
+    return [Fr(*a) if a else Fr(0) for a in got]
+
+
 def _entries(eng, v) -> list:
     """The entries of an engine vector as field values."""
     if eng.field.char:
@@ -54,7 +64,7 @@ def test_reduce_into(engine_cls, field, evals, rows, coeffs, tail):
     assert eng.nrows == len(rows)
     v = _stack(eng, [field.convert(c) for c in evals])
     got = eng.reduce_into(v)
-    assert [field.convert(int(a)) for a in got] == coeffs
+    assert _coeffs(eng, got) == coeffs
     want = evals + [0, 0, 0] if tail is None else [0, 0, 0] + tail
     assert _entries(eng, v[0]) == [field.convert(c) for c in want]
 
@@ -202,7 +212,9 @@ def test_rational_engine_matches_reference():
     appends of monomial vectors at points of 7-bit height, to depth 31:
     every reduction returns the coefficients and residual of a sequential
     Fraction reduction, and every stored row is that reduction's row, kept
-    as a primitive integer row over a positive pivot entry."""
+    as a primitive integer row over a positive pivot entry.  The
+    coefficient halves handed out, of each residual and of the stored
+    rows, are integer rows over their least common denominators."""
     rng = random.Random(12)
     mu, seeded, depth = 36, 10, 31
     pts = []
@@ -233,8 +245,11 @@ def test_rational_engine_matches_reference():
         assert _entries(eng, v) == evals + [Fr(0)] * mu
         want_c, want_v = _reference_reduce_q(rows, pivots,
                                              evals + [Fr(0)] * mu)
-        assert eng.reduce_into(V) == want_c
+        assert _coeffs(eng, eng.reduce_into(V)) == want_c
         assert _entries(eng, v) == want_v
+        tail, d = eng.tail_terms(v)
+        assert d > 0 and gcd(d, *tail) == 1
+        assert [Fr(c, d) for c in tail] == want_v[mu:]
         piv = eng.pivot_of(v)
         assert piv == next((c for c in range(mu) if want_v[c]), None)
         if piv is None:
@@ -251,6 +266,11 @@ def test_rational_engine_matches_reference():
         assert row[piv] > 0
         assert gcd(*row) == 1
         assert [Fr(c, row[piv]) for c in row] == want
+    coeffs, dens = eng.coeff_terms()
+    assert coeffs.shape == (depth, mu) and dens.shape == (depth,)
+    for row, d, want in zip(coeffs.tolist(), dens.tolist(), rows):
+        assert d > 0 and gcd(d, *row) == 1
+        assert [Fr(c, d) for c in row] == want[mu:]
 
 
 def test_rational_step_keeps_denominator_when_pivot_divides():
@@ -272,7 +292,7 @@ def test_rational_step_keeps_denominator_when_pivot_divides():
         v = V[0]
         want_c, want = _reference_reduce_q(rows_q[:depth],
                                            list(range(depth)), want_v)
-        assert eng.reduce_into(V) == want_c
+        assert _coeffs(eng, eng.reduce_into(V)) == want_c
         assert _entries(eng, v) == want
         if depth == 1:
             # V - 2 R over the unchanged 3, with its content 3 kept
@@ -291,9 +311,9 @@ def test_rational_step_keeps_denominator_when_pivot_divides():
     assert row == [0, 1, -1, 2, -1, 0]
     assert row[piv] > 0 and gcd(*row) == 1
     # the same vector again is minus the new slot: its tail reads -1
-    # though a d = 1 step kept the content 3 of -3/3
+    # over 1 though a d = 1 step kept the content 3 of -3/3
     assert _entries(eng, V[1]) == [0, 0, 0, 0, -1, 0]
-    assert eng.tail_terms(V[1]) == [0, -1, 0]
+    assert eng.tail_terms(V[1]) == ([0, -1, 0], 1)
 
 
 @pytest.mark.parametrize("engine_cls, field", [

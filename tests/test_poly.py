@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +11,8 @@ from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.poly import (PolyMatrix, Polynomial, ZeroPolynomialError,
                            monomial_text, poly_json_terms,
-                           poly_matrix_from_json, poly_text, text_rows,
-                           values_at)
+                           poly_matrix_from_json, poly_text, render_rows,
+                           text_rows, values_at)
 from conftest import reference_value
 
 F7 = make_field("q:7")
@@ -23,6 +24,17 @@ exponents = st.tuples(st.integers(min_value=0, max_value=6),
                       st.integers(min_value=0, max_value=6))
 f7_polys = st.dictionaries(exponents, st.integers(min_value=1, max_value=6),
                            max_size=8).map(lambda d: Polynomial(F7, d))
+# signed numerators of up to ~300 digits over positive denominators, with
+# integers, one, minus one and zero among them
+BIG_INT = 10**300
+rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-BIG_INT, BIG_INT).map(Fraction),
+    st.builds(Fraction, st.integers(-BIG_INT, BIG_INT),
+              st.integers(1, BIG_INT)))
+# rows of terms; an exponent may repeat, and a row may sum to zero
+q_term_rows = st.lists(st.lists(st.tuples(exponents, rationals),
+                                max_size=8), max_size=5)
 
 
 @given(polys=st.lists(f7_polys, max_size=4))
@@ -50,6 +62,39 @@ def test_json_round_trip(p):
     for order in (LEX, INLEX, TDINLEX):
         stored = poly_matrix_from_json(F7, [poly_json_terms(p, order)])
         assert stored.polys() == [p]
+
+
+@given(rows=q_term_rows)
+def test_rational_rows_over_least_common_denominator(rows):
+    """from_terms and from_polys over Q give integer rows over their
+    least common denominators that round-trip through polys(); both
+    renderers print each term as str() prints its Fraction."""
+    want = []
+    for row in rows:
+        terms: dict = {}
+        for e, c in row:
+            terms[e] = terms.get(e, 0) + c
+        want.append(Polynomial(QQ, {e: c for e, c in terms.items() if c}))
+    for m in (PolyMatrix.from_terms(QQ, rows),
+              PolyMatrix.from_polys(QQ, want)):
+        assert m.coeffs.shape == (len(rows), len(m.exps))
+        assert m.dens.shape == (len(rows),)
+        for row, d in zip(m.coeffs.tolist(), m.dens.tolist()):
+            assert all(type(c) is int for c in [d, *row])
+            assert d > 0 and gcd(d, *row) == 1
+        assert m.polys() == want
+        columns = [f"{i},{j}:" for i, j in m.exps]
+        for order in (LEX, INLEX, TDINLEX):
+            perm = m.column_order(order)
+            texts = [t for block in text_rows(m, perm) for t in block]
+            jsons = [t for block in render_rows(
+                m, perm, [columns[c] for c in perm.tolist()], ";")
+                for t in block]
+            for q, text, js in zip(want, texts, jsons, strict=True):
+                ref = sorted(q.terms.items(), key=lambda t: order.key(t[0]),
+                             reverse=True)
+                assert text == _reference_text(QQ, ref)
+                assert js == ";".join(f"{i},{j}:{c}" for (i, j), c in ref)
 
 
 def test_monomial_text():

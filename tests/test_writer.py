@@ -4,6 +4,7 @@ text byte for byte as recorded before both shared one renderer."""
 
 import hashlib
 import json
+import random
 from pathlib import Path
 from fractions import Fraction as Fr
 
@@ -26,6 +27,32 @@ RUNNERS = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}
 TEXT_DIGESTS = json.loads(
     (Path(__file__).parent / "text_digests.json").read_text())
 
+
+def _rational_grid(seed: int, width: int = 5, extra: int = 4) -> list:
+    """A width-wide triangular cartesian block plus `extra` loose points
+    on other coordinates, shuffled; coordinates are rationals of 7-bit
+    numerator and denominator, as in perfbench's rational-grid."""
+    rng = random.Random(seed)
+
+    def distinct(k, avoid=()):
+        out = []
+        while len(out) < k:
+            v = Fr(rng.choice((-1, 1)) * rng.randrange(64, 128),
+                   rng.randrange(64, 128))
+            if v not in out and v not in avoid:
+                out.append(v)
+        return out
+
+    xs, ys = distinct(width), distinct(width)
+    pts = [(xs[i], ys[j]) for j in range(width) for i in range(width - j)]
+    while len(pts) < width * (width + 1) // 2 + extra:
+        pt = (distinct(1, xs)[0], distinct(1, ys)[0])
+        if pt not in pts:
+            pts.append(pt)
+    rng.shuffle(pts)
+    return pts
+
+
 CASES = {
     "q7-golden": ("q:7", EX5_POINTS),
     "q2^31-1": ("q:2147483647", gen_points(BIG, 30, seed=5).points),
@@ -37,6 +64,9 @@ CASES = {
     "rational-ex1": ("rational", EX1_POINTS),
     "rational-ex2": ("rational", EX2_POINTS),
     "rational-single": ("rational", [(Fr(-7, 3), Fr(5, 2))]),
+    # coefficients of up to ~100-digit numerators and denominators, whose
+    # integer rows share factors with their denominators
+    "rational-grid": ("rational", _rational_grid(24)),
     "q7-single": ("q:7", [(3, 5)]),
 }
 
