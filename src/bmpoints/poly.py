@@ -149,25 +149,30 @@ _FLOAT_EXACT = 2**53
 _BLOCK = 128
 
 
-def _power_rows(base: np.ndarray, exps, p: int) -> np.ndarray:
-    """rows[r] = base ** exps[r] mod p, for ascending exponents >= 0: one
-    multiplication per exponent step of one, square-and-multiply across a
-    wider gap."""
-    rows = np.empty((len(exps), base.size), dtype=np.int64)
+def _power_rows(base: np.ndarray, exps, p: int = 0) -> np.ndarray:
+    """rows[r] = base ** exps[r] for ascending exponents >= 0, in base's
+    dtype: mod p when p is nonzero (int64), else exactly (object arrays of
+    Python integers).  One multiplication per exponent step of one,
+    square-and-multiply across a wider gap, so only the listed powers are
+    kept."""
+    def mul(a, b):
+        return a * b % p if p else a * b
+
+    rows = np.empty((len(exps), base.size), dtype=base.dtype)
     cur = np.ones_like(base)
     prev = 0
     for r, e in enumerate(exps):
         if e == prev + 1:
-            cur = cur * base % p
+            cur = mul(cur, base)
         elif e != prev:
             step, n, sq = np.ones_like(base), e - prev, base
             while n:
                 if n & 1:
-                    step = step * sq % p
+                    step = mul(step, sq)
                 n >>= 1
                 if n:
-                    sq = sq * sq % p
-            cur = cur * step % p
+                    sq = mul(sq, sq)
+            cur = mul(cur, step)
         rows[r] = cur
         prev = e
     return rows
@@ -183,12 +188,13 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
     coeffs is cut into _BLOCK-row blocks, and each block is read only up
     to its last nonzero column, so a block's depth is read from the input
     alone and a block with no nonzero coefficient takes no product.  The
-    monomial axis is cut into chunks and the coefficients into base-2^b
-    limbs, with b as large as keeps every float64 sum below 2^53; the sums
-    of a chunk add up in float64 and are reduced once.  When one limb
-    holds every coefficient, as over q:23, that is a single float64
-    product.  engine._mul_mod runs the same scheme; this copy keeps the
-    certificate free of engine code.
+    monomial axis is cut into chunks and each block's coefficients into
+    base-2^b limbs, with b as large as keeps every float64 sum over the
+    block's depth d below 2^53, d (2^b - 1) (p // 2) < 2^53; the sums of a
+    chunk add up in float64 and are reduced once.  When one limb holds
+    every coefficient, as over q:23, that is a single float64 product.
+    engine._mul_mod runs the same scheme; this copy keeps the certificate
+    free of engine code.
     """
     n, depth = coeffs.shape
     out = np.zeros((n, table.shape[1]), dtype=np.int64)
@@ -197,15 +203,14 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
     for t0 in range(0, depth, span):
         c = coeffs[:, t0:t0 + span]
         t = table[t0:t0 + span]
-        bits = ((_FLOAT_EXACT - 1) // (c.shape[1] * (p // 2))
-                + 1).bit_length() - 1
-        shifts = range(0, width, bits)
         for r0 in range(0, n, _BLOCK):
             r1 = min(r0 + _BLOCK, n)
             used = np.flatnonzero(c[r0:r1].any(axis=0))
             if not used.size:
                 continue
-            d = used[-1] + 1
+            d = int(used[-1]) + 1
+            bits = ((_FLOAT_EXACT - 1) // (d * (p // 2)) + 1).bit_length() - 1
+            shifts = range(0, width, bits)
             rows = c[r0:r1, :d]
             cols = r1 if lower else t.shape[1]
             if len(shifts) == 1:
@@ -226,30 +231,26 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
 
 def _scaled_powers(coords, exps, top: int) -> np.ndarray:
     """rows[r, m] = a^exps[r] * b^(top - exps[r]) for coords[m] = a/b, for
-    ascending exponents: one multiplication per exponent step."""
+    ascending exponents at most top: _power_rows on the numerators over
+    exps and on the denominators over the complements top - exps[r]."""
     nums = np.array([v.numerator for v in coords], dtype=object)
     dens = np.array([v.denominator for v in coords], dtype=object)
-    ones = np.ones(len(coords), dtype=object)
-    num_pow, den_pow = [ones], [ones]
-    for _ in range(top):
-        num_pow.append(num_pow[-1] * nums)
-        den_pow.append(den_pow[-1] * dens)
-    rows = np.empty((len(exps), len(coords)), dtype=object)
-    for r, e in enumerate(exps):
-        rows[r] = num_pow[e] * den_pow[top - e]
-    return rows
+    return (_power_rows(nums, exps)
+            * _power_rows(dens, [top - e for e in reversed(exps)])[::-1])
 
 
 class MonomialTable:
     """The values of the monomials exps at points, computed once for every
     PolyMatrix whose exponents are among exps.
 
-    Over F_p values[r, m] is exps[r] at points[m] mod p, as an exact
-    float64 of absolute value at most p // 2, which leaves the limbs of
-    _matmul_mod one bit more.  Over Q, with x = a/b, y = c/d and I, J the
-    largest exponents, values[r, m] is the integer a^i b^(I-i) c^j d^(J-j)
-    and exps[r] at points[m] is values[r, m] / dens[m], with dens[m] =
-    b^I d^J.  A negative exponent is a ValueError.
+    Both fields build only the powers of each coordinate that exps list
+    (_power_rows).  Over F_p values[r, m] is exps[r] at points[m] mod p,
+    as an exact float64 of absolute value at most p // 2, which leaves the
+    limbs of _matmul_mod one bit more.  Over Q, with x = a/b, y = c/d and
+    I, J the largest exponents, values[r, m] is the integer a^i b^(I-i)
+    c^j d^(J-j) (_scaled_powers) and exps[r] at points[m] is values[r, m]
+    / dens[m], with dens[m] = b^I d^J.  A negative exponent is a
+    ValueError.
     """
 
     __slots__ = ("field", "exps", "points", "row", "values", "dens")
@@ -288,14 +289,14 @@ class MonomialTable:
         exactly, with every denominator positive; the exponents of polys
         must be among the table's.
 
-        Over F_p the sums are the values, one exact modular matrix product
-        as int64 (_matmul_mod), and the denominators are a read-only
-        broadcast of one; a PolyMatrix over a prefix of exps uses the table
-        as it is, any other is padded out to exps.  Over Q the rows are
-        already integers over their denominators L = polys.dens; one
-        integer matrix product with the table rows of its exponents gives
-        every value as a sum over L b^I d^J, both object arrays of Python
-        integers.  No row is padded.
+        Both fields take the table rows of polys' exponents: the leading
+        rows as they are when the exponents are a prefix of exps, else a
+        gather.  Over F_p the sums are the values, one exact modular
+        matrix product as int64 (_matmul_mod), and the denominators are a
+        read-only broadcast of one.  Over Q the rows are already integers
+        over their denominators L = polys.dens; one integer matrix product
+        with the table rows gives every value as a sum over L b^I d^J,
+        both object arrays of Python integers.
 
         With lower, polys row k is evaluated only at points m <= k, the
         triangle the Newton check reads, and (sums, dens) are square: over
@@ -304,20 +305,14 @@ class MonomialTable:
         """
         n = len(polys)
         idx = [self.row[e] for e in polys.exps]
-        prefix = idx == list(range(len(idx)))
+        table = (self.values[:len(idx)] if idx == list(range(len(idx)))
+                 else self.values[idx])
         width = n if lower else len(self.points)
         p = self.field.char
         if p:
-            if prefix:
-                coeffs, table = polys.coeffs, self.values[:len(idx)]
-            else:
-                coeffs = np.zeros((n, len(self.exps)), dtype=np.int64)
-                coeffs[:, idx] = polys.coeffs
-                table = self.values
-            sums = _matmul_mod(coeffs, table, p, lower)[:, :width]
+            sums = _matmul_mod(polys.coeffs, table, p, lower)[:, :width]
             return sums, np.broadcast_to(np.int64(1), sums.shape)
         coeffs = polys.coeffs
-        table = self.values[:len(idx)] if prefix else self.values[idx]
         if lower:
             sums = np.zeros((n, n), dtype=object)
             for k in range(n):

@@ -56,8 +56,9 @@ def _rows(basis) -> np.ndarray:
 def _polys(basis) -> list:
     """The basis elements as Polynomials, from the coefficient half of
     their rows."""
-    return PolyMatrix(basis.field, basis.index_order,
-                      _rows(basis)[:, len(basis):]).polys()
+    return PolyMatrix.from_terms(basis.field, [
+        zip(basis.index_order, row)
+        for row in _rows(basis)[:, len(basis):].tolist()]).polys()
 
 
 def test_cols_basis_first_example():

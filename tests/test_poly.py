@@ -1,16 +1,19 @@
 """Polynomials: leading monomials, evaluation, rendering, JSON."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.poly import (PolyMatrix, Polynomial, ZeroPolynomialError,
-                           monomial_text, poly_json_terms,
+                           _power_rows, monomial_text, poly_json_terms,
                            poly_matrix_from_json, poly_text, render_rows,
                            text_rows, values_at)
 from conftest import reference_value
@@ -35,6 +38,9 @@ rationals = st.one_of(
 # rows of terms; an exponent may repeat, and a row may sum to zero
 q_term_rows = st.lists(st.lists(st.tuples(exponents, rationals),
                                 max_size=8), max_size=5)
+# ascending exponents from 1 up, by steps of one and wider gaps
+gapped_exponents = st.lists(st.integers(1, 30), min_size=1,
+                            max_size=6).map(lambda s: list(accumulate(s)))
 
 
 @given(polys=st.lists(f7_polys, max_size=4))
@@ -243,6 +249,49 @@ def test_values_at_matches_reference(field):
                      points).shape == (0, len(points))
     assert values_at(PolyMatrix.from_polys(field, polys),
                      []).shape == (len(polys), 0)
+
+
+@pytest.mark.parametrize("p", [0, 23, 2**31 - 1],
+                         ids=["exact", "p=23", "p=2^31-1"])
+@given(base=st.lists(st.one_of(st.sampled_from([0, 1, -1]),
+                               st.integers(-10**120, 10**120)), max_size=5),
+       exps=gapped_exponents)
+def test_power_rows_matches_pow(p, base, exps):
+    if p:
+        array = np.array([b % p for b in base], dtype=np.int64)
+        want = [[pow(b, e, p) for b in base] for e in exps]
+    else:
+        array = np.array(base, dtype=object)
+        want = [[b**e for b in base] for e in exps]
+    rows = _power_rows(array, exps, p)
+    assert rows.dtype == array.dtype
+    assert rows.tolist() == want
+
+
+def test_values_at_rational_gapped_exponents():
+    rng = random.Random(43)
+    exps = [(0, 0), (3, 1), (40, 0), (41, 7)]
+    coords = [QQ.zero, QQ.one, Fraction(-1), Fraction(-7, 3),
+              Fraction(5, 12), Fraction(2**70 + 1, 3**40)]
+    points = [(x, y) for x in coords for y in coords]
+    polys = [Polynomial(QQ, {e: QQ.one}) for e in exps]
+    polys += [Polynomial(QQ, {e: _random_coefficient(QQ, rng) for e in exps})
+              for _ in range(3)]
+    got = values_at(PolyMatrix.from_polys(QQ, polys), points).tolist()
+    assert got == [[reference_value(q, pt) for pt in points] for q in polys]
+
+
+def test_evaluate_keeps_only_listed_powers():
+    # a table of every power of 3 and 7 up to 20000 traces over 100 MiB
+    q = Polynomial(QQ, {(20000, 0): QQ.one, (0, 0): QQ.one})
+    tracemalloc.start()
+    try:
+        value = q.evaluate((Fraction(3, 7), QQ.one))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(3**20000 + 7**20000, 7**20000)
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("field", [QQ, F23], ids=["rational", "p=23"])

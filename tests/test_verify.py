@@ -234,12 +234,32 @@ def _matmul_mod_reference(coeffs, table, p):
     return out
 
 
-def _check_matmul_mod(p, rng):
+def _block_case(p, rng):
+    """_block_coeffs against a random table."""
     coeffs = _block_coeffs(p, rng)
     half = p // 2
     table = np.array([[rng.randint(-half, half)
                        for _ in range(len(coeffs) + 3)]
                       for _ in range(coeffs.shape[1])], dtype=np.float64)
+    return coeffs, table
+
+
+def _deep_case(p, rng):
+    """Coefficients and table entries within 2^8 of their bounds, p - 1
+    and +-(p // 2), over 200 monomials: a first block that stops at column
+    _BLOCK, the deepest that two 16-bit limbs keep exact at p = 2^31-1,
+    and a short block that runs to the last column."""
+    coeffs = np.array([[p - 1 - rng.randrange(2**8) for _ in range(200)]
+                       for _ in range(_BLOCK + 6)], dtype=np.int64)
+    coeffs[:_BLOCK, _BLOCK:] = 0
+    table = np.array([[p // 2 - rng.randrange(2**8)
+                       for _ in range(len(coeffs) + 3)]
+                      for _ in range(coeffs.shape[1])], dtype=np.float64)
+    table[:, 1::2] *= -1
+    return coeffs, table
+
+
+def _check_matmul_mod(coeffs, table, p):
     want = _matmul_mod_reference(coeffs, table, p)
     assert _matmul_mod(coeffs, table, p).tolist() == want
     got = _matmul_mod(coeffs, table, p, lower=True)
@@ -249,18 +269,24 @@ def _check_matmul_mod(p, rng):
         assert all(v in (0, r) for v, r in zip(row[k + 1:], ref[k + 1:]))
 
 
-# p = 23 takes one limb, p = 2^31-1 three at this depth
-@pytest.mark.parametrize("field", [F23, BIG], ids=["p=23", "p=2^31-1"])
-def test_matmul_mod_matches_python_ints(field):
-    _check_matmul_mod(field.p, random.Random(field.p))
+# p = 23 takes one limb; at p = 2^31-1 a block of depth at most 128
+# takes two, a deeper one three
+@pytest.mark.parametrize("p, case", [(F23.p, _block_case),
+                                     (BIG.p, _block_case),
+                                     (BIG.p, _deep_case)],
+                         ids=["p=23", "p=2^31-1", "p=2^31-1-deep"])
+def test_matmul_mod_matches_python_ints(p, case):
+    _check_matmul_mod(*case(p, random.Random(p)), p)
 
 
 def test_matmul_mod_chunks_and_limbs(monkeypatch):
     # as in test_values_mod_p_chunks_monomial_axis: the 150 monomials go
-    # in chunks of 93 and 57, each split into five one-bit limbs, so the
-    # first block is empty in the second chunk and the third in the first
+    # in chunks of 93 and 57, and each block splits into limbs as wide as
+    # its depth allows: five one-bit limbs, three two-bit ones for the
+    # 22-column triangle; the first block is empty in the second chunk and
+    # the third in the first
     monkeypatch.setattr(bmpoints.poly, "_FLOAT_EXACT", 2**10)
-    _check_matmul_mod(23, random.Random(5))
+    _check_matmul_mod(*_block_case(23, random.Random(5)), 23)
 
 
 def _first_vanishing_failure(G, ps):
