@@ -8,17 +8,18 @@ of costing a symbolic pass per reduction.  An engine numbers the slots
 itself, the slot of a stored row being its row number, and caches the
 monomial vectors it builds.
 
-Over F_p, row r is zero at the pivots of the rows before it and one at its
-own, so the pivot block A = mat[:r, pivots[:r]] is unit upper triangular.
-A stack of vectors, one per row of an int64 array, reduces by solving
-C A = V[:, pivots] against A as stored, by forward substitution in diagonal
-blocks of _BASE_BLOCK rows, and then by one product V - C mat, instead of a
-loop over the rows: the blocked triangular solve of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks are
-inverted, so a seeded block costs no elimination beyond them, and a block
-is inverted again only after rows have joined it.  A row appended from the
-stack reduces the vectors after it by one rank-1 update.  The products run
-in float64 on base-2^b limbs, so every sum stays exact.
+Over F_p the evaluation columns are kept pivot first: column c holds point
+colperm[c], and row r is one at column r and zero at the columns before it,
+so the pivot block A = mat[:r, :r] is unit upper triangular.  A stack of
+vectors, one per row of an int64 array, reduces by solving C A = V[:, :r]
+by forward substitution in diagonal blocks of _BASE_BLOCK rows, each block
+and the rows above it slices of mat, then by one product V - C mat over the
+columns after the pivots: the blocked triangular solve of FFLAS-FFPACK
+(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks
+are inverted, so a seeded block costs no elimination beyond them, and a
+block is inverted again only after rows have joined it.  A row appended
+from the stack reduces the vectors after it by one rank-1 update.  The
+products run in float64 on base-2^b limbs, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
@@ -135,17 +136,17 @@ class PrimeEngine:
         self.width = 2 * mu
         self.xs = np.array([x for x, _ in points], dtype=np.int64)
         self.ys = np.array([y for _, y in points], dtype=np.int64)
-        # rows, and all the solve caches from them, are float64, the right
+        # rows, and the inverses taken from them, are float64, the right
         # operands of every product; their entries lie in [0, p), so they
         # are exact
         self.mat = np.zeros((mu, self.width))
-        self.pivots = np.zeros(mu, dtype=np.int64)
+        # the point of each evaluation column, so row r pivots at colperm[r]
+        self.colperm = np.arange(mu)
         self.nrows = 0
-        # per diagonal block of the pivot block, first one first: the rows
-        # above it at its pivots, and its inverse; the last may cover fewer
-        # rows than its block holds now
+        # the inverse of each diagonal block of the pivot block, first one
+        # first; the last may cover fewer rows than its block holds now
         self.blocks: list = []
-        # monomial vectors by exponent, each built from a cached divisor
+        # point-order monomial vectors by exponent, each from a cached divisor
         self.cache = {(0, 0): np.ones(mu, dtype=np.int64)}
 
     def monomial_vector(self, e):
@@ -159,9 +160,9 @@ class PrimeEngine:
         return v
 
     def new_vectors(self, evals) -> np.ndarray:
-        """A stack of vectors, one row per entry of evals."""
+        """A stack of vectors, one row per point-order entry of evals."""
         v = np.zeros((len(evals), self.width), dtype=np.int64)
-        v[:, :self.mu] = evals
+        v[:, :self.mu] = np.asarray(evals)[:, self.colperm]
         return v
 
     def reduce_into(self, v: np.ndarray):
@@ -170,60 +171,53 @@ class PrimeEngine:
 
         The residual that is zero at every pivot is unique, so c equals the
         coefficients of a sequential row-by-row reduction.  Block by block,
-        c_b = (v[:, pivots_b] - c_<b mat[:s_b, pivots_b]) D_b^-1, with s_b
-        the block's first row and D_b its diagonal block.  No stored row
-        has a coefficient beyond slot r - 1, so only the first mu + r
-        columns change.
+        c_b = (v[:, s:e] - c_<b mat[:s, s:e]) D_b^-1, where block b holds
+        rows s..e-1 and D_b = mat[s:e, s:e].  The residual is then zero in the
+        r pivot columns, and no stored row has a coefficient beyond slot
+        r - 1, so only columns r..mu + r - 1 take the product.
         """
         r, p, cols = self.nrows, self.p, self.mu + self.nrows
         c = np.zeros((len(v), r), dtype=np.int64)
         if not r:
             return c.ravel()
-        for s in range(0, r, _BASE_BLOCK):
+        for b, s in enumerate(range(0, r, _BASE_BLOCK)):
             e = min(s + _BASE_BLOCK, r)
-            above, d_inv = self._block(s, e)
-            w = v[:, self.pivots[s:e]]
+            if b == len(self.blocks) or len(self.blocks[b]) < e - s:
+                d = self.mat[s:e, s:e].astype(np.int64)
+                self.blocks[b:] = [_unitri_inverse(d, p).astype(np.float64)]
+            w = v[:, s:e]
             if s:
-                w = (w - _mul_mod(c[:, :s], above, p)) % p
-            c[:, s:e] = _mul_mod(w, d_inv, p)
-        v[:, :cols] -= _mul_mod(c, self.mat[:r, :cols], p)
-        v[:, :cols] %= p
+                w = (w - _mul_mod(c[:, :s], self.mat[:s, s:e], p)) % p
+            c[:, s:e] = _mul_mod(w, self.blocks[b], p)
+        v[:, r:cols] -= _mul_mod(c, self.mat[:r, r:cols], p)
+        v[:, r:cols] %= p
+        v[:, :r] = 0
         return c.ravel()
 
-    def _block(self, s: int, e: int):
-        """The rows :s at the pivots of rows s..e-1, and the inverse of the
-        diagonal block of rows s..e-1.  Both are taken on the block's first
-        use and again only when rows have joined it since, because a gather
-        of scattered columns from every row above costs more than the
-        products that read it."""
-        b = s // _BASE_BLOCK
-        if b == len(self.blocks) or len(self.blocks[b][1]) < e - s:
-            cols = self.mat[:e, self.pivots[s:e]]
-            d_inv = _unitri_inverse(cols[s:].astype(np.int64), self.p)
-            self.blocks[b:] = [(cols[:s], d_inv.astype(np.float64))]
-        return self.blocks[b]
-
     def pivot_of(self, v: np.ndarray):
-        """First nonzero coordinate of the evaluation half, or None."""
-        nz = np.nonzero(v[:self.mu])[0]
-        return int(nz[0]) if nz.size else None
+        """The nonzero evaluation column of the lowest point, or None."""
+        nz = v[:self.mu].nonzero()[0]
+        return int(nz[self.colperm[nz].argmin()]) if nz.size else None
 
     def append_row(self, v: np.ndarray, pivot: int, rest):
         """Normalize the pivot to 1 and store v as the next row, whose slot
-        is its row number, with that slot's own coefficient.  The stack
-        rest, the vectors after v in its batch (some perhaps never
-        processed, perhaps none), is reduced against the new row by one
-        rank-1 update, exact in int64 as every product is below
-        p^2 < 2^63."""
+        is its row number, with that slot's own coefficient.  A pivot
+        column other than column r first swaps into place r, in the rows,
+        v, rest and colperm.  The stack rest, the vectors after v in its
+        batch (some perhaps never processed, perhaps none), is reduced
+        against the new row by one rank-1 update, exact in int64 as every
+        product is below p^2 < 2^63."""
         p, r = self.p, self.nrows
-        s = self.field.inv(int(v[pivot]))
+        if pivot != r:
+            for a in (self.mat[:r], v, rest, self.colperm):
+                a[..., [r, pivot]] = a[..., [pivot, r]]
+        s = self.field.inv(int(v[r]))
         v = v * s % p
         v[self.mu + r] = s
         self.mat[r] = v
-        self.pivots[r] = pivot
         self.nrows = r + 1
         cols = self.mu + r + 1
-        rest[:, :cols] = (rest[:, :cols] - rest[:, pivot, None] * v[:cols]) % p
+        rest[:, :cols] = (rest[:, :cols] - rest[:, r, None] * v[:cols]) % p
 
     def bulk_load(self, aug_rows) -> None:
         """Store k unitriangular rows with entries in [0, p): row r has its
@@ -238,7 +232,6 @@ class PrimeEngine:
         if ((first != np.arange(k)).any() or (np.diagonal(evals) != 1).any()
                 or self.mat[:k, self.mu + k:].any()):
             raise RuntimeError("seeded rows are not unit upper triangular")
-        self.pivots[:k] = np.arange(k)
         self.nrows = k
 
     def tail_terms(self, v: np.ndarray) -> tuple:
@@ -253,7 +246,7 @@ class PrimeEngine:
         return self.mat[:self.nrows, self.mu:].astype(np.int64), None
 
     def pivot_indices(self) -> list:
-        return [int(p) for p in self.pivots[:self.nrows]]
+        return self.colperm[:self.nrows].tolist()
 
 
 class RationalEngine:

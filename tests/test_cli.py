@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -197,7 +198,9 @@ def test_verify_names_malformed_entries(tmp_path, capsys):
                              ("Q", [[0, 0, "7"]],
                               "Q[0] is the zero polynomial"),
                              ("N", [0, 0, 1], "N[0] is not a pair"),
-                             ("N", 3, "N[0] is not a pair")):
+                             ("N", 3, "N[0] is not a pair"),
+                             ("G", [[0, 2, "x"]],
+                              "bad prime-field literal 'x'")):
         bad = json.loads(json.dumps(doc))
         bad[key][0] = entry
         res.write_text(json.dumps(bad))
@@ -229,6 +232,22 @@ def test_verify_from_json_keeps_every_failure(tmp_path, capsys):
     bad["G"][1] = [[1, 1, "3"], [1, 1, "4"]]  # 3 + 4 = 0 mod 7
     assert verify(bad) == 2
     assert "G[1] is the zero polynomial" in capsys.readouterr().err
+
+
+def test_verify_fails_empty_result_without_traceback(tmp_path, capsys):
+    """A result with no G, N, Q or pointPermutation is well formed and
+    wrong: the checks report it, and nothing raises."""
+    pts, doc = _stored_result(tmp_path, capsys)
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps(dict(doc, G=[], N=[], Q=[],
+                                   pointPermutation=[])))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "FAIL N size equals point count: 0 vs 3" in lines
+    assert lines[-1] == "FAIL overall"
+    assert "Traceback" not in captured.err
 
 
 def test_verify_names_wrong_json_types(tmp_path, capsys):
@@ -457,3 +476,14 @@ def test_compute_under_optimize_flag(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "verify: PASS" in proc.stdout
+
+
+def test_no_assert_statements_in_package():
+    """python -O strips assert statements, so the package checks its
+    invariants by raising instead."""
+    found = []
+    for path in sorted(Path(bmpoints.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -42,10 +42,18 @@ def _coeffs(eng, got) -> list:
     return [Fr(*a) if a else Fr(0) for a in got]
 
 
+def _point_order(eng, v) -> list:
+    """PrimeEngine vectors or rows as lists, the evaluation half read in
+    point order through colperm."""
+    v = np.asarray(v, dtype=np.int64)
+    return np.concatenate([v[..., np.argsort(eng.colperm)], v[..., eng.mu:]],
+                          axis=-1).tolist()
+
+
 def _entries(eng, v) -> list:
-    """The entries of an engine vector as field values."""
+    """The entries of an engine vector as field values, in point order."""
     if eng.field.char:
-        return list(v)
+        return _point_order(eng, v)
     return [Fr(c, v[-1]) for c in v[:-1]]
 
 
@@ -141,19 +149,41 @@ def test_prime_engine_matches_reference(p, mu, seeded, appended):
         want_c, want_v = _reference_reduce(rows, pivots, evals + [0] * mu, p)
         V = eng.new_vectors([evals])
         assert eng.reduce_into(V).tolist() == want_c
-        assert V[0].tolist() == want_v
+        assert _point_order(eng, V[0]) == want_v
         if eng.nrows == seeded + appended:
             break
         piv = eng.pivot_of(V[0])
         slot = eng.nrows
+        point = int(eng.colperm[piv])
+        assert point == next(c for c in range(mu) if want_v[c])
         eng.append_row(V[0], piv, V[1:])
-        s = pow(want_v[piv], -1, p)
+        s = pow(want_v[point], -1, p)
         rows.append([x * s % p for x in want_v])
         rows[-1][mu + slot] = s
-        pivots.append(piv)
+        pivots.append(point)
     r = eng.nrows
-    assert eng.mat[:r].astype(np.int64).tolist() == rows
+    assert _point_order(eng, eng.mat[:r]) == rows
     assert eng.pivot_indices() == pivots
+    if p == 23 and r < mu:
+        # a residual is zero at column r with chance 1/23, so some append
+        # swapped its pivot column into place
+        assert eng.colperm.tolist() != list(range(mu))
+
+
+def test_prime_pivot_is_lowest_point_after_swap():
+    """Once point 2's column has swapped into place 0, a vector nonzero at
+    points 0 and 1 pivots on point 0, whose column comes after point 1's."""
+    eng = PrimeEngine(F7, [(x, 0) for x in range(4)])
+    V = eng.new_vectors([[0, 0, 1, 1], [1, 1, 0, 0]])
+    eng.reduce_into(V)
+    eng.append_row(V[0], eng.pivot_of(V[0]), V[1:])
+    assert eng.colperm.tolist() == [2, 1, 0, 3]
+    piv = eng.pivot_of(V[1])
+    assert piv == 2
+    eng.append_row(V[1], piv, V[2:])
+    assert eng.pivot_indices() == [2, 0]
+    assert _point_order(eng, eng.mat[:2]) == [[0, 0, 1, 1, 1, 0, 0, 0],
+                                              [1, 1, 0, 0, 0, 1, 0, 0]]
 
 
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
@@ -367,11 +397,12 @@ def test_batch_matches_one_by_one(engine_cls, field):
         residual = reference(vals + [field.convert(0)] * mu)[1]
         assert _entries(eng, v) == residual
         slot = eng.nrows
+        point = int(eng.colperm[piv]) if p else piv
         eng.append_row(v, piv, stack[k + 1:])
-        s = field.inv(residual[piv])
+        s = field.inv(residual[point])
         rows.append([field.mul(x, s) for x in residual])
         rows[-1][mu + slot] = s
-        pivots.append(piv)
+        pivots.append(point)
         for j in range(k + 1, len(values)):
             want = reference(values[j] + [field.convert(0)] * mu)[1]
             assert _entries(eng, stack[j]) == want, (k, j)
@@ -383,7 +414,7 @@ def test_batch_matches_one_by_one(engine_cls, field):
     eng.reduce_into(again)
     assert all(eng.pivot_of(v) is None for v in again)
     if p:
-        assert eng.mat[:r].astype(np.int64).tolist() == rows
+        assert _point_order(eng, eng.mat[:r]) == rows
     else:
         for row, piv, want in zip(eng.mat, eng.pivots, rows):
             assert row[piv] > 0
