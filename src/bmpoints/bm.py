@@ -39,8 +39,8 @@ from .orders import TermOrder, exp_divides
 from .points import EmptySetError, LineCover, PointSet, is_lower, line_cover
 from .poly import PolyMatrix
 
-# candidates stacked per reduction: the first this many of a simulated walk
-LOOKAHEAD = 16
+# candidates per reduction, the first of a simulated walk: one solve block
+LOOKAHEAD = 32
 
 # spbm's cover axis by order: lex pairs with a row cover (monomials grouped
 # by y-degree), inlex with a column cover; other orders are unsupported
@@ -118,16 +118,16 @@ def _advance(t, joins, N, L, queued, key) -> None:
             insort(L, cand, key=key)
 
 
-def _lookahead(L, N, queued, free: int, key) -> list:
-    """The first LOOKAHEAD candidates of a walk simulated on copies of L,
-    N and queued: the first `free` members join N, the rest are basis
-    elements."""
+def _lookahead(L, N, queued, free: int, key) -> tuple:
+    """(batch, walked): the first LOOKAHEAD candidates of a walk simulated
+    on copies of L, N and queued, and those copies after it.  The first
+    `free` members join N, the rest are basis elements."""
     L, N, queued, batch = list(L), dict(N), set(queued), []
     while L and len(batch) < LOOKAHEAD:
         t = L.pop(0)
         batch.append(t)
         _advance(t, len(batch) <= free, N, L, queued, key)
-    return batch
+    return batch, (L, N, queued)
 
 
 def _run(ps: PointSet, order: TermOrder, algorithm: str,
@@ -145,13 +145,13 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
 
     The loop stacks the next candidates of a guessed walk (_lookahead: each
     joins N while rows are free, then each is a basis element), reduces
-    them at once and processes the list's head while it is in the stack: a
-    zero residual yields a basis element, and a fresh pivot stores a row in
-    the engine's next slot, which reduces the vectors after it.  Either way
-    _advance takes the walk step the guess took for it.  Each residual is
-    the unique one zero at every pivot, so a wrong guess wastes a
-    reduction, never changes an output.  Every processed candidate joins N
-    or G, so processed counts the unseeded slots and the basis elements.
+    them at once and processes them in walk order: a zero residual yields a
+    basis element, and a fresh pivot stores a row, which reduces the
+    vectors after it.  A batch whose guesses all hold adopts the simulated
+    walk; from a miss on, _advance walks for real.  Each residual is the
+    unique one zero at every pivot, so a wrong guess wastes a reduction,
+    never changes an output.  Every processed candidate joins N or G, so
+    processed counts the unseeded slots and the basis elements.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -166,21 +166,35 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
         L = border(N, order)
     seeded, queued = len(N), set(N) | set(L)
     g_lts, g_tails = [], []
+
+    def take(k) -> bool:
+        """Process batch[k] by its residual; True if it joins N."""
+        piv = eng.pivot_of(V[k])
+        if piv is None:
+            g_lts.append(batch[k])
+            g_tails.append(eng.tail_terms(V[k]))
+        else:
+            eng.append_row(V[k], piv, V[k + 1:])
+        return piv is not None
     while L:
-        batch = _lookahead(L, N, queued, eng.mu - eng.nrows, order.key)
-        at = {t: k for k, t in enumerate(batch)}
+        free = eng.mu - eng.nrows
+        batch, walked = _lookahead(L, N, queued, free, order.key)
         V = eng.new_vectors([eng.monomial_vector(t) for t in batch])
         eng.reduce_into(V)
+        held = 0
+        while held < len(batch) and take(held) == (held < free):
+            held += 1
+        if held == len(batch):
+            L, N, queued = walked
+            continue
+        # batch[held] broke its guess: take the real steps up to it
+        for k, t in enumerate(batch[:held + 1]):
+            del L[0]
+            _advance(t, (k < free) != (k == held), N, L, queued, order.key)
+        at = {t: k for k, t in enumerate(batch)}
         while L and L[0] in at:
             t = L.pop(0)
-            k = at[t]
-            piv = eng.pivot_of(V[k])
-            if piv is None:
-                g_lts.append(t)
-                g_tails.append(eng.tail_terms(V[k]))
-            else:
-                eng.append_row(V[k], piv, V[k + 1:])
-            _advance(t, piv is not None, N, L, queued, order.key)
+            _advance(t, take(at[t]), N, L, queued, order.key)
     N = list(N)
     # G ascending by leading monomial: the tails over N, then a one at
     # the element's own leading monomial, as its denominator over itself

@@ -18,8 +18,9 @@ columns after the pivots: the blocked triangular solve of FFLAS-FFPACK
 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks
 are inverted, so a seeded block costs no elimination beyond them, and a
 block is inverted again only after rows have joined it.  A row appended
-from the stack reduces the vectors after it by one rank-1 update.  The
-products run in float64 on base-2^b limbs, so every sum stays exact.
+from the stack reduces the vectors after it by one rank-1 update over their
+live columns.  The products run in float64 on base-2^b limbs, cut once per
+reduction, so every sum stays exact.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
@@ -51,33 +52,34 @@ _FLOAT_EXACT = 2**53
 _BASE_BLOCK = 32
 
 
-def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    """x @ m mod p, exactly, for int64 x and float64 m with entries in [0, p).
-
-    x is cut into base-2^b limbs, with b as large as keeps every float64 sum
-    below 2^53, and all limbs go through m in one product.  The certificate's
-    evaluator (poly._matmul_mod) keeps its own copy of this scheme, on row
-    blocks read up to their last nonzero column and with balanced table
-    entries, so it shares no code with the engine.
-    """
-    depth = m.shape[0]
+def _split(x: np.ndarray, depth: int, p: int) -> tuple:
+    """(limbs, b): int64 x in [0, p) as float64 base-2^b limbs, stacked by
+    rows, b the largest that keeps products of this depth below 2^53."""
     bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1
     if bits < 1:
         raise ValueError(f"a product of depth {depth} mod {p} is not exact "
                          "in float64")
-    width = (p - 1).bit_length()
-    if bits >= width:
-        return (x.astype(np.float64) @ m).astype(np.int64) % p
-    shifts = np.arange(0, width, bits).reshape(-1, *(1,) * x.ndim)
-    limbs = (x >> shifts) & ((1 << bits) - 1)
-    parts = (limbs.reshape(-1, depth).astype(np.float64) @ m
-             ).astype(np.int64) % p
-    parts = parts.reshape(len(shifts), *x.shape[:-1], m.shape[1])
+    shifts = np.arange(0, (p - 1).bit_length(), bits)[:, None, None]
+    limbs = (x >> shifts) & ((1 << bits) - 1) if len(shifts) > 1 else x
+    return limbs.reshape(-1, x.shape[-1]).astype(np.float64), bits
+
+
+def _join(parts: np.ndarray, bits: int, p: int, n: int) -> np.ndarray:
+    """The n product rows mod p from the float64 product of n-row limbs."""
+    parts = (parts.astype(np.int64) % p).reshape(-1, n, parts.shape[-1])
     out = parts[0]
-    for s, part in zip(range(bits, width, bits), parts[1:]):
-        out += part * pow(2, s, p)
+    for k, part in enumerate(parts[1:], 1):
+        out += part * pow(2, k * bits, p)
         out %= p
     return out
+
+
+def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """x @ m mod p, exactly, for 2-D int64 x and float64 m with entries in
+    [0, p), all limbs in one product; the certificate's evaluator
+    (poly._matmul_mod) keeps its own copy of this scheme."""
+    limbs, bits = _split(x, m.shape[0], p)
+    return _join(limbs @ m, bits, p, len(x))
 
 
 def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
@@ -174,12 +176,14 @@ class PrimeEngine:
         c_b = (v[:, s:e] - c_<b mat[:s, s:e]) D_b^-1, where block b holds
         rows s..e-1 and D_b = mat[s:e, s:e].  The residual is then zero in the
         r pivot columns, and no stored row has a coefficient beyond slot
-        r - 1, so only columns r..mu + r - 1 take the product.
+        r - 1, so only columns r..mu + r - 1 take the product.  Each c_b is
+        cut into limbs once, at the width depth r allows, for every product.
         """
-        r, p, cols = self.nrows, self.p, self.mu + self.nrows
-        c = np.zeros((len(v), r), dtype=np.int64)
+        r, p, n, cols = self.nrows, self.p, len(v), self.mu + self.nrows
+        c = np.zeros((n, r), dtype=np.int64)
         if not r:
             return c.ravel()
+        limbs, bits = _split(c, r, p)
         for b, s in enumerate(range(0, r, _BASE_BLOCK)):
             e = min(s + _BASE_BLOCK, r)
             if b == len(self.blocks) or len(self.blocks[b]) < e - s:
@@ -187,9 +191,10 @@ class PrimeEngine:
                 self.blocks[b:] = [_unitri_inverse(d, p).astype(np.float64)]
             w = v[:, s:e]
             if s:
-                w = (w - _mul_mod(c[:, :s], self.mat[:s, s:e], p)) % p
-            c[:, s:e] = _mul_mod(w, self.blocks[b], p)
-        v[:, r:cols] -= _mul_mod(c, self.mat[:r, r:cols], p)
+                w = w - _join(limbs[:, :s] @ self.mat[:s, s:e], bits, p, n)
+            c[:, s:e] = _mul_mod(w % p, self.blocks[b], p)
+            limbs[:, s:e] = _split(c[:, s:e], r, p)[0]
+        v[:, r:cols] -= _join(limbs @ self.mat[:r, r:cols], bits, p, n)
         v[:, r:cols] %= p
         v[:, :r] = 0
         return c.ravel()
@@ -205,19 +210,20 @@ class PrimeEngine:
         column other than column r first swaps into place r, in the rows,
         v, rest and colperm.  The stack rest, the vectors after v in its
         batch (some perhaps never processed, perhaps none), is reduced
-        against the new row by one rank-1 update, exact in int64 as every
-        product is below p^2 < 2^63."""
+        against the new row by one rank-1 update over columns r..mu + r,
+        as rest is zero before column r and the row after mu + r, exact in
+        int64 as every product is below p^2 < 2^63."""
         p, r = self.p, self.nrows
         if pivot != r:
             for a in (self.mat[:r], v, rest, self.colperm):
                 a[..., [r, pivot]] = a[..., [pivot, r]]
-        s = self.field.inv(int(v[r]))
-        v = v * s % p
-        v[self.mu + r] = s
-        self.mat[r] = v
-        self.nrows = r + 1
         cols = self.mu + r + 1
-        rest[:, :cols] = (rest[:, :cols] - rest[:, r, None] * v[:cols]) % p
+        s = self.field.inv(int(v[r]))
+        row = v[r:cols] * s % p
+        row[-1] = s
+        self.mat[r, r:cols] = row
+        self.nrows = r + 1
+        rest[:, r:cols] = (rest[:, r:cols] - rest[:, r, None] * row) % p
 
     def bulk_load(self, aug_rows) -> None:
         """Store k unitriangular rows with entries in [0, p): row r has its

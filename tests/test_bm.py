@@ -6,6 +6,7 @@ from bisect import insort
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bmpoints.bm as bm_module
 from bmpoints.bm import (LOOKAHEAD, SPBM_AXIS, NotLowerSetError,
                          UnsupportedOrderError, bm_run, border, gpbm_run,
                          spbm_run)
@@ -280,6 +281,22 @@ def _staircase_plus_loose(field, seed):
                     + list(zip(xs, ys)))
 
 
+def _matches_one_by_one(run, ps, order):
+    """Run and compare G, N, Q, point_permutation and processed with the
+    loop that reduces one candidate at a time; returns the result."""
+    res = run(ps, order)
+    cover, removed = (
+        (None, ()) if run is bm_run
+        else max_cartesian_subset(ps) if run is gpbm_run
+        else (line_cover(ps, SPBM_AXIS[order.name]), ()))
+    want = _one_by_one_run(ps, order, cover, removed)
+    got = (res.N, res.G_dense.exps, res.G_dense.coeffs.tolist(),
+           _dens(res.G_dense), res.Q_dense.coeffs.tolist(),
+           _dens(res.Q_dense), res.point_permutation, res.processed)
+    assert got == want, (run.__name__, order.name)
+    return res
+
+
 @pytest.mark.parametrize("field, size", [
     (make_field("q:23"), 120), (BIG, 200), (QQ, 24),
 ], ids=["q23-120", "q2^31-1-200", "rational-24"])
@@ -288,9 +305,12 @@ def test_batched_loop_matches_one_by_one(field, size, monkeypatch):
     Q, point_permutation and processed count as a loop that reduces one
     candidate at a time, with batches of more than one candidate, for bm,
     gpbm and spbm, also seeded from a staircase whose border spans two
-    degrees.  bm, and every runner on the triangle x + y <= 15, which has
-    17 corners, processes more candidates than one batch holds."""
+    degrees.  With batches of 8, bm, and every runner on the triangle
+    x + y <= 15, which has 17 corners, processes more candidates than one
+    batch holds; bm on the 200-point set does so at the module's own
+    LOOKAHEAD too."""
     sizes = _batch_sizes(monkeypatch)
+    monkeypatch.setattr(bm_module, "LOOKAHEAD", 8)
     triangle = PointSet(field, [(x, y) for x in range(16)
                                 for y in range(16 - x)])
     sets = [gen_points(field, size, seed=11),
@@ -301,24 +321,48 @@ def test_batched_loop_matches_one_by_one(field, size, monkeypatch):
             if order is not TDINLEX:
                 runs.append(spbm_run)
             for run in runs:
-                res = run(ps, order)
-                cover, removed = (
-                    (None, ()) if run is bm_run
-                    else max_cartesian_subset(ps) if run is gpbm_run
-                    else (line_cover(ps, SPBM_AXIS[order.name]), ()))
-                want = _one_by_one_run(ps, order, cover, removed)
-                got = (res.N, res.G_dense.exps, res.G_dense.coeffs.tolist(),
-                       _dens(res.G_dense), res.Q_dense.coeffs.tolist(),
-                       _dens(res.Q_dense), res.point_permutation,
-                       res.processed)
-                assert got == want, (run.__name__, order.name)
+                res = _matches_one_by_one(run, ps, order)
                 if run is bm_run or ps is triangle:
-                    assert res.processed > LOOKAHEAD, (run.__name__,
-                                                       order.name)
+                    assert res.processed > 8, (run.__name__, order.name)
     seeded = gpbm_run(sets[1], TDINLEX)
     assert seeded.seeded_count == 4
     assert {sum(e) for e in border(seeded.N[:4], TDINLEX)} == {2, 3}
     assert max(sizes) > 1
+    if field is BIG:
+        monkeypatch.setattr(bm_module, "LOOKAHEAD", LOOKAHEAD)
+        res = _matches_one_by_one(bm_run, sets[0], TDINLEX)
+        assert res.processed > LOOKAHEAD
+
+
+def test_missed_guess_mid_batch_matches_one_by_one(monkeypatch):
+    """bm under lex on 1000 points of q:101 finds basis elements while
+    rows are free, so guesses fail mid-batch and the members stacked after
+    a miss are wasted: the outputs still equal the one-by-one loop's."""
+    sizes = _batch_sizes(monkeypatch)
+    ps = gen_points(make_field("q:101"), 1000, seed=1)
+    res = bm_run(ps, LEX)
+    assert sum(sizes) > res.processed
+    assert max(sizes) == LOOKAHEAD
+    _matches_one_by_one(bm_run, ps, LEX)
+
+
+def test_held_guesses_take_each_walk_step_once(monkeypatch):
+    """gpbm under tdinlex on 75 points of q:2^31-1 seeds one point and
+    every guess holds: three batches, none wasted, and the loop adopts
+    the simulated walk, so _advance runs once per processed candidate."""
+    sizes = _batch_sizes(monkeypatch)
+    steps = []
+
+    def advance(*args, _orig=bm_module._advance):
+        steps.append(args[0])
+        return _orig(*args)
+    monkeypatch.setattr(bm_module, "_advance", advance)
+    ps = gen_points(BIG, 75, seed=1)
+    res = gpbm_run(ps, TDINLEX)
+    assert res.seeded_count == 1
+    assert len(sizes) == 3 and sum(sizes) == res.processed
+    assert len(steps) == res.processed
+    _matches_one_by_one(gpbm_run, ps, TDINLEX)
 
 
 @pytest.mark.parametrize("field", [F17, BIG, QQ], ids=["q17", "q2^31-1", "Q"])

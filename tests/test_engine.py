@@ -107,14 +107,16 @@ def test_monomial_vector_high_exponent(engine_cls, field):
 
 
 def _reference_reduce(rows, pivots, v, p):
-    """Sequential row-by-row reduction on Python ints: (coeffs, residual)."""
+    """Sequential row-by-row reduction of v by int64 rows, exact as every
+    product is below p^2 < 2^62: (coeffs, residual) as lists of ints."""
+    v = np.array(v, dtype=np.int64)
     coeffs = []
     for row, piv in zip(rows, pivots):
-        a = v[piv]
+        a = int(v[piv])
         coeffs.append(a)
         if a:
-            v = [(x - a * y) % p for x, y in zip(v, row)]
-    return coeffs, v
+            v = (v - a * np.asarray(row, dtype=np.int64)) % p
+    return coeffs, v.tolist()
 
 
 def _matmul_mod_py(a, b, p):
@@ -125,15 +127,18 @@ def _matmul_mod_py(a, b, p):
 
 
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
-@pytest.mark.parametrize("mu, seeded, appended", [
-    (80, 58, 14),    # reductions at depths 58..71 cross r = 64
-    (80, 20, 30),    # the first block fills up, then a second one starts
-    (1000, 999, 1),  # depth 999, then a full pivot block
-], ids=["r=58..72", "r=20..50", "r=999..1000"])
-def test_prime_engine_matches_reference(p, mu, seeded, appended):
-    """Bulk-loaded rows, then appends: every reduction returns the
-    coefficients and residual of a sequential reduction on Python ints,
-    also after rows joined a partial diagonal block of the solve."""
+@pytest.mark.parametrize("mu, seeded, appended, stack", [
+    (80, 58, 14, 1),    # reductions at depths 58..71 cross r = 64
+    (80, 20, 30, 1),    # the first block fills up, then a second one starts
+    (400, 300, 40, 4),  # stacks at depths 300..339, ten blocks and more
+    (1000, 999, 1, 4),  # a stack at depth 999, then a full pivot block
+], ids=["r=58..72", "r=20..50", "r=300..340", "r=999..1000"])
+def test_prime_engine_matches_reference(p, mu, seeded, appended, stack):
+    """Bulk-loaded rows, then appends: every vector of every reduced stack
+    has the coefficients and residual of a sequential reduction, also
+    after rows joined a partial diagonal block of the solve, and the
+    vectors after an appended one equal their residual stepped by the new
+    row, though append_row updates only their live columns."""
     rng = np.random.default_rng(p * mu + seeded)
     field = make_field(f"q:{p}")
     eng = PrimeEngine(field, [(0, 0)] * mu)
@@ -142,32 +147,62 @@ def test_prime_engine_matches_reference(p, mu, seeded, appended):
     slots = np.tril(rng.integers(0, p, (seeded, mu)))
     seed_rows = np.hstack([block, slots])
     eng.bulk_load(seed_rows)
-    rows = seed_rows.tolist()
+    rows = list(seed_rows)
     pivots = list(range(seeded))
     while True:
-        evals = rng.integers(0, p, mu).tolist()
-        want_c, want_v = _reference_reduce(rows, pivots, evals + [0] * mu, p)
-        V = eng.new_vectors([evals])
-        assert eng.reduce_into(V).tolist() == want_c
-        assert _point_order(eng, V[0]) == want_v
+        evals = rng.integers(0, p, (stack, mu)).tolist()
+        wants = [_reference_reduce(rows, pivots, e + [0] * mu, p)
+                 for e in evals]
+        V = eng.new_vectors(evals)
+        assert eng.reduce_into(V).tolist() == [a for c, _ in wants for a in c]
+        assert [_point_order(eng, v) for v in V] == [v for _, v in wants]
         if eng.nrows == seeded + appended:
             break
         piv = eng.pivot_of(V[0])
         slot = eng.nrows
+        want_v = wants[0][1]
         point = int(eng.colperm[piv])
         assert point == next(c for c in range(mu) if want_v[c])
         eng.append_row(V[0], piv, V[1:])
         s = pow(want_v[point], -1, p)
-        rows.append([x * s % p for x in want_v])
+        rows.append(np.array(want_v) * s % p)
         rows[-1][mu + slot] = s
         pivots.append(point)
+        for v, (_, want) in zip(V[1:], wants[1:]):
+            a = want[point]
+            assert _point_order(eng, v) == ((want - a * rows[-1]) % p).tolist()
     r = eng.nrows
-    assert _point_order(eng, eng.mat[:r]) == rows
+    assert _point_order(eng, eng.mat[:r]) == [row.tolist() for row in rows]
     assert eng.pivot_indices() == pivots
     if p == 23 and r < mu:
         # a residual is zero at column r with chance 1/23, so some append
         # swapped its pivot column into place
         assert eng.colperm.tolist() != list(range(mu))
+
+
+def test_append_row_live_columns_after_swap():
+    """A row whose pivot lies two columns past r swaps into place r, and
+    the pending stack, updated over its live columns only, equals the
+    full-width rank-1 update by the stored row after the same swap."""
+    p = 23
+    eng = PrimeEngine(make_field("q:23"), [(x, 0) for x in range(6)])
+    eng.bulk_load([[1, 4, 9, 2, 7, 3, 1, 0, 0, 0, 0, 0],
+                   [0, 1, 5, 11, 6, 8, 20, 1, 0, 0, 0, 0]])
+    rows = eng.mat[:2, :6].astype(np.int64)
+    # zero at points 0..3 once reduced, so the pivot is column 4, not 2
+    first = (np.array([0, 0, 0, 0, 5, 17]) + 3 * rows[0] + 13 * rows[1]) % p
+    rng = np.random.default_rng(4)
+    V = eng.new_vectors([first.tolist()] + rng.integers(0, p, (3, 6)).tolist())
+    eng.reduce_into(V)
+    piv = eng.pivot_of(V[0])
+    assert piv == 4
+    before = V[1:].copy()
+    eng.append_row(V[0], piv, V[1:])
+    assert eng.colperm.tolist() == [0, 1, 4, 3, 2, 5]
+    before[:, [2, 4]] = before[:, [4, 2]]
+    row = eng.mat[2].astype(np.int64)
+    assert (V[1:] == (before - before[:, 2, None] * row) % p).all()
+    assert not V[1:, :3].any()
 
 
 def test_prime_pivot_is_lowest_point_after_swap():
