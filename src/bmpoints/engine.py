@@ -6,7 +6,8 @@ basis slot).  Every reduction acts on both halves at once, so the polynomial
 combination t - sum a_i q_i materializes from C for free at the end instead
 of costing a symbolic pass per reduction.  An engine numbers the slots
 itself, the slot of a stored row being its row number, and caches the
-monomial vectors it builds.
+monomial vectors it builds, each from its nearest cached divisor by
+square-and-multiply.
 
 Over F_p the evaluation columns are kept pivot first: column c holds point
 colperm[c], and row r is one at column r and zero at the columns before it,
@@ -17,10 +18,12 @@ and the rows above it slices of mat, then by one product V - C mat over the
 columns after the pivots: the blocked triangular solve of FFLAS-FFPACK
 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks
 are inverted, so a seeded block costs no elimination beyond them, and a
-block is inverted again only after rows have joined it.  A row appended
-from the stack reduces the vectors after it by one rank-1 update over their
-live columns.  The products run in float64 on base-2^b limbs, cut once per
-reduction, so every sum stays exact.
+block is inverted again only after rows have joined it; a solve inverts
+all the blocks it needs in one stacked call.  A row appended from the
+stack reduces the vectors after it by one rank-1 update over their live
+columns.  The products run in float64 on base-2^b limbs, cut once per
+reduction, so every sum stays exact; where one limb holds every entry, the
+entries go into the product as they are.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
@@ -54,18 +57,24 @@ _BASE_BLOCK = 32
 
 def _split(x: np.ndarray, depth: int, p: int) -> tuple:
     """(limbs, b): int64 x in [0, p) as float64 base-2^b limbs, stacked by
-    rows, b the largest that keeps products of this depth below 2^53."""
+    rows, b the largest that keeps products of this depth below 2^53; x
+    itself, as float64, where one limb holds every entry."""
     bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1
     if bits < 1:
         raise ValueError(f"a product of depth {depth} mod {p} is not exact "
                          "in float64")
-    shifts = np.arange(0, (p - 1).bit_length(), bits)[:, None, None]
-    limbs = (x >> shifts) & ((1 << bits) - 1) if len(shifts) > 1 else x
+    width = (p - 1).bit_length()
+    if bits >= width:
+        return x.astype(np.float64), bits
+    shifts = np.arange(0, width, bits)[:, None, None]
+    limbs = (x >> shifts) & ((1 << bits) - 1)
     return limbs.reshape(-1, x.shape[-1]).astype(np.float64), bits
 
 
 def _join(parts: np.ndarray, bits: int, p: int, n: int) -> np.ndarray:
     """The n product rows mod p from the float64 product of n-row limbs."""
+    if len(parts) == n:
+        return parts.astype(np.int64) % p
     parts = (parts.astype(np.int64) % p).reshape(-1, n, parts.shape[-1])
     out = parts[0]
     for k, part in enumerate(parts[1:], 1):
@@ -82,42 +91,75 @@ def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     return _join(limbs @ m, bits, p, len(x))
 
 
-def _unitri_inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of a small unit upper triangular int64 matrix.
+def _unitri_inverse(blocks: list, p: int) -> list:
+    """Inverses mod p of unit upper triangular blocks with entries in
+    [0, p), listed by non-increasing size, as float64.
 
-    It is I + N with N nilpotent: where one float64 product of its size is
-    exact, the inverse is (I - N)(I + N^2)(I + N^4)...; where products need
-    limbs, Gauss-Jordan from the last column is cheaper.
+    One pass inverts them all, as a stack padded with the identity to the
+    largest.  Each is I + N with N nilpotent: where one float64 product of
+    its size is exact, the inverse is (I - N)(I + N^2)(I + N^4)..., each
+    factor a plain float64 product; where products would need limbs,
+    Gauss-Jordan from the last column is cheaper, and its step at column k
+    takes only the blocks larger than k.
     """
-    n = a.shape[0]
-    out = np.eye(n, dtype=np.int64)
-    if n * (p - 1) ** 2 >= _FLOAT_EXACT:
+    sizes = [len(d) for d in blocks]
+    n = sizes[0]
+    gauss = (n + 1) * (p - 1) ** 2 >= _FLOAT_EXACT
+    eye = np.zeros((len(blocks), n, n), dtype=np.int64 if gauss else None)
+    eye.reshape(len(blocks), -1)[:, ::n + 1] = 1
+    a = eye.copy()
+    for x, d in zip(a, blocks):
+        x[:len(d), :len(d)] = d
+    if gauss:
+        out = eye
+        live = 0
         for k in range(n - 1, 0, -1):  # products below p^2: exact in int64
-            out[:k, k:] = (out[:k, k:] - a[:k, k, None] * out[k, k:]) % p
-        return out
-    power = (out - a) % p
-    out = out + power
-    span = 2
-    while span < n:
-        power = _mul_mod(power, power.astype(np.float64), p)
-        out = (out + _mul_mod(out, power.astype(np.float64), p)) % p
-        span *= 2
-    return out
+            while live < len(sizes) and sizes[live] > k:
+                live += 1
+            out[:live, :k, k:] = (out[:live, :k, k:] - a[:live, :k, k, None]
+                                  * out[:live, k, None, k:]) % p
+        out = out.astype(np.float64)
+    else:
+        power = _float_mod(eye - a, p)
+        out = eye + power
+        span = 2
+        while span < n:
+            power = _float_mod(power @ power, p)
+            out = _float_mod(out + out @ power, p)
+            span *= 2
+    return [x[:size, :size] for x, size in zip(out, sizes)]
 
 
-def _divisor_chain(e, cache) -> list:
-    """e and its divisors down to the nearest cached one, lowest first;
-    the cache holds (0, 0) from the start.
+def _float_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Integral float64 x, |x| < 2^53, mod p, through int64, whose
+    remainder runs faster than float64's."""
+    return (x.astype(np.int64) % p).astype(np.float64)
 
-    Each divisor drops one x while the x-exponent is positive, then one y,
-    so the step up to (i, j) multiplies by x when i > 0 and by y otherwise.
-    A loop rather than recursion, so any exponent is in reach.
+
+def _monomial(e, cache, xs, ys, mul):
+    """The vector of x^i y^j, e = (i, j), from the nearest cached divisor d
+    of e and cached; the cache holds (0, 0) from the start.
+
+    d is the first cached exponent on the walk down from e that drops one
+    x while the x-exponent is positive, then one y.  The vector is d's
+    times x^a y^b, (a, b) = e - d, with x^a y^b by square-and-multiply over
+    the bits of a and b, so a walk of one step costs one product, mul.
     """
-    chain = [e]
-    while chain[-1] not in cache:
-        i, j = chain[-1]
-        chain.append((i - 1, j) if i else (0, j - 1))
-    return chain[::-1]
+    i, j = e
+    while (i, j) not in cache:
+        i, j = (i - 1, j) if i else (i, j - 1)
+    a, b = e[0] - i, e[1] - j
+    q = None
+    for bit in range(max(a, b).bit_length() - 1, -1, -1):
+        if q is not None:
+            q = mul(q, q)
+        if a >> bit & 1:
+            q = xs if q is None else mul(q, xs)
+        if b >> bit & 1:
+            q = ys if q is None else mul(q, ys)
+    if q is not None:
+        cache[e] = mul(cache[i, j], q)
+    return cache[e]
 
 
 def _lowest(half: list, den: int) -> tuple:
@@ -152,14 +194,11 @@ class PrimeEngine:
         self.cache = {(0, 0): np.ones(mu, dtype=np.int64)}
 
     def monomial_vector(self, e):
-        """Evaluations of x^i y^j at all points, built from the nearest
-        cached divisor and cached with every divisor on the way."""
-        cache = self.cache
-        base, *steps = _divisor_chain(e, cache)
-        v = cache[base]
-        for step in steps:
-            v = cache[step] = v * (self.xs if step[0] else self.ys) % self.p
-        return v
+        """Evaluations of x^i y^j at all points, from the nearest cached
+        divisor (_monomial)."""
+        p = self.p
+        return _monomial(e, self.cache, self.xs, self.ys,
+                         lambda u, w: u * w % p)
 
     def new_vectors(self, evals) -> np.ndarray:
         """A stack of vectors, one row per point-order entry of evals."""
@@ -174,7 +213,8 @@ class PrimeEngine:
         The residual that is zero at every pivot is unique, so c equals the
         coefficients of a sequential row-by-row reduction.  Block by block,
         c_b = (v[:, s:e] - c_<b mat[:s, s:e]) D_b^-1, where block b holds
-        rows s..e-1 and D_b = mat[s:e, s:e].  The residual is then zero in the
+        rows s..e-1 and D_b = mat[s:e, s:e], the inverses first brought up
+        to date by _invert_blocks.  The residual is then zero in the
         r pivot columns, and no stored row has a coefficient beyond slot
         r - 1, so only columns r..mu + r - 1 take the product.  Each c_b is
         cut into limbs once, at the width depth r allows, for every product.
@@ -183,12 +223,10 @@ class PrimeEngine:
         c = np.zeros((n, r), dtype=np.int64)
         if not r:
             return c.ravel()
+        self._invert_blocks()
         limbs, bits = _split(c, r, p)
         for b, s in enumerate(range(0, r, _BASE_BLOCK)):
             e = min(s + _BASE_BLOCK, r)
-            if b == len(self.blocks) or len(self.blocks[b]) < e - s:
-                d = self.mat[s:e, s:e].astype(np.int64)
-                self.blocks[b:] = [_unitri_inverse(d, p).astype(np.float64)]
             w = v[:, s:e]
             if s:
                 w = w - _join(limbs[:, :s] @ self.mat[:s, s:e], bits, p, n)
@@ -198,6 +236,19 @@ class PrimeEngine:
         v[:, r:cols] %= p
         v[:, :r] = 0
         return c.ravel()
+
+    def _invert_blocks(self) -> None:
+        """Invert every diagonal block that lacks a current inverse, the
+        trailing one if rows joined it and every new one, in one call."""
+        r, size = self.nrows, _BASE_BLOCK
+        first = len(self.blocks)
+        if first and len(self.blocks[-1]) < min(size, r - (first - 1) * size):
+            first -= 1
+        starts = range(first * size, r, size)
+        if starts:
+            self.blocks[first:] = _unitri_inverse(
+                [self.mat[s:e, s:e] for s, e in zip(starts, [*starts[1:], r])],
+                self.p)
 
     def pivot_of(self, v: np.ndarray):
         """The nonzero evaluation column of the lowest point, or None."""
@@ -283,8 +334,9 @@ class RationalEngine:
         self.width = 2 * mu
         self.scale = coordinate_scale(points)
         scaled = scale_points(points, self.scale)
-        self.xs = [x for x, _ in scaled]
-        self.ys = [y for _, y in scaled]
+        # X and Y, each followed by its scale: x and y as vectors
+        self.xs = [x for x, _ in scaled] + [self.scale[0]]
+        self.ys = [y for _, y in scaled] + [self.scale[1]]
         self.mat: list = []
         self.pivots: list = []
         self.cache = {(0, 0): [1] * (mu + 1)}
@@ -294,16 +346,10 @@ class RationalEngine:
         return len(self.mat)
 
     def monomial_vector(self, e):
-        """X^i Y^j over B^i C^j, built from the nearest cached divisor and
-        cached with every divisor on the way."""
-        cache = self.cache
-        base, *steps = _divisor_chain(e, cache)
-        v = cache[base]
-        b, c = self.scale
-        for step in steps:
-            coords, s = (self.xs, b) if step[0] else (self.ys, c)
-            v = cache[step] = [a * t for a, t in zip(v, coords)] + [v[-1] * s]
-        return v
+        """X^i Y^j over B^i C^j, from the nearest cached divisor
+        (_monomial)."""
+        return _monomial(e, self.cache, self.xs, self.ys,
+                         lambda u, w: [a * t for a, t in zip(u, w)])
 
     def new_vectors(self, evals) -> list:
         """A stack of vectors, one per entry of evals."""

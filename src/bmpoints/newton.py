@@ -17,8 +17,14 @@ interpolation on lower sets (Gasca and Sauer, Adv. Comput. Math. 12, 2000),
 builds every product one linear factor at a time, as a row of values at the
 points followed by a row of coefficients over the index order.  A factor
 (v - c) multiplies the values point by point and maps the coefficients to
-their shift by one in v minus c times themselves.  Over F_p rows are int64
-arrays reduced mod p, each divided by its value at its own point.  Over Q
+their shift in v minus c times themselves.  The slots are the lower set
+line by line, so the shift along a line moves every coefficient one slot
+up, and the shift across lines moves the slot of each line's start to the
+next line's.  Row r lives in its window, columns r..m + r for m points,
+and the recurrence touches nothing else: each line's head steps from the
+previous head, and then each in-line position takes one stacked step over
+the lines long enough to reach it.  Over F_p rows are int64 arrays reduced
+mod p, each divided by its value at its own point as it is built.  Over Q
 the points are first scaled to integers, X = B x and Y = C y with B and C
 the lcms of their x- and y-denominators, so every product is a row of
 Python integers; coefficient column (i, j) is multiplied by B^i C^j, and
@@ -27,23 +33,13 @@ each row is signed so that its entry at its own point is positive.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .fields import Field
 from .points import (EmptySetError, LineCover, coordinate_scale,
                      lower_set_of, scale_points)
-
-
-def _zeros(field: Field, shape) -> np.ndarray:
-    """int64 zeros over F_p, Python integer zeros over Q."""
-    return np.zeros(shape, dtype=np.int64 if field.char else object)
-
-
-def _mod(field: Field, a: np.ndarray) -> np.ndarray:
-    """a reduced mod p in place over F_p, a itself over Q."""
-    if field.char:
-        a %= field.char
-    return a
 
 
 class NewtonBasis:
@@ -58,58 +54,6 @@ class NewtonBasis:
 
     def __len__(self):
         return len(self.index_order)
-
-
-def _variable(field: Field, points: list, index_order: list,
-              var: int) -> tuple:
-    """Multiplication by variable var (0 for x, 1 for y) on a row of values
-    at points followed by coefficients over index_order: the row maps to
-    row[gather] * weight.  A coefficient whose exponent times the variable
-    has no slot is dropped; over a cover whose line sizes descend, no
-    product has one."""
-    m = len(points)
-    col = {e: m + s for s, e in enumerate(index_order)}
-    gather = np.arange(m + len(index_order))
-    weight = _zeros(field, len(gather))
-    weight[:m] = [pt[var] for pt in points]
-    for s, (i, j) in enumerate(index_order):
-        t = col.get((i + 1, j) if var == 0 else (i, j + 1))
-        if t is not None:
-            gather[t], weight[t] = m + s, 1
-    return gather, weight
-
-
-def _times_linear(field: Field, row: np.ndarray, variable: tuple, c):
-    """The product in row times (v - c), v the variable of _variable."""
-    gather, weight = variable
-    return _mod(field, row[gather] * weight - c * row)
-
-
-def _products(basis: NewtonBasis, points: list) -> np.ndarray:
-    """Each basis element's product before normalization, in cover order,
-    as one row: its values at points, then its coefficients over
-    basis.index_order.  points are integer points that start with the
-    basis points."""
-    field = basis.field
-    inner = 0 if basis.cover.axis == "rows" else 1
-    var_in = _variable(field, points, basis.index_order, inner)
-    var_out = _variable(field, points, basis.index_order, 1 - inner)
-    m, k = len(points), len(basis)
-    rows = _zeros(field, (k, m + k))
-    head = _zeros(field, m + k)
-    head[:m + 1] = 1  # column m is the slot of the exponent (0, 0)
-    first = 0
-    for size in basis.cover.sizes():
-        if first:
-            head = _times_linear(field, head, var_out,
-                                 points[prev][1 - inner])
-        cur = head
-        for r in range(first, first + size):
-            if r > first:
-                cur = _times_linear(field, cur, var_in, points[r - 1][inner])
-            rows[r] = cur
-        prev, first = first, first + size
-    return rows
 
 
 def _build(cover: LineCover, axis: str) -> NewtonBasis:
@@ -134,6 +78,20 @@ def newton_basis_cols(cover: LineCover) -> NewtonBasis:
     return _build(cover, "columns")
 
 
+def _normalize(field: Field, rows: np.ndarray) -> None:
+    """Each row of rows, in place, over its entry in column 0: made one
+    over F_p (the row is reduced mod p), made positive over Q."""
+    first = rows[:, 0].tolist()
+    if field.char:
+        p = field.char
+        if p**3 >= 2**63:  # entries below p^2 + p: keep the product exact
+            rows %= p
+        rows *= np.array([pow(d, -1, p) for d in first])[:, None]
+        rows %= p
+    elif min(first) < 0:
+        rows[[d < 0 for d in first]] *= -1
+
+
 def evaluation_matrix(basis: NewtonBasis, points) -> np.ndarray:
     """The basis's Newton rows at points, which must start with the basis
     points: row r holds element r's values at points, then its coefficients
@@ -144,15 +102,64 @@ def evaluation_matrix(basis: NewtonBasis, points) -> np.ndarray:
     k = len(basis)
     if pts[:k] != basis.point_order:
         raise ValueError("point list does not start with the basis points")
-    field = basis.field
-    scale = coordinate_scale(pts)
-    rows = _products(basis, scale_points(pts, scale))
-    diag = rows.diagonal()
-    if field.char:
-        rows *= np.array([[field.inv(int(d))] for d in diag], dtype=np.int64)
-        return _mod(field, rows)
-    b, c = scale
-    rows[:, len(pts):] *= np.array([b**i * c**j for i, j in basis.index_order],
-                                   dtype=object)
-    rows *= np.array([[1 if d > 0 else -1] for d in diag], dtype=object)
+    field, p, m = basis.field, basis.field.char, len(pts)
+    dtype = np.int64 if p else object
+    if not p:
+        scale = coordinate_scale(pts)
+        pts = scale_points(pts, scale)
+    # each coordinate at the points, then zero at the coefficient columns,
+    # so that a factor (v - c) scales every coefficient by -c
+    inner = 0 if basis.cover.axis == "rows" else 1
+    sizes = basis.cover.sizes()
+    starts = [0, *accumulate(sizes[:-1])]
+    vin, vout = (np.array([pt[var] for pt in pts] + [0] * (k + sizes[0]),
+                          dtype=dtype) for var in (inner, 1 - inner))
+    # row r is zero outside columns r..m + r, its values from point r on
+    # and its coefficients up to slot r: win[r, t] views row r at column
+    # r + t, where a factor along a line maps every row alike
+    buf = np.zeros(k * (m + k + 1), dtype=dtype)
+    rows = buf[:k * (m + k)].reshape(k, m + k)
+    win = buf.reshape(k, m + k + 1)[:, :m + 1]
+    # line j's head is line j - 1's times (v_out - c), c the coordinate of
+    # line j - 1.  A head's coefficients lie at the slots of the line
+    # starts; the steps keep the coefficient of start u in column m + u,
+    # where v_out shifts them by one column, and then move them to their
+    # slots.
+    rows[0, :m + 1] = 1
+    for j in range(1, len(sizes)):
+        a, b = starts[j - 1], starts[j]
+        rows[b, b:m + j + 1] = rows[a, b:m + j + 1] * (vout[b:m + j + 1]
+                                                       - vout[a])
+        rows[b, m + 1:m + j + 1] += rows[a, m:m + j]
+        _normalize(field, rows[b:b + 1, b:m + j + 1])
+    first = np.array(starts)
+    if sizes[0] > 1:  # else every line start is its own slot
+        heads = rows[starts, m:m + len(sizes)]
+        rows[starts, m:m + len(sizes)] = 0
+        rows[first[:, None], m + first] = heads
+    # element i of a line is element i - 1 times (v_in - c), c the inner
+    # coordinate of point i - 1; sizes descend, so the lines that reach i
+    # are a prefix and step together.  In the window the values shift one
+    # column, and so does the coefficient of each slot s, added at slot
+    # s + 1 (its shift by v_in) while slot s keeps it times -c.  span
+    # holds the columns from each line's start on, so position i of a
+    # line finds v_in over its window in ins[:, i:i + m], and in
+    # coef[:, i:i + m + 1] the columns past slot 0, where the shifted
+    # coefficients land.
+    first = first[:sum(size > 1 for size in sizes)]
+    span = first[:, None] + np.arange(m + sizes[0])
+    ins, coef = vin[span], span > m
+    for i in range(1, sizes[0]):
+        lines = sum(size > i for size in sizes)
+        r = first[:lines] + i
+        old = win[r - 1]
+        new = np.where(coef[:lines, i:i + m + 1], old, 0)
+        new[:, :m] += old[:, 1:] * (ins[:lines, i:i + m]
+                                    - ins[:lines, i - 1:i])
+        _normalize(field, new)
+        win[r] = new
+    if not p:
+        b, c = scale
+        rows[:, m:] *= np.array([b**i * c**j for i, j in basis.index_order],
+                                dtype=object)
     return rows

@@ -7,7 +7,8 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
-from bmpoints.engine import PrimeEngine, RationalEngine, _unitri_inverse
+from bmpoints.engine import (PrimeEngine, RationalEngine, _monomial, _mul_mod,
+                             _unitri_inverse)
 from bmpoints.fields import make_field
 from conftest import F7, QQ
 
@@ -94,16 +95,19 @@ def test_bulk_load_empty(engine_cls, field):
                          [(PrimeEngine, F7), (RationalEngine, QQ)],
                          ids=["prime", "rational"])
 def test_monomial_vector_high_exponent(engine_cls, field):
-    """Exponents far past the recursion limit are built in a loop."""
+    """Exponents far past the recursion limit are built by square-and-
+    multiply from the nearest cached divisor, each call caching O(log e)
+    vectors at most."""
     pts = [tuple(map(field.convert, pt))
            for pt in [(Fr(1, 2), Fr(3)), (Fr(2, 3), Fr(-5, 4))]]
     eng = engine_cls(field, pts)
     power = (lambda a, k: pow(a, k, field.p)) if field.char else pow
-    for e in [(1200, 1300), (1201, 1300), (0, 2600)]:
+    for e in [(1200, 1300), (1201, 1300), (0, 2600), (0, 2601)]:
+        before = len(eng.cache)
         want = [field.mul(power(x, e[0]), power(y, e[1])) for x, y in pts]
         assert _entries(eng, eng.monomial_vector(e)) == want, e
-    # every divisor on the way was cached: (0, 2600) grew from (0, 1300)
-    assert len(eng.cache) == 1201 + 1300 + 1 + 1300
+        assert len(eng.cache) - before <= 2 * max(e).bit_length(), e
+    assert eng.monomial_vector((0, 2600)) is eng.cache[0, 2600]
 
 
 def _reference_reduce(rows, pivots, v, p):
@@ -229,9 +233,100 @@ def test_unitri_inverse(p, n):
     the block is the identity on Python ints."""
     rng = np.random.default_rng(p + n)
     a = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
-    inv = _unitri_inverse(a, p)
+    inv = _unitri_inverse([a], p)[0].astype(np.int64)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     assert _matmul_mod_py(inv.tolist(), a.tolist(), p) == eye
+
+
+@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
+def test_unitri_inverse_stack(p):
+    """One call inverts blocks of mixed sizes, padded with the identity to
+    the largest: each inverse times its block is the identity on Python
+    ints, on both branches."""
+    rng = np.random.default_rng(p)
+    blocks = [np.triu(rng.integers(0, p, (n, n)), 1)
+              + np.eye(n, dtype=np.int64) for n in (32, 32, 5, 1)]
+    invs = _unitri_inverse([b.astype(np.float64) for b in blocks], p)
+    assert [inv.shape for inv in invs] == [b.shape for b in blocks]
+    for a, inv in zip(blocks, invs):
+        n = len(a)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        got = inv.astype(np.int64).tolist()
+        assert _matmul_mod_py(a.tolist(), got, p) == eye
+
+
+@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
+@pytest.mark.parametrize("depth", [1, 32, 75, 2000])
+def test_mul_mod_matches_python_ints(p, depth):
+    """x @ m mod p through limbs, or one limb where it holds every entry,
+    equals the product on Python ints."""
+    rng = np.random.default_rng(depth)
+    x = rng.integers(0, p, (3, depth))
+    m = rng.integers(0, p, (depth, 4))
+    got = _mul_mod(x, m.astype(np.float64), p)
+    assert got.tolist() == _matmul_mod_py(x.tolist(), m.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
+def test_reduce_into_inverts_stale_and_new_blocks(p, monkeypatch):
+    """One seeded row, then batches of 33 vectors each stored in turn, as
+    the BM loop stores them: every later solve inverts the trailing block,
+    stale since rows joined it, and the new block after it in one call,
+    and every vector still reduces as row by row."""
+    import bmpoints.engine as engine
+    calls = []
+
+    def recording(blocks, q):
+        calls.append([len(b) for b in blocks])
+        return _unitri_inverse(blocks, q)
+    monkeypatch.setattr(engine, "_unitri_inverse", recording)
+    mu = 120
+    rng = np.random.default_rng(p + 1)
+    eng = PrimeEngine(make_field(f"q:{p}"), [(0, 0)] * mu)
+    seed = np.zeros(2 * mu, dtype=np.int64)
+    seed[:mu] = rng.integers(0, p, mu)
+    seed[0] = seed[mu] = 1
+    eng.bulk_load([seed])
+    rows, pivots = [seed], [0]
+    while eng.nrows < 100:
+        evals = rng.integers(0, p, (33, mu)).tolist()
+        V = eng.new_vectors(evals)
+        wants = [_reference_reduce(rows, pivots, e + [0] * mu, p)
+                 for e in evals]
+        assert eng.reduce_into(V).tolist() == [a for c, _ in wants for a in c]
+        for k, e in enumerate(evals):
+            want = _reference_reduce(rows, pivots, e + [0] * mu, p)[1]
+            assert _point_order(eng, V[k]) == want
+            slot, point = eng.nrows, next(c for c in range(mu) if want[c])
+            eng.append_row(V[k], eng.pivot_of(V[k]), V[k + 1:])
+            s = pow(want[point], -1, p)
+            rows.append(np.array(want) * s % p)
+            rows[-1][mu + slot] = s
+            pivots.append(point)
+    assert calls == [[1], [32, 2], [32, 3]]
+    assert eng.pivot_indices() == pivots
+
+
+def test_monomial_walks_square_and_multiply():
+    """A walk of one step costs one product; a far exponent costs
+    O(log e) products from its nearest cached divisor, and is cached."""
+    products = []
+
+    def mul(u, w):
+        products.append(None)
+        return [a * b for a, b in zip(u, w)]
+    cache = {(0, 0): [1, 1]}
+    xs, ys = [2, 3], [5, 7]
+    for e, want in [((1, 0), [2, 3]), ((2, 0), [4, 9]), ((0, 1), [5, 7]),
+                    ((1, 1), [10, 21])]:
+        before = len(products)
+        assert _monomial(e, cache, xs, ys, mul) == want
+        assert len(products) == before + 1, e
+    before = len(products)
+    assert _monomial((1, 2000), cache, xs, ys, mul) == [
+        2 * 5**2000, 3 * 7**2000]
+    assert len(products) - before <= 2 * (2000).bit_length() + 1
+    assert (1, 2000) in cache and (1, 1999) not in cache
 
 
 @pytest.mark.parametrize("bad", ["diagonal", "below", "slot"])

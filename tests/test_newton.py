@@ -24,16 +24,26 @@ BUILDS = ((newton_basis_rows, "rows"), (newton_basis_cols, "columns"))
 
 
 def _point_sets(field):
-    """Seeded sets with several points per line: random points of F_23^2,
-    and subsets of grids of large or fractional coordinates."""
+    """Seeded sets with several points per line: random points of F_23^2
+    and the whole plane (23 lines of 23, shuffled), subsets of grids of
+    large or fractional coordinates, 300 uniform points of F_p for
+    p = 2^31 - 1 (one per line), and a set whose line sizes tie under
+    both axes (3, 3, 2, 2, 1 by rows; 3, 3, 2, 1, 1, 1 by columns)."""
+    pool = ([0, 1, 2**30, 123456789, BIG.p - 2, BIG.p - 1, 7] if field is BIG
+            else [0, 1, -1, Fr(5, 2), Fr(-7, 3), Fr(1, 9), Fr(3, 4)]
+            if field is QQ else list(range(7)))
+    tied = PointSet(field, [(pool[x], pool[y]) for x, y in [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2),
+        (5, 3), (6, 3), (3, 4)]])
     if field is F23:
         return [gen_points(F23, n, seed) for n, seed in
-                ((1, 1), (9, 2), (40, 3), (120, 4))]
-    pool = ([0, 1, 2**30, 123456789, BIG.p - 2, BIG.p - 1] if field is BIG
-            else [0, 1, -1, Fr(5, 2), Fr(-7, 3), Fr(1, 9)])
+                ((1, 1), (9, 2), (40, 3), (120, 4), (23 * 23, 5))] + [tied]
     rng = random.Random(7)
-    grid = [(x, y) for x in pool for y in pool]
-    return [PointSet(field, rng.sample(grid, n)) for n in (1, 7, 20, 36)]
+    grid = [(x, y) for x in pool[:6] for y in pool[:6]]
+    sets = [PointSet(field, rng.sample(grid, n)) for n in (1, 7, 20, 36)]
+    if field is BIG:
+        sets.append(gen_points(BIG, 300, 1))
+    return sets + [tied]
 
 
 FIELDS = pytest.mark.parametrize("field", [F23, BIG, QQ],
@@ -123,6 +133,11 @@ def test_evaluation_matrix_goldens():
 
 @FIELDS
 def test_recurrence_matches_reference(field):
+    """Every row, entry by entry, against the reference products: the
+    coefficients term by term, the values by reference_value, on the sets
+    above 40 points at 400 sampled entries and everywhere by one values_at
+    call of the reference products."""
+    rng = random.Random(3)
     for ps in _point_sets(field):
         for build, axis in BUILDS:
             cover = line_cover(ps, axis)
@@ -133,8 +148,13 @@ def test_recurrence_matches_reference(field):
             for r, want in enumerate(ref):
                 got = dict(zip(basis.index_order, B[r, len(ps):].tolist()))
                 assert {e: c for e, c in got.items() if c} == want.terms
-                assert B[r, :len(ps)].tolist() == [
-                    reference_value(want, pt) for pt in basis.point_order]
+            pts = basis.point_order
+            entries = [(r, c) for r in range(len(ps)) for c in range(len(ps))]
+            if len(ps) > 40:
+                entries = rng.sample(entries, 400)
+                assert B[:, :len(ps)].tolist() == values(field, ref, pts)
+            for r, c in entries:
+                assert B[r, c] == reference_value(ref[r], pts[c]), (r, c)
 
 
 @FIELDS
