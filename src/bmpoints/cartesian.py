@@ -1,4 +1,4 @@
-"""Cartesian-set criteria and maximal cartesian subset extraction.
+"""The cartesian-set criterion and maximal cartesian subset extraction.
 
 A point set is cartesian when it equals {(x_i, y_j) : (i, j) in A} for a
 lower set A, distinct abscissae x_i and distinct ordinates y_j.  Cartesian
@@ -15,32 +15,13 @@ from .points import (EmptySetError, PointSet, coordinate_scale, line_cover,
                      lower_set_of, scale_points)
 
 
-def _nested(chain) -> bool:
-    """True iff the given coordinate sets form a superset chain."""
-    prev = None
-    for cur in chain:
-        if prev is not None and not cur <= prev:
-            return False
-        prev = cur
-    return True
-
-
-def is_cartesian(ps: PointSet, method: str = "sx_eq_sy") -> bool:
-    """Decide cartesianness by either of two equivalent criteria: the row
-    and column covers yield the same lower set (S_x = S_y), or the lines of
-    each cover form a superset chain."""
+def is_cartesian(ps: PointSet) -> bool:
+    """True iff the row and column covers yield the same lower set,
+    S_x = S_y."""
     if len(ps) == 0:
         raise EmptySetError("empty point set")
-    if method == "sx_eq_sy":
-        return (set(lower_set_of(line_cover(ps, "rows")))
-                == set(lower_set_of(line_cover(ps, "columns"))))
-    if method == "nested_chains":
-        rows = [frozenset(x for x, _ in g)
-                for _, g in line_cover(ps, "rows").groups]
-        cols = [frozenset(y for _, y in g)
-                for _, g in line_cover(ps, "columns").groups]
-        return _nested(rows) and _nested(cols)
-    raise ValueError(f"unknown method {method!r}")
+    return (set(lower_set_of(line_cover(ps, "rows")))
+            == set(lower_set_of(line_cover(ps, "columns"))))
 
 
 def max_cartesian_subset(ps: PointSet):

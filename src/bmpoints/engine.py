@@ -21,9 +21,10 @@ are inverted, so a seeded block costs no elimination beyond them, and a
 block is inverted again only after rows have joined it; a solve inverts
 all the blocks it needs in one stacked call.  A row appended from the
 stack reduces the vectors after it by one rank-1 update over their live
-columns.  The products run in float64 on base-2^b limbs, cut once per
-reduction, so every sum stays exact; where one limb holds every entry, the
-entries go into the product as they are.
+columns.  Two exact schemes serve every p < 2^31: the products run in
+float64 on base-2^b limbs, cut once per reduction, so every sum stays
+below 2^53; the block inverses (Gauss-Jordan) and the rank-1 updates run
+elementwise in int64, where every product stays below p^2 < 2^62.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
@@ -57,24 +58,18 @@ _BASE_BLOCK = 32
 
 def _split(x: np.ndarray, depth: int, p: int) -> tuple:
     """(limbs, b): int64 x in [0, p) as float64 base-2^b limbs, stacked by
-    rows, b the largest that keeps products of this depth below 2^53; x
-    itself, as float64, where one limb holds every entry."""
+    rows, b the largest that keeps products of this depth below 2^53."""
     bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1
     if bits < 1:
         raise ValueError(f"a product of depth {depth} mod {p} is not exact "
                          "in float64")
-    width = (p - 1).bit_length()
-    if bits >= width:
-        return x.astype(np.float64), bits
-    shifts = np.arange(0, width, bits)[:, None, None]
+    shifts = np.arange(0, (p - 1).bit_length(), bits)[:, None, None]
     limbs = (x >> shifts) & ((1 << bits) - 1)
     return limbs.reshape(-1, x.shape[-1]).astype(np.float64), bits
 
 
 def _join(parts: np.ndarray, bits: int, p: int, n: int) -> np.ndarray:
     """The n product rows mod p from the float64 product of n-row limbs."""
-    if len(parts) == n:
-        return parts.astype(np.int64) % p
     parts = (parts.astype(np.int64) % p).reshape(-1, n, parts.shape[-1])
     out = parts[0]
     for k, part in enumerate(parts[1:], 1):
@@ -96,44 +91,24 @@ def _unitri_inverse(blocks: list, p: int) -> list:
     [0, p), listed by non-increasing size, as float64.
 
     One pass inverts them all, as a stack padded with the identity to the
-    largest.  Each is I + N with N nilpotent: where one float64 product of
-    its size is exact, the inverse is (I - N)(I + N^2)(I + N^4)..., each
-    factor a plain float64 product; where products would need limbs,
-    Gauss-Jordan from the last column is cheaper, and its step at column k
-    takes only the blocks larger than k.
+    largest, by Gauss-Jordan from the last column in int64: the step at
+    column k takes only the blocks larger than k, and its products stay
+    below p^2 < 2^62, so every step is exact.
     """
     sizes = [len(d) for d in blocks]
     n = sizes[0]
-    gauss = (n + 1) * (p - 1) ** 2 >= _FLOAT_EXACT
-    eye = np.zeros((len(blocks), n, n), dtype=np.int64 if gauss else None)
-    eye.reshape(len(blocks), -1)[:, ::n + 1] = 1
-    a = eye.copy()
+    out = np.zeros((len(blocks), n, n), dtype=np.int64)
+    out.reshape(len(blocks), -1)[:, ::n + 1] = 1
+    a = out.copy()
     for x, d in zip(a, blocks):
         x[:len(d), :len(d)] = d
-    if gauss:
-        out = eye
-        live = 0
-        for k in range(n - 1, 0, -1):  # products below p^2: exact in int64
-            while live < len(sizes) and sizes[live] > k:
-                live += 1
-            out[:live, :k, k:] = (out[:live, :k, k:] - a[:live, :k, k, None]
-                                  * out[:live, k, None, k:]) % p
-        out = out.astype(np.float64)
-    else:
-        power = _float_mod(eye - a, p)
-        out = eye + power
-        span = 2
-        while span < n:
-            power = _float_mod(power @ power, p)
-            out = _float_mod(out + out @ power, p)
-            span *= 2
-    return [x[:size, :size] for x, size in zip(out, sizes)]
-
-
-def _float_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Integral float64 x, |x| < 2^53, mod p, through int64, whose
-    remainder runs faster than float64's."""
-    return (x.astype(np.int64) % p).astype(np.float64)
+    live = 0
+    for k in range(n - 1, 0, -1):
+        while live < len(sizes) and sizes[live] > k:
+            live += 1
+        out[:live, :k, k:] = (out[:live, :k, k:] - a[:live, :k, k, None]
+                              * out[:live, k, None, k:]) % p
+    return [x[:size, :size] for x, size in zip(out.astype(np.float64), sizes)]
 
 
 def _monomial(e, cache, xs, ys, mul):

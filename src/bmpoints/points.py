@@ -4,8 +4,8 @@ A line cover groups the points on lines parallel to one axis, largest group
 first.  Its group sizes are the staircase of a monomial basis for the
 points: lower_set_of turns a cover into that staircase, listed in cover
 order.  It is the one place that does so; the Newton basis of the cover is
-indexed by the same list.  is_cartesian's default criterion, S_x = S_y,
-compares the lower sets of the row and the column cover as sets.
+indexed by the same list.  is_cartesian's criterion, S_x = S_y, compares
+the lower sets of the row and the column cover as sets.
 """
 
 from __future__ import annotations

@@ -80,8 +80,9 @@ class PolyMatrix:
     @classmethod
     def from_terms(cls, field: Field, rows) -> "PolyMatrix":
         """Rows of (exponent, coefficient) pairs, coefficients already in
-        the field; the terms of one exponent in one row add up.  Over Q
-        each row is then scaled by the lcm of its denominators."""
+        the field; the terms of one exponent in one row add up, and an
+        exponent whose coefficients all come to zero keeps no column.  Over
+        Q each row is then scaled by the lcm of its denominators."""
         col: dict = {}
         ks, cs, vals = [], [], []
         for k, row in enumerate(rows):
@@ -96,13 +97,17 @@ class PolyMatrix:
                   np.array(vals, dtype=coeffs.dtype))
         if field.char:
             coeffs %= field.char
-            return cls(field, list(col), coeffs)
+        used = coeffs.astype(bool).any(axis=0)
+        exps = [e for e, u in zip(col, used.tolist()) if u]
+        coeffs = coeffs[:, used]
+        if field.char:
+            return cls(field, exps, coeffs)
         rows = coeffs.tolist()
         dens = [lcm(*(c.denominator for c in row)) for row in rows]
         nums = np.array([[c.numerator * (d // c.denominator) for c in row]
                          for row, d in zip(rows, dens)],
                         dtype=object).reshape(coeffs.shape)
-        return cls(field, list(col), nums, np.array(dens, dtype=object))
+        return cls(field, exps, nums, np.array(dens, dtype=object))
 
     @classmethod
     def from_polys(cls, field: Field, polys) -> "PolyMatrix":

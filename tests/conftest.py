@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from bmpoints.fields import make_field
-from bmpoints.points import PointSet
+from bmpoints.points import PointSet, line_cover
 from bmpoints.poly import PolyMatrix, Polynomial, values_at
 
 QQ = make_field("rational")
@@ -95,6 +95,18 @@ def reference_value(q, pt):
                    for (i, j), c in q.terms.items()) % p
     return sum((c * Fr(x) ** i * Fr(y) ** j for (i, j), c in q.terms.items()),
                Fr(0))
+
+
+def nested_chains(ps):
+    """The second cartesian criterion: the lines of each cover, as sets of
+    coordinates, form a superset chain; the reference is_cartesian's
+    S_x = S_y is tested against."""
+    rows = [frozenset(x for x, _ in g)
+            for _, g in line_cover(ps, "rows").groups]
+    cols = [frozenset(y for _, y in g)
+            for _, g in line_cover(ps, "columns").groups]
+    return all(b <= a for chain in (rows, cols)
+               for a, b in zip(chain, chain[1:]))
 
 
 def values(field, polys, points):

@@ -20,7 +20,7 @@ from bmpoints.verify import (check_newton, check_reduced_gb, check_vanishing,
                              oracle_dense, verify_result)
 from conftest import (EX1_G_TEXT, EX1_N, EX1_Q_TEXT, EX2_G_TEXT, EX2_N,
                       EX5_G_Y6, EX5_MCS_ORDER, EX5_SEED_Q_TEXT, F3, F5, F17,
-                      QQ, leading_monomials)
+                      QQ, leading_monomials, nested_chains)
 
 F23 = make_field("q:23")
 
@@ -199,8 +199,7 @@ def test_criterion_8_invariant_suites():
 
         for seed in range(40):
             ps = gen_points(F5, seed % 10 + 1, seed=500 + seed)
-            assert (is_cartesian(ps, method="sx_eq_sy")
-                    == is_cartesian(ps, method="nested_chains"))
+            assert is_cartesian(ps) == nested_chains(ps)
 
         for field in (F5, F17, QQ):
             a = gen_points(field, 9, seed=42)

@@ -18,7 +18,7 @@ from bmpoints.points import (EmptySetError, PointSet, coordinate_scale,
 from bmpoints.randgen import gen_points
 from bmpoints.verify import verify_result
 from conftest import (EX2_MCS_SET, EX2_POINTS, EX5_MCS_ORDER, EX5_POINTS, F5,
-                      F7, QQ)
+                      F7, QQ, nested_chains)
 
 
 def test_is_cartesian_golden():
@@ -43,15 +43,13 @@ def test_is_cartesian_golden():
 def test_is_cartesian_errors():
     with pytest.raises(EmptySetError):
         is_cartesian(PointSet(F5, []))
-    with pytest.raises(ValueError):
-        is_cartesian(PointSet(F5, [(0, 0)]), method="vibes")
 
 
 @given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                min_size=1, max_size=14))
 def test_criteria_agree(pts):
     ps = PointSet(F5, sorted(pts))
-    assert is_cartesian(ps, "sx_eq_sy") == is_cartesian(ps, "nested_chains")
+    assert is_cartesian(ps) == nested_chains(ps)
 
 
 def test_criteria_agree_on_the_plane():
@@ -62,8 +60,8 @@ def test_criteria_agree_on_the_plane():
                           (((3, 7), (50, 60)), False)):
         ps = PointSet(make_field("q:101"),
                       [pt for pt in plane if pt not in missing])
-        assert is_cartesian(ps, "sx_eq_sy") == want
-        assert is_cartesian(ps, "nested_chains") == want
+        assert is_cartesian(ps) == want
+        assert nested_chains(ps) == want
 
 
 def test_mcs_second_example():

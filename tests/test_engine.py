@@ -228,9 +228,8 @@ def test_prime_pivot_is_lowest_point_after_swap():
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
 @pytest.mark.parametrize("n", [1, 2, 31, 32])
 def test_unitri_inverse(p, n):
-    """A diagonal block's inverse, by powers of its nilpotent part where one
-    float64 product is exact (p = 23) and by Gauss-Jordan otherwise, times
-    the block is the identity on Python ints."""
+    """A diagonal block's inverse by Gauss-Jordan in int64, times the block,
+    is the identity on Python ints, at a small prime and at the largest."""
     rng = np.random.default_rng(p + n)
     a = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
     inv = _unitri_inverse([a], p)[0].astype(np.int64)
@@ -242,7 +241,7 @@ def test_unitri_inverse(p, n):
 def test_unitri_inverse_stack(p):
     """One call inverts blocks of mixed sizes, padded with the identity to
     the largest: each inverse times its block is the identity on Python
-    ints, on both branches."""
+    ints, at a small prime and at the largest."""
     rng = np.random.default_rng(p)
     blocks = [np.triu(rng.integers(0, p, (n, n)), 1)
               + np.eye(n, dtype=np.int64) for n in (32, 32, 5, 1)]
@@ -258,8 +257,8 @@ def test_unitri_inverse_stack(p):
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
 @pytest.mark.parametrize("depth", [1, 32, 75, 2000])
 def test_mul_mod_matches_python_ints(p, depth):
-    """x @ m mod p through limbs, or one limb where it holds every entry,
-    equals the product on Python ints."""
+    """x @ m mod p through limbs, one at p = 23 and two or more at
+    p = 2^31-1, equals the product on Python ints."""
     rng = np.random.default_rng(depth)
     x = rng.integers(0, p, (3, depth))
     m = rng.integers(0, p, (depth, 4))

@@ -70,6 +70,21 @@ def test_json_round_trip(p):
         assert stored.polys() == [p]
 
 
+@pytest.mark.parametrize("field", [F7, QQ], ids=["q:7", "rational"])
+def test_from_json_keeps_only_nonzero_exponents(field):
+    """A stored zero term, and terms of one exponent that cancel, keep no
+    column, so no power is built for them; a term that cancels in one row
+    but not in another keeps its column."""
+    stored = poly_matrix_from_json(field, [
+        [[1, 0, "1"], [1000000, 0, "0"], [0, 3, "2"], [0, 3, "-2"],
+         [0, 0, "3"]],
+        [[2, 2, "5"], [0, 3, "1"], [5, 5, "-1"], [5, 5, "1"]]])
+    assert stored.exps == [(1, 0), (0, 3), (0, 0), (2, 2)]
+    assert stored.coeffs.astype(bool).any(axis=0).all()
+    assert [poly_text(q, LEX) for q in stored.polys()] == [
+        "x+3", "5x^2y^2+y^3"]
+
+
 @given(rows=q_term_rows)
 def test_rational_rows_over_least_common_denominator(rows):
     """from_terms and from_polys over Q give integer rows over their
