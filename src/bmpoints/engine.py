@@ -21,10 +21,12 @@ are inverted, so a seeded block costs no elimination beyond them, and a
 block is inverted again only after rows have joined it; a solve inverts
 all the blocks it needs in one stacked call.  A row appended from the
 stack reduces the vectors after it by one rank-1 update over their live
-columns.  Two exact schemes serve every p < 2^31: the products run in
-float64 on base-2^b limbs, cut once per reduction, so every sum stays
-below 2^53; the block inverses (Gauss-Jordan) and the rank-1 updates run
-elementwise in int64, where every product stays below p^2 < 2^62.
+columns.  Two exact schemes serve every p < 2^31: the products, of the
+solve and of the block inverses, run in float64 on base-2^b limbs of the
+left factor, b chosen from the depth and p so that every sum stays below
+2^53; the rank-1 updates run elementwise in int64, where every product
+stays below p^2 < 2^62.  A block inverse doubles: each of its log2 n
+levels joins the inverses of diagonal halves by two stacked products.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
@@ -57,58 +59,65 @@ _BASE_BLOCK = 32
 
 
 def _split(x: np.ndarray, depth: int, p: int) -> tuple:
-    """(limbs, b): int64 x in [0, p) as float64 base-2^b limbs, stacked by
-    rows, b the largest that keeps products of this depth below 2^53."""
+    """(limbs, b): int64 x in [0, p), one matrix or a stack of them, as
+    float64 base-2^b limbs stacked by rows within each matrix, b the largest
+    that keeps products of this depth below 2^53."""
     bits = ((_FLOAT_EXACT - 1) // (depth * (p - 1)) + 1).bit_length() - 1
     if bits < 1:
         raise ValueError(f"a product of depth {depth} mod {p} is not exact "
                          "in float64")
     shifts = np.arange(0, (p - 1).bit_length(), bits)[:, None, None]
-    limbs = (x >> shifts) & ((1 << bits) - 1)
-    return limbs.reshape(-1, x.shape[-1]).astype(np.float64), bits
+    limbs = (x[..., None, :, :] >> shifts) & ((1 << bits) - 1)
+    return (limbs.reshape(*x.shape[:-2], -1, x.shape[-1])
+            .astype(np.float64), bits)
 
 
 def _join(parts: np.ndarray, bits: int, p: int, n: int) -> np.ndarray:
-    """The n product rows mod p from the float64 product of n-row limbs."""
-    parts = (parts.astype(np.int64) % p).reshape(-1, n, parts.shape[-1])
-    out = parts[0]
-    for k, part in enumerate(parts[1:], 1):
-        out += part * pow(2, k * bits, p)
+    """The n product rows mod p, of each matrix of a stack, from the
+    float64 product of n-row limbs."""
+    parts = (parts.astype(np.int64) % p).reshape(*parts.shape[:-2], -1, n,
+                                                 parts.shape[-1])
+    out = parts[..., 0, :, :]
+    for k in range(1, parts.shape[-3]):
+        out += parts[..., k, :, :] * pow(2, k * bits, p)
         out %= p
     return out
 
 
 def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    """x @ m mod p, exactly, for 2-D int64 x and float64 m with entries in
-    [0, p), all limbs in one product; the certificate's evaluator
-    (poly._matmul_mod) keeps its own copy of this scheme."""
-    limbs, bits = _split(x, m.shape[0], p)
-    return _join(limbs @ m, bits, p, len(x))
+    """x @ m mod p, exactly, for int64 x and float64 m with entries in
+    [0, p), matrices or stacks of them, all limbs in one product; the
+    certificate's evaluator (poly._matmul_mod) keeps its own copy."""
+    limbs, bits = _split(x, m.shape[-2], p)
+    return _join(limbs @ m, bits, p, x.shape[-2])
 
 
 def _unitri_inverse(blocks: list, p: int) -> list:
     """Inverses mod p of unit upper triangular blocks with entries in
     [0, p), listed by non-increasing size, as float64.
 
-    One pass inverts them all, as a stack padded with the identity to the
-    largest, by Gauss-Jordan from the last column in int64: the step at
-    column k takes only the blocks larger than k, and its products stay
-    below p^2 < 2^62, so every step is exact.
+    One pass inverts them all, as a stack padded with the identity to n,
+    the power of two at or above the largest, by recursive doubling:
+    inv([[A, B], [0, D]]) = [[A^-1, -A^-1 B D^-1], [0, D^-1]].  With its
+    strictly upper entries negated every 2x2 diagonal block is inverted;
+    level s joins pairs of s x s inverses of the blocks larger than s by
+    two stacked products, exact by _mul_mod at depth s.
     """
     sizes = [len(d) for d in blocks]
-    n = sizes[0]
-    out = np.zeros((len(blocks), n, n), dtype=np.int64)
-    out.reshape(len(blocks), -1)[:, ::n + 1] = 1
-    a = out.copy()
-    for x, d in zip(a, blocks):
+    n = 1 << (sizes[0] - 1).bit_length()
+    out = np.zeros((len(blocks), n, n))
+    for x, d in zip(out, blocks):
         x[:len(d), :len(d)] = d
-    live = 0
-    for k in range(n - 1, 0, -1):
-        while live < len(sizes) and sizes[live] > k:
-            live += 1
-        out[:live, :k, k:] = (out[:live, :k, k:] - a[:live, :k, k, None]
-                              * out[:live, k, None, k:]) % p
-    return [x[:size, :size] for x, size in zip(out.astype(np.float64), sizes)]
+    np.subtract(p, out, out=out, where=out != 0)
+    out.reshape(len(blocks), -1)[:, ::n + 1] = 1
+    for s in [1 << k for k in range(1, n.bit_length() - 1)]:
+        live, m = sum(size > s for size in sizes), n // (2 * s)
+        # the 2s x 2s diagonal blocks of the live stack, as a view
+        v = np.einsum("kiaib->kiab",
+                      out[:live].reshape(live, m, 2 * s, m, 2 * s))
+        x = _mul_mod(v[..., :s, :s].astype(np.int64), v[..., :s, s:], p)
+        v[..., :s, s:] = _mul_mod(x, v[..., s:, s:], p)
+    return [x[:size, :size] for x, size in zip(out, sizes)]
 
 
 def _monomial(e, cache, xs, ys, mul):

@@ -225,33 +225,82 @@ def test_prime_pivot_is_lowest_point_after_swap():
                                               [1, 1, 0, 0, 0, 1, 0, 0]]
 
 
-@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
-@pytest.mark.parametrize("n", [1, 2, 31, 32])
-def test_unitri_inverse(p, n):
-    """A diagonal block's inverse by Gauss-Jordan in int64, times the block,
-    is the identity on Python ints, at a small prime and at the largest."""
-    rng = np.random.default_rng(p + n)
-    a = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
-    inv = _unitri_inverse([a], p)[0].astype(np.int64)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert _matmul_mod_py(inv.tolist(), a.tolist(), p) == eye
+def _unitri(rng, p, n, upper=None):
+    """A unit upper triangular n x n int64 block mod p, its entries above
+    the diagonal random in [0, p) or all equal to upper."""
+    above = rng.integers(0, p, (n, n)) if upper is None else np.full(
+        (n, n), upper)
+    return np.triu(above, 1) + np.eye(n, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
-def test_unitri_inverse_stack(p):
-    """One call inverts blocks of mixed sizes, padded with the identity to
-    the largest: each inverse times its block is the identity on Python
-    ints, at a small prime and at the largest."""
-    rng = np.random.default_rng(p)
-    blocks = [np.triu(rng.integers(0, p, (n, n)), 1)
-              + np.eye(n, dtype=np.int64) for n in (32, 32, 5, 1)]
-    invs = _unitri_inverse([b.astype(np.float64) for b in blocks], p)
+def _assert_inverses(blocks, invs, p):
+    """Each float64 inverse has its block's shape and, times the block on
+    Python ints, is the identity."""
     assert [inv.shape for inv in invs] == [b.shape for b in blocks]
     for a, inv in zip(blocks, invs):
+        assert inv.dtype == np.float64
         n = len(a)
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         got = inv.astype(np.int64).tolist()
+        assert _matmul_mod_py(got, a.tolist(), p) == eye
         assert _matmul_mod_py(a.tolist(), got, p) == eye
+
+
+@pytest.mark.parametrize("p", [2, 3, 23, 101, 2**31 - 1],
+                         ids=["p=2", "p=3", "p=23", "p=101", "p=2^31-1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 31, 32])
+def test_unitri_inverse(p, n):
+    """A diagonal block's inverse by recursive doubling, padded to a power
+    of two where n is not one, times the block is the identity on Python
+    ints, from the smallest prime to the largest."""
+    a = _unitri(np.random.default_rng(p + n), p, n)
+    _assert_inverses([a], _unitri_inverse([a.astype(np.float64)], p), p)
+
+
+@pytest.mark.parametrize("upper", ["p-1", "1"])
+@pytest.mark.parametrize("n", [2, 5, 17, 32])
+def test_unitri_inverse_extreme_entries(n, upper):
+    """At p = 2^31-1, blocks whose every entry above the diagonal is p - 1,
+    or 1, so that the negated entries the doubling multiplies are 1, or
+    p - 1, the largest a right factor can hold."""
+    p = 2**31 - 1
+    a = _unitri(None, p, n, p - 1 if upper == "p-1" else 1)
+    _assert_inverses([a], _unitri_inverse([a.astype(np.float64)], p), p)
+
+
+@pytest.mark.parametrize("p, sizes", [
+    (23, (32, 32, 5, 1)),
+    (2**31 - 1, (32, 32, 5, 1)),
+    (101, (32,) * 8 + (17,)),
+    (2**31 - 1, (32,) * 8 + (17,)),
+], ids=["p=23", "p=2^31-1", "p=101-8x32+17", "p=2^31-1-8x32+17"])
+def test_unitri_inverse_stack(p, sizes):
+    """One call inverts blocks of mixed sizes, padded with the identity to
+    a power of two, each block leaving the stack once its size is reached:
+    each inverse times its block is the identity on Python ints."""
+    rng = np.random.default_rng(p + len(sizes))
+    blocks = [_unitri(rng, p, n) for n in sizes]
+    invs = _unitri_inverse([b.astype(np.float64) for b in blocks], p)
+    _assert_inverses(blocks, invs, p)
+
+
+def test_unitri_inverse_needs_the_limb_split(monkeypatch):
+    """At p = 2^31-1 a product of two entries alone may exceed 2^53: with
+    _split returning the left factor whole, as one limb, the doubling's
+    float64 sums round, or pass 2^63 and wrap in the cast back to int64,
+    and a 32-row inverse comes out wrong, so the limb split is what keeps
+    them exact."""
+    import bmpoints.engine as engine
+    p = 2**31 - 1
+    a = _unitri(np.random.default_rng(7), p, 32)
+    monkeypatch.setattr(engine, "_split",
+                        lambda x, depth, q: (x.astype(np.float64), 31))
+    with np.errstate(invalid="ignore"):
+        inv = _unitri_inverse([a.astype(np.float64)], p)[0].astype(np.int64)
+    eye = np.eye(32, dtype=np.int64).tolist()
+    assert _matmul_mod_py(inv.tolist(), a.tolist(), p) != eye
+    monkeypatch.undo()
+    _assert_inverses([a], _unitri_inverse([a.astype(np.float64)], p), p)
 
 
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])

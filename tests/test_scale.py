@@ -3,6 +3,9 @@ result certifies, also on collinear sets whose staircase is one long line;
 under lex and inlex the staircase is also checked against a line cover,
 under tdinlex against a walk over degree layers."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -86,9 +89,12 @@ def _tdinlex_staircase(ps) -> list:
     ascend, y^d first within a layer, and a monomial joins N when its
     values at the points are independent of those of every smaller
     monomial.  A multiple of a rejected monomial is skipped unvisited.
-    The values come from poly.values_at and the elimination is an int64
-    one mod p written here, so no code is shared with the engine."""
+    The values come from poly.values_at, exact over either field, and the
+    elimination is written here, int64 mod p or on Fractions over Q, so no
+    code is shared with the engine."""
     p, mu = ps.field.char, len(ps)
+    reduce = (lambda v: v % p) if p else (lambda v: v)
+    inverse = (lambda a: pow(int(a), -1, p)) if p else (lambda a: 1 / a)
     rows, pivots, N, rejected = [], [], [], []
     d = 0
     while len(N) < mu:
@@ -97,16 +103,19 @@ def _tdinlex_staircase(ps) -> list:
                  if not any(a <= i and b <= d - i for a, b in rejected)]
         assert layer, "every monomial of a degree rejected before N is full"
         d += 1
-        ident = np.eye(len(layer), dtype=np.int64)
-        values = values_at(PolyMatrix(ps.field, layer, ident), ps.points)
+        k = len(layer)
+        ident = (PolyMatrix(ps.field, layer, np.eye(k, dtype=np.int64)) if p
+                 else PolyMatrix(ps.field, layer, np.eye(k, dtype=object),
+                                 np.ones(k, dtype=object)))
+        values = values_at(ident, ps.points)
         for e, v in zip(layer, values):
             for row, piv in zip(rows, pivots):
                 if v[piv]:
-                    v = (v - v[piv] * row) % p
+                    v = reduce(v - v[piv] * row)
             nonzero = np.flatnonzero(v)
             if nonzero.size:
                 piv = nonzero[0]
-                rows.append(v * pow(int(v[piv]), -1, p) % p)
+                rows.append(reduce(v * inverse(v[piv])))
                 pivots.append(piv)
                 N.append(e)
             else:
@@ -123,5 +132,25 @@ def test_tdinlex_staircase_matches_layer_walk():
     want = _tdinlex_staircase(ps)
     first = TDINLEX.sorted((i, d - i) for d in range(24) for i in range(d + 1))
     assert set(want) != set(first)
+    assert bm_run(ps, TDINLEX).N == want
+    assert set(gpbm_run(ps, TDINLEX).N) == set(want)
+
+
+def test_tdinlex_staircase_matches_layer_walk_over_q():
+    """The same walk over Q, on 40 rational points on five horizontal
+    lines: their product in y vanishes on the points, so y^5 and its
+    multiples stay out of N and N is not the first 40 monomials."""
+    rng = random.Random(11)
+
+    def rationals(k):
+        out = set()
+        while len(out) < k:
+            out.add(Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
+        return sorted(out)
+    pts = [(x, y) for y in rationals(5) for x in rationals(8)]
+    ps = PointSet(make_field("rational"), pts)
+    want = _tdinlex_staircase(ps)
+    first = TDINLEX.sorted((i, d - i) for d in range(9) for i in range(d + 1))
+    assert (0, 5) not in want and set(want) != set(first[:40])
     assert bm_run(ps, TDINLEX).N == want
     assert set(gpbm_run(ps, TDINLEX).N) == set(want)
