@@ -6,7 +6,9 @@ subsets are what lets a run be seeded with a ready-made triangular block.
 max_cartesian_subset returns the subset's row cover and the removed points
 in input order, so the cover's points followed by the removed points are
 the order in which gpbm runs.  Its greedy loop works on point positions
-keyed by integer-scaled coordinates, so the loop hashes no Fraction.
+keyed by integer-scaled coordinates, so the loop hashes no Fraction, and
+it takes the subset by PointSet.subset, which shares the points already
+validated instead of converting and checking them again.
 """
 
 from __future__ import annotations
@@ -52,6 +54,6 @@ def max_cartesian_subset(ps: PointSet):
         chosen += rows[y]
         work = [k for k in work if key[k][1] != y and key[k][0] in abscissae]
     # the row-cover ordering is total, so any construction order works here
-    cover = line_cover(PointSet(ps.field, [ps[k] for k in chosen]), "rows")
+    cover = line_cover(ps.subset(chosen), "rows")
     taken = set(chosen)
     return cover, [pt for k, pt in enumerate(ps) if k not in taken]

@@ -38,7 +38,9 @@ the gcd of the whole vector only when it grows the denominator.  A row
 whose pivot entry divides the vector's entry there leaves the denominator
 as it is, so the numerators stay the exact entries times that
 denominator: their content divides it, and the next step that grows the
-denominator divides the content out.
+denominator divides the content out.  Each stored row keeps its nonzero
+columns, and such a step walks only those: the rows of a seeded Newton
+block are mostly zero.
 """
 
 from __future__ import annotations
@@ -303,7 +305,8 @@ class RationalEngine:
     step that leaves d > 1 divides out the gcd of the whole result, so no
     entry pays a gcd of its own.  A step that leaves d = 1, where R[p]
     divides V[p], is V - (V[p]/R[p]) R over the same D, with no multiply
-    and no gcd of the whole vector: the numerators are the new entries
+    and no gcd of the whole vector, over the row's nonzero columns alone,
+    which _store records once per row: the numerators are the new entries
     times D, so the vector may keep a content, but one that divides D, and
     the next step with d > 1 removes it.  Every consumer normalizes: _store
     divides a row by its gcd, and a coefficient half handed out for G or
@@ -323,6 +326,8 @@ class RationalEngine:
         self.ys = [y for _, y in scaled] + [self.scale[1]]
         self.mat: list = []
         self.pivots: list = []
+        # the nonzero columns of each stored row
+        self.supports: list = []
         self.cache = {(0, 0): [1] * (mu + 1)}
 
     @property
@@ -345,18 +350,18 @@ class RationalEngine:
         a pair (numerator, denominator) of ints, a zero one as 0."""
         coeffs = []
         for w in v:
-            for row, p in zip(self.mat, self.pivots):
+            for row, p, cols in zip(self.mat, self.pivots, self.supports):
                 coeffs.append((w[p], w[-1]) if w[p] else 0)
-                self._step(w, row, p)
+                self._step(w, row, p, cols)
         return coeffs
 
     @staticmethod
-    def _step(v: list, row: list, p: int) -> None:
+    def _step(v: list, row: list, p: int, cols: list) -> None:
         """One row step in place: V/D to (d V - V[p] R)/(d D) for the row R
         over d = R[p], with d and V[p] first divided by their gcd.  If that
-        leaves d = 1, the step is V - (V[p]/R[p]) R over the same D, and any
-        content stays, dividing D; otherwise the gcd of the whole result
-        is divided out."""
+        leaves d = 1, the step is V - (V[p]/R[p]) R over the same D, taken
+        at cols, the nonzero columns of R, and any content stays, dividing
+        D; otherwise the gcd of the whole result is divided out."""
         a = v[p]
         if not a:
             return
@@ -365,7 +370,8 @@ class RationalEngine:
         if h > 1:
             a, d = a // h, d // h
         if d == 1:
-            v[:-1] = [x - a * y if y else x for x, y in zip(v, row)]
+            for c in cols:
+                v[c] -= a * row[c]
             return
         w = [d * x - a * y if y else d * x for x, y in zip(v, row)]
         w.append(d * v[-1])
@@ -382,6 +388,7 @@ class RationalEngine:
         g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
         self.mat.append([x // g for x in row] if g != 1 else row)
         self.pivots.append(pivot)
+        self.supports.append([c for c, x in enumerate(row) if x])
 
     def append_row(self, v: list, pivot: int, rest):
         """Store V/D over V[pivot] as the next row, with its slot's own
@@ -391,7 +398,7 @@ class RationalEngine:
         row[self.mu + self.nrows] = v[-1]
         self._store(row, pivot)
         for w in rest:
-            self._step(w, self.mat[-1], pivot)
+            self._step(w, self.mat[-1], pivot, self.supports[-1])
 
     def bulk_load(self, aug_rows) -> None:
         """Store k integer rows, row r over its entry at column r: that
@@ -406,7 +413,7 @@ class RationalEngine:
             if row[r] <= 0 or any(row[:r]) or any(row[end:]):
                 raise RuntimeError("seeded rows are not unit upper triangular "
                                    "over a positive diagonal")
-        self.mat, self.pivots = [], []
+        self.mat, self.pivots, self.supports = [], [], []
         for r, row in enumerate(rows):
             self._store(row, r)
 

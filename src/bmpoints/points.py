@@ -65,6 +65,16 @@ class PointSet:
     def __repr__(self):
         return f"PointSet({len(self.points)} points over {self.field.name})"
 
+    def subset(self, indices) -> "PointSet":
+        """The points at the distinct nonnegative positions indices, in
+        that order, as the same point objects: they are valid and distinct
+        already."""
+        if len(set(indices)) < len(indices) or min(indices, default=0) < 0:
+            raise ValueError("subset positions repeat or are negative")
+        sub = object.__new__(PointSet)
+        sub.field, sub.points = self.field, [self.points[k] for k in indices]
+        return sub
+
     def index_map(self) -> dict:
         """point -> position in this set's order."""
         return {pt: k for k, pt in enumerate(self.points)}

@@ -10,6 +10,8 @@ import pytest
 from bmpoints.engine import (PrimeEngine, RationalEngine, _monomial, _mul_mod,
                              _unitri_inverse)
 from bmpoints.fields import make_field
+from bmpoints.newton import evaluation_matrix, newton_basis_rows
+from bmpoints.points import PointSet, line_cover
 from conftest import F7, QQ
 
 # three points give evaluation and coefficient halves of width 3 each
@@ -415,6 +417,12 @@ def _reference_reduce_q(rows, pivots, v):
     return coeffs, v
 
 
+def _supports(eng) -> list:
+    """The nonzero columns of each stored row, as the engine should record
+    them."""
+    return [[c for c, x in enumerate(row) if x] for row in eng.mat]
+
+
 def test_rational_engine_matches_reference():
     """Bulk-loaded rows with negative entries and mixed denominators, then
     appends of monomial vectors at points of 7-bit height, to depth 31:
@@ -441,6 +449,7 @@ def test_rational_engine_matches_reference():
     dens = [lcm(*(c.denominator for c in row)) for row in rows]
     eng.bulk_load([[(c * d).numerator for c in row]
                    for row, d in zip(rows, dens)])
+    assert eng.supports == _supports(eng)
     pivots = list(range(seeded))
     exps = sorted(((i, d - i) for d in range(10) for i in range(d + 1)),
                   key=lambda e: (sum(e), e))
@@ -464,6 +473,7 @@ def test_rational_engine_matches_reference():
             continue
         slot = eng.nrows
         eng.append_row(v, piv, V[1:])
+        assert eng.supports == _supports(eng)
         s = 1 / want_v[piv]
         rows.append([x * s for x in want_v])
         rows[-1][mu + slot] = s
@@ -479,6 +489,71 @@ def test_rational_engine_matches_reference():
     for row, d, want in zip(coeffs.tolist(), dens.tolist(), rows):
         assert d > 0 and gcd(d, *row) == 1
         assert [Fr(c, d) for c in row] == want[mu:]
+
+
+def test_rational_support_reaches_the_coefficient_half():
+    """Row 1's evaluation half is its pivot alone and its last nonzero lies
+    in the coefficient half, so a d = 1 step by it must walk columns past
+    the evaluation half to subtract its slot coefficients."""
+    pts = [tuple(map(QQ.convert, pt)) for pt in POINTS]
+    eng = RationalEngine(QQ, pts)
+    eng.bulk_load([[1, 0, 0, 1, 0, 0], [0, 1, 0, 2, 1, 0]])
+    assert eng.supports == _supports(eng) == [[0, 3], [1, 3, 4]]
+    V = _stack(eng, [Fr(3), Fr(4), Fr(5)])
+    assert _coeffs(eng, eng.reduce_into(V)) == [3, 4]
+    assert _entries(eng, V[0]) == [0, 0, 5, -11, -4, 0]
+
+
+def test_rational_support_walk_on_a_newton_block():
+    """A bulk-loaded cartesian Newton block over Q is mostly zero, and each
+    stored row, seeded or appended, records its nonzero columns.  A stack
+    reduced against the block and one appended dense row gets the
+    coefficients and residuals of a dense Fraction reduction."""
+    xs = [Fr(-3, 2), Fr(1, 3), Fr(5, 4), Fr(2)]
+    ys = [Fr(-1, 5), Fr(2, 7), Fr(3)]
+    block = [(x, y) for y, size in zip(ys, (4, 3, 1)) for x in xs[:size]]
+    loose = [(Fr(-7, 3), Fr(9, 2)), (Fr(11, 6), Fr(-5, 3))]
+    cover = line_cover(PointSet(QQ, block), "rows")
+    pts = cover.flatten() + loose
+    mu, k = len(pts), len(block)
+    seeded = evaluation_matrix(newton_basis_rows(cover), pts).tolist()
+    eng = RationalEngine(QQ, pts)
+    eng.bulk_load(seeded)
+    assert eng.supports == _supports(eng)
+    assert sum(map(len, eng.supports)) < k * mu
+    rows = [[Fr(c, row[r]) for c in row] + [Fr(0)] * (2 * mu - len(row))
+            for r, row in enumerate(seeded)]
+    pivots = list(range(k))
+
+    def reference(V, exps):
+        for v, e in zip(V, exps):
+            evals = [x**e[0] * y**e[1] for x, y in pts] + [Fr(0)] * mu
+            want_c, want_v = _reference_reduce_q(rows, pivots, evals)
+            yield _entries(eng, v), want_v, want_c
+
+    exps = [(4, 0), (0, 3), (1, 2), (3, 1), (2, 2)]
+    V = eng.new_vectors([eng.monomial_vector(e) for e in exps])
+    got_c = _coeffs(eng, eng.reduce_into(V))
+    for n, (got, want, want_c) in enumerate(reference(V, exps)):
+        assert got == want
+        assert got_c[n * k:(n + 1) * k] == want_c
+    piv = eng.pivot_of(V[0])
+    dense = _entries(eng, V[0])
+    eng.append_row(V[0], piv, V[1:])
+    assert eng.supports == _supports(eng)
+    # nonzero at every evaluation column after the block, up to its slot
+    assert eng.supports[-1][:mu - k] == list(range(k, mu))
+    assert eng.supports[-1][-1] == mu + k
+    rows.append([x / dense[piv] for x in dense])
+    rows[-1][mu + k] = 1 / dense[piv]
+    pivots.append(piv)
+    for got, want, _ in reference(V[1:], exps[1:]):
+        assert got == want
+    V = eng.new_vectors([eng.monomial_vector(e) for e in exps[1:]])
+    got_c = _coeffs(eng, eng.reduce_into(V))
+    for n, (got, want, want_c) in enumerate(reference(V, exps[1:])):
+        assert got == want
+        assert got_c[n * (k + 1):(n + 1) * (k + 1)] == want_c
 
 
 def test_rational_step_keeps_denominator_when_pivot_divides():

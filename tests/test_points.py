@@ -23,6 +23,20 @@ def test_point_set_basics():
     assert ps.index_map() == {(1, 2): 0, (3, 6): 1}
 
 
+def test_subset_shares_the_validated_points():
+    """A subset at distinct positions equals the set rebuilt from those
+    points, in that order, and holds the very same point objects."""
+    ps = PointSet(QQ, [(Fr(-3, 2), Fr(1, 3)), (Fr(5, 4), Fr(-7, 6)),
+                       (Fr(-1, 9), 2), (0, Fr(-5, 8)), (Fr(11, 3), -4)])
+    for idx in ([4, 0, 2], [1], [], [3, 1, 4, 0, 2]):
+        sub = ps.subset(idx)
+        assert sub == PointSet(QQ, [ps[k] for k in idx])
+        assert all(pt is ps[k] for pt, k in zip(sub, idx))
+    for idx in ([2, 0, 2], [0, -5]):  # -5 would be position 0 again
+        with pytest.raises(ValueError, match="repeat or are negative"):
+            ps.subset(idx)
+
+
 def test_parse_and_format_round_trip():
     text = "# a comment\n0,1\n 2 , 3 \n\n4,5\n"
     ps = parse_point_file(F7, text)
