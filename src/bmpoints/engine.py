@@ -25,8 +25,13 @@ columns.  Two exact schemes serve every p < 2^31: the products, of the
 solve and of the block inverses, run in float64 on base-2^b limbs of the
 left factor, b chosen from the depth and p so that every sum stays below
 2^53; the rank-1 updates run elementwise in int64, where every product
-stays below p^2 < 2^62.  A block inverse doubles: each of its log2 n
-levels joins the inverses of diagonal halves by two stacked products.
+stays below p^2 < 2^62.  Each exact product is reduced mod p once, after
+its limbs join in int64 (_join), and in the solve together with the
+entries it is subtracted from: the delayed modular reduction of the same
+library.  A block inverse doubles: each of its log2 n levels joins
+the inverses of diagonal halves by two stacked products.  While no
+column has moved, colperm is the identity: a stack is copied in as it is,
+and a vector nonzero at column r pivots there without a search.
 
 Over Q every row and vector is a list of Python integers over one positive
 denominator (fraction-free elimination, after Bareiss, Math. Comp. 22,
@@ -75,23 +80,35 @@ def _split(x: np.ndarray, depth: int, p: int) -> tuple:
 
 
 def _join(parts: np.ndarray, bits: int, p: int, n: int) -> np.ndarray:
-    """The n product rows mod p, of each matrix of a stack, from the
-    float64 product of n-row limbs."""
-    parts = (parts.astype(np.int64) % p).reshape(*parts.shape[:-2], -1, n,
-                                                 parts.shape[-1])
+    """The n product rows of each matrix of a stack, congruent mod p but
+    not reduced, from the float64 product of n-row limbs.
+
+    The lowest limb's sums, below 2^53, are taken as they are; every
+    higher limb k is reduced and scaled by 2^(kb), which is below p as kb
+    is below the bit length of p - 1.  So the k-th term is below p 2^(kb),
+    all of them together below p 2^31 <= 2^62, and the result lies below
+    2^62 + 2^53 in absolute value, with no reduction of the running sum.
+    """
+    parts = parts.astype(np.int64).reshape(*parts.shape[:-2], -1, n,
+                                           parts.shape[-1])
     out = parts[..., 0, :, :]
     for k in range(1, parts.shape[-3]):
-        out += parts[..., k, :, :] * pow(2, k * bits, p)
-        out %= p
+        high = parts[..., k, :, :]
+        high %= p
+        high <<= k * bits
+        out += high
     return out
 
 
 def _mul_mod(x: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     """x @ m mod p, exactly, for int64 x and float64 m with entries in
-    [0, p), matrices or stacks of them, all limbs in one product; the
-    certificate's evaluator (poly._matmul_mod) keeps its own copy."""
+    [0, p), matrices or stacks of them, all limbs in one product, the join
+    reduced once; the certificate's evaluator (poly._matmul_mod) keeps its
+    own copy."""
     limbs, bits = _split(x, m.shape[-2], p)
-    return _join(limbs @ m, bits, p, x.shape[-2])
+    out = _join(limbs @ m, bits, p, x.shape[-2])
+    out %= p
+    return out
 
 
 def _unitri_inverse(blocks: list, p: int) -> list:
@@ -172,6 +189,9 @@ class PrimeEngine:
         self.mat = np.zeros((mu, self.width))
         # the point of each evaluation column, so row r pivots at colperm[r]
         self.colperm = np.arange(mu)
+        # whether colperm has left the identity, which append_row's first
+        # swap does; until then column r holds the lowest live point
+        self.moved = False
         self.nrows = 0
         # the inverse of each diagonal block of the pivot block, first one
         # first; the last may cover fewer rows than its block holds now
@@ -187,9 +207,12 @@ class PrimeEngine:
                          lambda u, w: u * w % p)
 
     def new_vectors(self, evals) -> np.ndarray:
-        """A stack of vectors, one row per point-order entry of evals."""
+        """A stack of vectors, one row per point-order entry of evals,
+        gathered through colperm once a column has moved and copied as
+        they are before."""
         v = np.zeros((len(evals), self.width), dtype=np.int64)
-        v[:, :self.mu] = np.asarray(evals)[:, self.colperm]
+        v[:, :self.mu] = (np.asarray(evals)[:, self.colperm] if self.moved
+                          else evals)
         return v
 
     def reduce_into(self, v: np.ndarray):
@@ -204,20 +227,26 @@ class PrimeEngine:
         r pivot columns, and no stored row has a coefficient beyond slot
         r - 1, so only columns r..mu + r - 1 take the product.  Each c_b is
         cut into limbs once, at the width depth r allows, for every product.
+        Each product's join is reduced once, together with the entries it
+        is subtracted from: block b's right side is (v - join) mod p, or v
+        itself for the first block, its entries already in [0, p).
         """
         r, p, n, cols = self.nrows, self.p, len(v), self.mu + self.nrows
-        c = np.zeros((n, r), dtype=np.int64)
+        c = np.empty((n, r), dtype=np.int64)
         if not r:
             return c.ravel()
         self._invert_blocks()
-        limbs, bits = _split(c, r, p)
         for b, s in enumerate(range(0, r, _BASE_BLOCK)):
             e = min(s + _BASE_BLOCK, r)
             w = v[:, s:e]
             if s:
                 w = w - _join(limbs[:, :s] @ self.mat[:s, s:e], bits, p, n)
-            c[:, s:e] = _mul_mod(w % p, self.blocks[b], p)
-            limbs[:, s:e] = _split(c[:, s:e], r, p)[0]
+                w %= p
+            c[:, s:e] = _mul_mod(w, self.blocks[b], p)
+            part, bits = _split(c[:, s:e], r, p)
+            if not s:
+                limbs = np.empty((len(part), r))
+            limbs[:, s:e] = part
         v[:, r:cols] -= _join(limbs @ self.mat[:r, r:cols], bits, p, n)
         v[:, r:cols] %= p
         v[:, :r] = 0
@@ -237,7 +266,16 @@ class PrimeEngine:
                 self.p)
 
     def pivot_of(self, v: np.ndarray):
-        """The nonzero evaluation column of the lowest point, or None."""
+        """The nonzero evaluation column of the lowest point, or None.
+
+        v must be zero at the pivot columns 0..r-1, as reduce_into and the
+        in-batch updates of append_row leave it.  While no column has
+        moved, column r holds the lowest point that is not a pivot, so a
+        nonzero v[r] is the answer without a search.
+        """
+        r = self.nrows
+        if not self.moved and r < self.mu and v[r]:
+            return r
         nz = v[:self.mu].nonzero()[0]
         return int(nz[self.colperm[nz].argmin()]) if nz.size else None
 
@@ -245,13 +283,15 @@ class PrimeEngine:
         """Normalize the pivot to 1 and store v as the next row, whose slot
         is its row number, with that slot's own coefficient.  A pivot
         column other than column r first swaps into place r, in the rows,
-        v, rest and colperm.  The stack rest, the vectors after v in its
-        batch (some perhaps never processed, perhaps none), is reduced
-        against the new row by one rank-1 update over columns r..mu + r,
-        as rest is zero before column r and the row after mu + r, exact in
-        int64 as every product is below p^2 < 2^63."""
+        v, rest and colperm, and marks the columns moved.  The stack rest,
+        the vectors after v in its batch (some perhaps never processed,
+        perhaps none), is reduced against the new row by one rank-1 update
+        over columns r..mu + r, as rest is zero before column r and the row
+        after mu + r, exact in int64 as every product is below
+        p^2 < 2^63."""
         p, r = self.p, self.nrows
         if pivot != r:
+            self.moved = True
             for a in (self.mat[:r], v, rest, self.colperm):
                 a[..., [r, pivot]] = a[..., [pivot, r]]
         cols = self.mu + r + 1

@@ -196,10 +196,13 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
     monomial axis is cut into chunks and each block's coefficients into
     base-2^b limbs, with b as large as keeps every float64 sum over the
     block's depth d below 2^53, d (2^b - 1) (p // 2) < 2^53; the sums of a
-    chunk add up in float64 and are reduced once.  When one limb holds
-    every coefficient, as over q:23, that is a single float64 product.
-    engine._mul_mod runs the same scheme; this copy keeps the certificate
-    free of engine code.
+    chunk add up in float64.  They join in int64 with one reduction: the
+    lowest limb's sums are added as they are, and limb k's reduced and
+    shifted by kb, below p 2^(kb) as kb is below the bit length of p - 1,
+    so the block, reduced after the chunks before, stays below 2^63.  When
+    one limb holds every coefficient, as over q:23, that is a single
+    float64 product.  engine._mul_mod runs the same scheme; this copy
+    keeps the certificate free of engine code.
     """
     n, depth = coeffs.shape
     out = np.zeros((n, table.shape[1]), dtype=np.int64)
@@ -228,8 +231,7 @@ def _matmul_mod(coeffs: np.ndarray, table: np.ndarray, p: int,
             block = out[r0:r1, :cols]
             block += parts[:h]
             for k in range(1, len(shifts)):
-                block %= p
-                block += parts[k * h:(k + 1) * h] % p * pow(2, shifts[k], p)
+                block += parts[k * h:(k + 1) * h] % p << shifts[k]
             block %= p
     return out
 

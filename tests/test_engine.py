@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bmpoints.engine import (PrimeEngine, RationalEngine, _monomial, _mul_mod,
-                             _unitri_inverse)
+                             _split, _unitri_inverse)
 from bmpoints.fields import make_field
 from bmpoints.newton import evaluation_matrix, newton_basis_rows
 from bmpoints.points import PointSet, line_cover
@@ -227,6 +227,62 @@ def test_prime_pivot_is_lowest_point_after_swap():
                                               [1, 1, 0, 0, 0, 1, 0, 0]]
 
 
+def _lowest_point_pivot(eng, v):
+    """The nonzero evaluation column of the lowest point, by a search."""
+    nz = [c for c in range(eng.mu) if v[c]]
+    return min(nz, key=lambda c: eng.colperm[c]) if nz else None
+
+
+@pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
+def test_pivot_of_is_the_lowest_point(p):
+    """On random reduced stacks, and on the same stacks with column r
+    zeroed, pivot_of picks the column of the lowest point: before any
+    column has moved, where a nonzero column r is taken without a search,
+    and after the first swap, and None once every point is a pivot."""
+    mu = 12
+    rng = np.random.default_rng(p)
+    eng = PrimeEngine(make_field(f"q:{p}"), [(x, 0) for x in range(mu)])
+    while eng.nrows < mu:
+        r = eng.nrows
+        V = eng.new_vectors(rng.integers(0, p, (4, mu)).tolist())
+        eng.reduce_into(V)
+        W = V.copy()
+        W[:, r] = 0
+        for v in [*V, *W]:
+            assert eng.pivot_of(v) == _lowest_point_pivot(eng, v)
+        # the first row stored pivots at column r, the second past it, so
+        # the second swaps
+        v = next(w for w in (W if r == 1 else V)
+                 if w[:mu].any() and (r or w[r]))
+        assert eng.moved == (r > 1)
+        eng.append_row(v, eng.pivot_of(v), V[:0])
+        assert eng.moved == (r >= 1)
+    assert eng.colperm.tolist() != list(range(mu))
+    V = eng.new_vectors(rng.integers(0, p, (2, mu)).tolist())
+    eng.reduce_into(V)
+    assert [eng.pivot_of(v) for v in V] == [None, None]
+
+
+def test_new_vectors_equal_the_gathered_stack():
+    """A stack built while colperm is the identity, copied as it is, and
+    one built after a swap both equal the evaluations gathered through
+    colperm, with a zero coefficient half."""
+    eng = PrimeEngine(F7, [(x, 0) for x in range(4)])
+    evals = [eng.monomial_vector((1, 0)), np.array([5, 6, 0, 1])]
+
+    def gathered():
+        want = np.zeros((2, 8), dtype=np.int64)
+        want[:, :4] = np.asarray(evals)[:, eng.colperm]
+        return want
+    assert not eng.moved
+    assert (eng.new_vectors(evals) == gathered()).all()
+    V = eng.new_vectors([[0, 0, 1, 1]])
+    eng.reduce_into(V)
+    eng.append_row(V[0], eng.pivot_of(V[0]), V[1:])
+    assert eng.moved and eng.colperm.tolist() == [2, 1, 0, 3]
+    assert (eng.new_vectors(evals) == gathered()).all()
+
+
 def _unitri(rng, p, n, upper=None):
     """A unit upper triangular n x n int64 block mod p, its entries above
     the diagonal random in [0, p) or all equal to upper."""
@@ -313,6 +369,31 @@ def test_mul_mod_matches_python_ints(p, depth):
     rng = np.random.default_rng(depth)
     x = rng.integers(0, p, (3, depth))
     m = rng.integers(0, p, (depth, 4))
+    got = _mul_mod(x, m.astype(np.float64), p)
+    assert got.tolist() == _matmul_mod_py(x.tolist(), m.tolist(), p)
+
+
+@pytest.mark.parametrize("p, depth, limbs", [
+    (2**31 - 1, 32, 2),
+    (2**31 - 1, 2000, 3),
+    (23, 2000, 1),
+], ids=["p=2^31-1-depth=32", "p=2^31-1-depth=2000", "p=23-depth=2000"])
+def test_mul_mod_at_the_limb_bound(p, depth, limbs):
+    """x @ m mod p at the largest sums the limb width allows: m all p - 1,
+    and x all p - 1 or, where x takes more than one limb, the largest
+    entry below p whose limbs under the top one are all 2^b - 1.  The
+    lowest limb's sums join unreduced, and b is the widest limb that keeps
+    them below 2^53."""
+    parts, bits = _split(np.zeros((1, depth), dtype=np.int64), depth, p)
+    assert len(parts) == limbs
+    assert depth * ((1 << bits + 1) - 1) * (p - 1) >= 2**53
+    low = (1 << bits * (limbs - 1)) - 1
+    ones = (p - 1 - low) >> bits * (limbs - 1) << bits * (limbs - 1) | low
+    assert ones < p and (ones + 1) & low == 0
+    x = np.full((3, depth), p - 1)
+    x[1] = ones
+    x[2, ::2] = ones
+    m = np.full((depth, 2), p - 1)
     got = _mul_mod(x, m.astype(np.float64), p)
     assert got.tolist() == _matmul_mod_py(x.tolist(), m.tolist(), p)
 

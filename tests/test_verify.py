@@ -259,6 +259,18 @@ def _deep_case(p, rng):
     return coeffs, table
 
 
+def _bound_case(p, rng):
+    """Coefficients all p - 1 and table columns all p // 2 or all
+    -(p // 2), so every limb's sums are the largest of their sign: a first
+    block of depth _BLOCK, two limbs at p = 2^31-1, and a block of depth
+    200, three limbs."""
+    coeffs = np.full((_BLOCK + 6, 200), p - 1, dtype=np.int64)
+    coeffs[:_BLOCK, _BLOCK:] = 0
+    table = np.full((200, len(coeffs) + 3), float(p // 2))
+    table[:, 1::2] *= -1
+    return coeffs, table
+
+
 def _check_matmul_mod(coeffs, table, p):
     want = _matmul_mod_reference(coeffs, table, p)
     assert _matmul_mod(coeffs, table, p).tolist() == want
@@ -273,8 +285,10 @@ def _check_matmul_mod(coeffs, table, p):
 # takes two, a deeper one three
 @pytest.mark.parametrize("p, case", [(F23.p, _block_case),
                                      (BIG.p, _block_case),
-                                     (BIG.p, _deep_case)],
-                         ids=["p=23", "p=2^31-1", "p=2^31-1-deep"])
+                                     (BIG.p, _deep_case),
+                                     (BIG.p, _bound_case)],
+                         ids=["p=23", "p=2^31-1", "p=2^31-1-deep",
+                              "p=2^31-1-bound"])
 def test_matmul_mod_matches_python_ints(p, case):
     _check_matmul_mod(*case(p, random.Random(p)), p)
 
