@@ -32,15 +32,15 @@ from functools import cached_property
 import numpy as np
 
 from .cartesian import max_cartesian_subset
-from .engine import PrimeEngine, RationalEngine
+from .engine import BLOCK, PrimeEngine, RationalEngine
 from .fields import Field
 from .newton import evaluation_matrix, newton_basis_cols, newton_basis_rows
 from .orders import TermOrder, exp_divides
 from .points import EmptySetError, LineCover, PointSet, is_lower, line_cover
 from .poly import PolyMatrix
 
-# candidates per reduction, the first of a simulated walk: one solve block
-LOOKAHEAD = 32
+# candidates per reduction, the first of a simulated walk
+LOOKAHEAD = BLOCK
 
 # spbm's cover axis by order: lex pairs with a row cover (monomials grouped
 # by y-degree), inlex with a column cover; other orders are unsupported

@@ -13,7 +13,7 @@ Over F_p the evaluation columns are kept pivot first: column c holds point
 colperm[c], and row r is one at column r and zero at the columns before it,
 so the pivot block A = mat[:r, :r] is unit upper triangular.  A stack of
 vectors, one per row of an int64 array, reduces by solving C A = V[:, :r]
-by forward substitution in diagonal blocks of _BASE_BLOCK rows, each block
+by forward substitution in diagonal blocks of BLOCK rows, each block
 and the rows above it slices of mat, then by one product V - C mat over the
 columns after the pivots: the blocked triangular solve of FFLAS-FFPACK
 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks
@@ -59,10 +59,10 @@ from .points import coordinate_scale, scale_points
 
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
-# rows per diagonal block of the solve: the trailing block is inverted again
-# after rows join it, so a larger block costs more per batch, and a smaller
-# one more products per solve
-_BASE_BLOCK = 32
+# rows per diagonal block of the solve, and candidates per batch of the BM
+# loop: the trailing block is inverted again after rows join it, so a larger
+# block costs more per batch, and a smaller one more products per solve
+BLOCK = 32
 
 
 def _split(x: np.ndarray, depth: int, p: int) -> tuple:
@@ -236,8 +236,8 @@ class PrimeEngine:
         if not r:
             return c.ravel()
         self._invert_blocks()
-        for b, s in enumerate(range(0, r, _BASE_BLOCK)):
-            e = min(s + _BASE_BLOCK, r)
+        for b, s in enumerate(range(0, r, BLOCK)):
+            e = min(s + BLOCK, r)
             w = v[:, s:e]
             if s:
                 w = w - _join(limbs[:, :s] @ self.mat[:s, s:e], bits, p, n)
@@ -255,7 +255,7 @@ class PrimeEngine:
     def _invert_blocks(self) -> None:
         """Invert every diagonal block that lacks a current inverse, the
         trailing one if rows joined it and every new one, in one call."""
-        r, size = self.nrows, _BASE_BLOCK
+        r, size = self.nrows, BLOCK
         first = len(self.blocks)
         if first and len(self.blocks[-1]) < min(size, r - (first - 1) * size):
             first -= 1

@@ -3,6 +3,7 @@
 Elements are plain Python values: canonical ints in [0, p) for a prime field,
 `fractions.Fraction` for the rationals.  The `Field` object carries the
 operations; elements from different fields must never be mixed.
+A value enters a field only through `Field.convert` and leaves it by `str`.
 """
 
 from __future__ import annotations
@@ -59,36 +60,13 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface of PrimeField and RationalField."""
+    """Common interface of PrimeField and RationalField, each of which
+    defines convert, add, sub, mul, neg and inv."""
 
     name: str
     char: int
     zero = 0
     one = 1
-
-    def convert(self, raw):
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -119,23 +97,17 @@ class PrimeField(Field):
         return f"PrimeField({self.p})"
 
     def convert(self, raw) -> int:
-        """Canonicalize an integer (or integral Fraction) into [0, p)."""
+        """An int, a Fraction or a base-10 literal such as "-3", in [0, p)."""
         if isinstance(raw, Fraction):
             if raw.denominator == 1:
                 raw = raw.numerator
             else:
                 return self.div(raw.numerator % self.p,
                                 self.convert(raw.denominator))
-        return int(raw) % self.p
-
-    def parse(self, text: str) -> int:
         try:
-            return int(text, 10) % self.p
+            return int(raw) % self.p
         except ValueError:
-            raise BadFieldSpecError(f"bad prime-field literal {text!r}") from None
-
-    def format(self, a) -> str:
-        return str(a)
+            raise BadFieldSpecError(f"bad prime-field literal {raw!r}") from None
 
     def add(self, a, b):
         r = a + b
@@ -175,21 +147,13 @@ class RationalField(Field):
         return "RationalField()"
 
     def convert(self, raw) -> Fraction:
+        """An int, a Fraction or a literal such as "-3/6" or "1.5"."""
         try:
             return Fraction(raw)
         except ZeroDivisionError:
             raise ZeroDenominatorError(f"zero denominator in {raw!r}") from None
-
-    def parse(self, text: str) -> Fraction:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ZeroDenominatorError(f"zero denominator in {text!r}") from None
         except ValueError:
-            raise BadFieldSpecError(f"bad rational literal {text!r}") from None
-
-    def format(self, a) -> str:
-        return str(a)
+            raise BadFieldSpecError(f"bad rational literal {raw!r}") from None
 
     def add(self, a, b):
         return a + b

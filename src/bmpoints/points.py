@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .fields import Field
+from .fields import Field, FieldError
 
 
 class EmptySetError(ValueError):
@@ -29,25 +29,28 @@ class DuplicatePointError(ValueError):
         self.second = second
 
 
-Point = tuple  # (x, y) with coordinates in some Field
-
-
 class PointSet:
     """Ordered list of pairwise-distinct points over a fixed field."""
 
     __slots__ = ("field", "points")
 
     def __init__(self, field: Field, points):
-        pts = [(field.convert(x), field.convert(y)) for x, y in points]
-        seen: dict = {}
-        for k, pt in enumerate(pts):
-            if pt in seen:
-                raise DuplicatePointError(
-                    f"duplicate point {pt} at positions {seen[pt]} and {k}",
-                    seen[pt], k)
-            seen[pt] = k
+        """Each coordinate goes through field.convert once; a FieldError it
+        raises gains position, the list position of its point."""
+        seen: dict = {}  # point -> position
+        try:
+            for x, y in points:
+                pt = (field.convert(x), field.convert(y))
+                if pt in seen:
+                    raise DuplicatePointError(
+                        f"duplicate point {pt} at positions {seen[pt]} and "
+                        f"{len(seen)}", seen[pt], len(seen))
+                seen[pt] = len(seen)
+        except FieldError as err:
+            err.position = len(seen)
+            raise
         self.field = field
-        self.points = pts
+        self.points = list(seen)
 
     def __len__(self):
         return len(self.points)
@@ -91,7 +94,7 @@ def parse_point_file(field: Field, text: str) -> PointSet:
         coords = [c.strip() for c in line.split(",")]
         if len(coords) != 2:
             raise ValueError(f"line {lineno}: expected \"x,y\", got {raw!r}")
-        pts.append((field.parse(coords[0]), field.parse(coords[1])))
+        pts.append(coords)
         lines.append(lineno)
     try:
         return PointSet(field, pts)
@@ -100,11 +103,12 @@ def parse_point_file(field: Field, text: str) -> PointSet:
         raise DuplicatePointError(
             f"duplicate point on lines {first} and {second}",
             first, second) from None
+    except FieldError as err:
+        raise type(err)(f"line {lines[err.position]}: {err}") from None
 
 
 def format_point_file(ps: PointSet) -> str:
-    f = ps.field
-    return "".join(f"{f.format(x)},{f.format(y)}\n" for x, y in ps)
+    return "".join(f"{x},{y}\n" for x, y in ps)
 
 
 class LineCover:

@@ -67,6 +67,17 @@ def test_compute_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compute_names_the_line_of_a_bad_literal(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    for field, text, msg in [
+            ("q:23", "1,2\n3,x\n", "line 2: bad prime-field literal 'x'"),
+            ("rational", "1,2\n1/0,3\n", "line 2: zero denominator in '1/0'")]:
+        pts.write_text(text)
+        assert run_cli(["compute", "--field", field, "--order", "lex",
+                        "--points", str(pts)]) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+
 def test_compute_rejects_empty_point_file(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -112,6 +123,21 @@ def test_verify_round_trip(tmp_path, capsys):
     assert run_cli(["verify", "--result", str(res),
                     "--points", str(pts)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_bad_stored_coefficient(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 2)])
+    res = tmp_path / "res.json"
+    assert run_cli(["compute", "--field", "q:23", "--order", "lex",
+                    "--points", str(pts), "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["G"][0][0][2] = "x"
+    res.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 2
+    assert capsys.readouterr().err == \
+        "error: bad prime-field literal 'x'\n"
 
 
 def test_verify_rejects_repeated_escalier_monomial(tmp_path, capsys):

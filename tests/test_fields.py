@@ -1,4 +1,4 @@
-"""Field arithmetic: axioms, canonical forms, parsing, error paths."""
+"""Field arithmetic: axioms, canonical forms, literals, error paths."""
 
 import random
 from fractions import Fraction
@@ -100,9 +100,9 @@ class TestFieldAxioms:
             assert field.div(field.one, a) == field.inv(a)
 
     @given(data=st.data())
-    def test_parse_format_round_trip(self, field, elems, data):
+    def test_convert_str_round_trip(self, field, elems, data):
         a = field.convert(data.draw(elems))
-        assert field.parse(field.format(a)) == a
+        assert field.convert(str(a)) == a
 
 
 def test_prime_canonical_forms():
@@ -110,18 +110,23 @@ def test_prime_canonical_forms():
     assert F7.convert(-1) == 6
     assert F7.convert(20) == 6
     assert F7.convert(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
-    assert F7.parse("-3") == 4
-    assert F7.format(5) == "5"
-
-
-def test_rational_parse():
-    assert QQ.parse("-3/6") == Fraction(-1, 2)
-    assert QQ.parse("4") == 4
-    assert QQ.format(Fraction(-3, 6)) == "-1/2"
-    with pytest.raises(ZeroDenominatorError):
-        QQ.parse("1/0")
+    assert F7.convert("-3") == 4
+    assert str(F7.convert(5)) == "5"
+    with pytest.raises(BadFieldSpecError,
+                       match="^bad prime-field literal '3/4'$"):
+        F7.convert("3/4")
     with pytest.raises(BadFieldSpecError):
-        QQ.parse("pi")
+        F7.convert("pi")
+
+
+def test_rational_convert():
+    assert QQ.convert("-3/6") == Fraction(-1, 2)
+    assert QQ.convert("4") == 4
+    assert str(QQ.convert(Fraction(-3, 6))) == "-1/2"
+    with pytest.raises(ZeroDenominatorError, match="^zero denominator in '1/0'$"):
+        QQ.convert("1/0")
+    with pytest.raises(BadFieldSpecError, match="^bad rational literal 'pi'$"):
+        QQ.convert("pi")
 
 
 def test_prime_inverse_against_pow():

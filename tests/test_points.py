@@ -1,16 +1,19 @@
 """Point sets, line covers, and lower sets."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bmpoints.fields import make_field
+from bmpoints.fields import BadFieldSpecError, ZeroDenominatorError, make_field
 from bmpoints.newton import newton_basis_cols, newton_basis_rows
 from bmpoints.orders import INLEX, LEX
 from bmpoints.points import (DuplicatePointError, EmptySetError, PointSet,
                              format_point_file, is_lower, line_cover,
                              lower_set_of, parse_point_file)
+from bmpoints.randgen import gen_points
 from conftest import EX1_POINTS, EX2_POINTS, F7, QQ
 
 F5 = make_field("q:5")
@@ -61,6 +64,74 @@ def test_parse_errors():
     with pytest.raises(DuplicatePointError) as info:
         PointSet(F7, [(0, 0), (1, 2), (1, 2)])
     assert (info.value.first, info.value.second) == (1, 2)
+
+
+def test_bad_literal_names_its_line():
+    """A coordinate that does not convert is named by its file line; the
+    class and the message after the line are the field's own."""
+    cases = [(F7, "1,2\n3,x\n", BadFieldSpecError,
+              "line 2: bad prime-field literal 'x'"),
+             (F7, "# c\n\n1,2\n3/4, 1\n", BadFieldSpecError,
+              "line 4: bad prime-field literal '3/4'"),
+             (QQ, "1,2\n1/0,3\n", ZeroDenominatorError,
+              "line 2: zero denominator in '1/0'"),
+             (QQ, "0,pi\n", BadFieldSpecError,
+              "line 1: bad rational literal 'pi'")]
+    for field, text, cls, msg in cases:
+        with pytest.raises(cls) as info:
+            parse_point_file(field, text)
+        assert str(info.value) == msg
+    with pytest.raises(BadFieldSpecError) as info:
+        PointSet(F7, [(0, 0), (1, "x")])
+    assert str(info.value) == "bad prime-field literal 'x'"
+    assert info.value.position == 1
+
+
+class _CountingField:
+    """A field that counts every method call made on it by name."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.field, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+        return counted
+
+
+@pytest.mark.parametrize("spec", ["q:23", "rational"])
+def test_parse_point_file_converts_each_coordinate_once(spec):
+    field = make_field(spec)
+    ps = gen_points(field, 40, 1)
+    counting = _CountingField(field)
+    again = parse_point_file(counting, format_point_file(ps))
+    assert again.points == ps.points
+    assert counting.calls == {"convert": 2 * len(ps)}
+
+
+def test_format_point_file_text_is_pinned():
+    """The text of format_point_file, pinned as the code wrote it when
+    fields still had their own format methods."""
+    F23 = make_field("q:23")
+    ps = PointSet(F23, [(-1, 0), (24, Fr(1, 2)), (5, Fr(46, 2))])
+    assert format_point_file(ps) == "22,0\n1,12\n5,0\n"
+    ps = PointSet(QQ, [(Fr(-3, 6), 4), (0, Fr(7, -21)), (-2, Fr(5, 1))])
+    assert format_point_file(ps) == "-1/2,4\n0,-1/3\n-2,5\n"
+    pinned = {
+        ("q:23", 200): "a7bd826db23d67991ef31676a912c2a6"
+                       "32b5a477b688cbd4f7b8ac429a618db9",
+        ("q:2147483647", 100): "7a1f1d48078c66856605e82d21cbd12b"
+                               "c118b1bb2400a47273da890bf198d92c",
+        ("rational", 60): "66959c165366dc807954ecaa2133b81c"
+                          "51d376a4c1c81c22c111e9342b16f8a6"}
+    for (spec, n), digest in pinned.items():
+        text = format_point_file(gen_points(make_field(spec), n, 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, spec
 
 
 def test_empty_cover_raises():
