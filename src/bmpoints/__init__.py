@@ -15,7 +15,7 @@ from .points import (DuplicatePointError, EmptySetError, LineCover, PointSet,
                      format_point_file, is_lower, line_cover, lower_set_of,
                      parse_point_file)
 from .poly import (PolyMatrix, Polynomial, monomial_text, poly_json_terms,
-                   poly_matrix_from_json, poly_text)
+                   poly_text)
 from .randgen import SplitMix64, gen_points
 from .verify import (CapExceededError, VerifyReport, check_newton,
                      check_reduced_gb, check_vanishing, oracle_dense,

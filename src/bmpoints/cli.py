@@ -7,8 +7,9 @@ against its point file).  Results are checked with one monomial table of
 G's and Q's exponents at the points (verify.verify_parts).  Both output
 formats render G and Q from their coefficient matrices through one term
 walk (poly.render_rows) in one sort of G's columns, and compute writes
-them after verify, poly.RENDER_ROWS rows at a time; verify reads a JSON
-result back into the same dense form.
+them after verify, poly.RENDER_ROWS rows at a time.  verify reads a JSON
+result back into the same dense form, checking and converting each stored
+term of G and Q once (_stored_polys).
 Exit codes: 0 success, 1 failed verification, 2 usage error (arguments or
 input files), 3 internal error (an exception raised by the runner, the
 checks or the output code; a writer fault may leave truncated output on
@@ -35,8 +36,7 @@ from .bm import SPBM_AXIS, BMResult, bm_run, gpbm_run, spbm_run
 from .fields import make_field
 from .orders import ORDERS, order_by_name
 from .points import EmptySetError, format_point_file, parse_point_file
-from .poly import (PolyMatrix, monomial_text, poly_matrix_from_json,
-                   render_rows, text_rows)
+from .poly import PolyMatrix, monomial_text, render_rows, text_rows
 from .randgen import gen_points
 from .verify import verify_parts, verify_result
 
@@ -91,10 +91,8 @@ def _json_pieces(result: BMResult, report=None):
 
 def _rows_json(polys: PolyMatrix, perm: np.ndarray):
     """The rows as a JSON array of [i, j, "c"] term arrays, terms in the
-    column order perm, in pieces of poly.RENDER_ROWS rows (render_rows)."""
-    if not len(polys):
-        yield "[]"
-        return
+    column order perm, in pieces of poly.RENDER_ROWS rows (render_rows);
+    polys has at least one row."""
     exps = polys.exps
     columns = [f'[\n        {exps[c][0]},\n        {exps[c][1]},\n        "'
                for c in perm.tolist()]
@@ -107,9 +105,7 @@ def _rows_json(polys: PolyMatrix, perm: np.ndarray):
 
 
 def _json_array(items: list, pad: str) -> str:
-    """Rendered items as a JSON array whose closing bracket sits at pad."""
-    if not items:
-        return "[]"
+    """Rendered items, at least one, as a JSON array closing at pad."""
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
@@ -268,18 +264,27 @@ def _is_pair(e) -> bool:
             and all(type(v) is int for v in e))
 
 
-def _is_term(t) -> bool:
-    return (isinstance(t, list) and len(t) == 3 and _is_pair(t[:2])
-            and isinstance(t[2], str))
-
-
 def _stored_polys(field, doc: dict, key: str) -> PolyMatrix:
-    """doc[key] as a coefficient matrix; a malformed term or a zero entry
-    is named."""
-    entries = _each(doc[key], key)
-    for k, terms in enumerate(entries):
-        _each(terms, f"{key}[{k}]", _is_term, 'an [i, j, "c"] triple')
-    polys = poly_matrix_from_json(field, entries)
+    """doc[key], polynomials as lists of [i, j, "c"] terms, as a matrix.
+    One pass checks each term (int exponents >= 0, a string c) and converts
+    c; a malformed term, a bad literal or a zero polynomial is named."""
+    convert = field.convert
+    rows = []
+    for k, terms in enumerate(_each(doc[key], key)):
+        row = []
+        for t, term in enumerate(_each(terms, f"{key}[{k}]")):
+            if type(term) is list and len(term) == 3:
+                i, j, c = term
+                if type(i) is int and type(j) is int and type(c) is str:
+                    if i < 0 or j < 0:
+                        raise ValueError(f"{key}[{k}][{t}] has a negative "
+                                         f"exponent: {term!r}")
+                    row.append(((i, j), convert(c)))
+                    continue
+            raise ValueError(
+                f'{key}[{k}][{t}] is not an [i, j, "c"] triple: {term!r}')
+        rows.append(row)
+    polys = PolyMatrix.from_terms(field, rows)
     zero = np.flatnonzero(~polys.coeffs.astype(bool).any(axis=1))
     if zero.size:
         raise ValueError(f"{key}[{zero[0]}] is the zero polynomial")

@@ -288,7 +288,7 @@ class PrimeEngine:
         perhaps none), is reduced against the new row by one rank-1 update
         over columns r..mu + r, as rest is zero before column r and the row
         after mu + r, exact in int64 as every product is below
-        p^2 < 2^63."""
+        p^2 < 2^62."""
         p, r = self.p, self.nrows
         if pivot != r:
             self.moved = True

@@ -9,6 +9,7 @@ A value enters a field only through `Field.convert` and leaves it by `str`.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 # Moduli stay below 2**31 so any product of two canonical representatives
 # fits a signed 64-bit intermediate.
@@ -97,13 +98,11 @@ class PrimeField(Field):
         return f"PrimeField({self.p})"
 
     def convert(self, raw) -> int:
-        """An int, a Fraction or a base-10 literal such as "-3", in [0, p)."""
-        if isinstance(raw, Fraction):
-            if raw.denominator == 1:
-                raw = raw.numerator
-            else:
-                return self.div(raw.numerator % self.p,
-                                self.convert(raw.denominator))
+        """An int or a base-10 literal such as "-3", in [0, p); any other
+        value as RationalField.convert reads it, mod p."""
+        if not isinstance(raw, (str, int)):
+            raw = RationalField().convert(raw)
+            return self.div(raw.numerator % self.p, raw.denominator % self.p)
         try:
             return int(raw) % self.p
         except ValueError:
@@ -147,7 +146,11 @@ class RationalField(Field):
         return "RationalField()"
 
     def convert(self, raw) -> Fraction:
-        """An int, a Fraction or a literal such as "-3/6" or "1.5"."""
+        """An int (numpy integers too), a Fraction or a literal such as
+        "-3/6" or "1.5"; anything else, a float too, is a BadFieldSpecError."""
+        if not isinstance(raw, (str, Rational)):
+            raise BadFieldSpecError(
+                f"not an int, a Fraction or a literal: {raw!r}")
         try:
             return Fraction(raw)
         except ZeroDivisionError:

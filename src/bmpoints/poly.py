@@ -432,12 +432,3 @@ def poly_json_terms(p: Polynomial, order: TermOrder) -> list:
     return [[i, j, str(c)] for (i, j), c in sorted(
         p.terms.items(), key=lambda t: order.key(t[0]), reverse=True)]
 
-
-def poly_matrix_from_json(field: Field, entries) -> PolyMatrix:
-    """Inverse of poly_json_terms for a list of polynomials, as rows; a
-    negative exponent is a ValueError."""
-    rows = [[((int(i), int(j)), field.convert(str(c))) for i, j, c in terms]
-            for terms in entries]
-    if any(min(e) < 0 for row in rows for e, _ in row):
-        raise ValueError("negative exponent in a stored polynomial")
-    return PolyMatrix.from_terms(field, rows)

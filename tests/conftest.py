@@ -4,7 +4,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from bmpoints.bench import RUNNERS
+from bmpoints.bm import SPBM_AXIS
 from bmpoints.fields import make_field
+from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.points import PointSet, line_cover
 from bmpoints.poly import PolyMatrix, Polynomial, values_at
 
@@ -83,6 +86,15 @@ EX5_G_XY5 = ("xy^5+x^4y+6x^3y^2+x^2y^3+5xy^4+6y^5+6x^4+2x^3y+6x^2y^2+3xy^3"
              "+3y^4+6x^3+6x^2y+2xy^2+6y^3+x^2+2xy+6y^2+x")
 EX5_G_X2Y4 = ("x^2y^4+x^4y+3x^2y^3+3xy^4+5y^5+x^4+6x^3y+3x^2y^2+2xy^3+4y^4"
               "+6x^3+4y^3+6x^2+2xy+3y^2+x+5y")
+
+
+def order_algos():
+    """Every (order, algorithm name) that runs: bench.RUNNERS under lex,
+    inlex and tdinlex, spbm under lex and inlex only."""
+    for order in (LEX, INLEX, TDINLEX):
+        for algo in RUNNERS:
+            if algo != "spbm" or order.name in SPBM_AXIS:
+                yield order, algo
 
 
 def reference_value(q, pt):

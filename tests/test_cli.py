@@ -10,6 +10,7 @@ from pathlib import Path
 import bmpoints
 from bmpoints import bench, cli
 from bmpoints.cli import run_cli
+from bmpoints.fields import PrimeField
 from bmpoints.poly import Polynomial
 from conftest import EX1_POINTS
 
@@ -280,7 +281,21 @@ def test_verify_names_wrong_json_types(tmp_path, capsys):
     pts, doc = _stored_result(tmp_path, capsys)
     res = tmp_path / "res.json"
     perm = doc["pointPermutation"]
+
+    def term_at(key, k, t, term):
+        """doc with doc[key][k][t] set to term, or term appended at t."""
+        bad = json.loads(json.dumps(doc))
+        bad[key][k][t:t + 1] = [term]
+        return bad
+
     for bad, want in (
+            (term_at("G", 0, 0, [1.0, 0, "1"]),
+             """G[0][0] is not an [i, j, "c"] triple: [1.0, 0, '1']"""),
+            (term_at("G", 2, 1, [True, 0, "1"]),
+             """G[2][1] is not an [i, j, "c"] triple: [True, 0, '1']"""),
+            (term_at("Q", 1, 0, [1, -1, "1"]),
+             "Q[1][0] has a negative exponent: [1, -1, '1']"),
+            (term_at("Q", 2, 1, [0, 0, "x"]), "bad prime-field literal 'x'"),
             (dict(doc, G=3), "G is not a list: 3"),
             (dict(doc, N=None), "N is not a list: None"),
             (dict(doc, field=7), "field is not a string: 7"),
@@ -302,6 +317,27 @@ def test_verify_names_wrong_json_types(tmp_path, capsys):
         assert run_cli(["verify", "--result", str(res),
                         "--points", str(pts)]) == 2, want
         assert want in capsys.readouterr().err
+
+
+def test_verify_converts_each_stored_coefficient_once(tmp_path, capsys,
+                                                     monkeypatch):
+    """verify reads the points, then G and Q, one field.convert per
+    coordinate and per stored term."""
+    pts, doc = _stored_result(tmp_path, capsys)
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps(doc))
+    calls = []
+    convert = PrimeField.convert
+
+    def counted(self, raw):
+        calls.append(raw)
+        return convert(self, raw)
+
+    monkeypatch.setattr(PrimeField, "convert", counted)
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 0
+    assert calls == ["0", "0", "1", "0", "2", "3"] + [
+        c for key in ("G", "Q") for terms in doc[key] for _, _, c in terms]
 
 
 def test_verify_check_fault_exits_3(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,6 +86,25 @@ def test_bad_literal_names_its_line():
         PointSet(F7, [(0, 0), (1, "x")])
     assert str(info.value) == "bad prime-field literal 'x'"
     assert info.value.position == 1
+
+
+def test_float_coordinates_are_rejected():
+    """A float would enter as its truncation over q:p and as its binary
+    value over Q; both fields name it, with its point's position.  Ints,
+    numpy integers, Fractions and literals still enter."""
+    for field, pts, k, x in ((F7, [(0, 0), (2.5, 0)], 1, 2.5),
+                             (F7, [(np.float32(2), 1)], 0, np.float32(2)),
+                             (QQ, [(1, 2), (3, 4), (0, 0.1)], 2, 0.1),
+                             (QQ, [(np.float64(0.5), 1)], 0, np.float64(0.5))):
+        with pytest.raises(BadFieldSpecError) as info:
+            PointSet(field, pts)
+        assert str(info.value) == (
+            f"not an int, a Fraction or a literal: {x!r}")
+        assert info.value.position == k
+    assert PointSet(F7, [(np.int64(-1), Fr(1, 2)), ("3", 10)]).points == [
+        (6, 4), (3, 3)]
+    assert PointSet(QQ, [(np.int32(2), "-3/6"), (Fr(1, 3), 5)]).points == [
+        (2, Fr(-1, 2)), (Fr(1, 3), 5)]
 
 
 class _CountingField:

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bmpoints.cli import _stored_polys
 from bmpoints.fields import make_field
 from bmpoints.orders import INLEX, LEX, TDINLEX
 from bmpoints.poly import (PolyMatrix, Polynomial, ZeroPolynomialError,
                            _power_rows, monomial_text, poly_json_terms,
-                           poly_matrix_from_json, poly_text, render_rows,
-                           text_rows, values_at)
+                           poly_text, render_rows, text_rows, values_at)
 from conftest import reference_value
 
 F7 = make_field("q:7")
@@ -65,9 +65,16 @@ def test_leading_term(polys):
 
 @given(p=f7_polys)
 def test_json_round_trip(p):
+    """verify's reader turns poly_json_terms back into the polynomial; it
+    names a stored zero polynomial, which from_terms keeps as a zero row."""
     for order in (LEX, INLEX, TDINLEX):
-        stored = poly_matrix_from_json(F7, [poly_json_terms(p, order)])
-        assert stored.polys() == [p]
+        doc = {"G": [poly_json_terms(p, order)]}
+        if p.terms:
+            assert _stored_polys(F7, doc, "G").polys() == [p]
+            continue
+        with pytest.raises(ValueError, match=r"G\[0\] is the zero poly"):
+            _stored_polys(F7, doc, "G")
+        assert PolyMatrix.from_terms(F7, [[]]).polys() == [p]
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=["q:7", "rational"])
@@ -75,10 +82,10 @@ def test_from_json_keeps_only_nonzero_exponents(field):
     """A stored zero term, and terms of one exponent that cancel, keep no
     column, so no power is built for them; a term that cancels in one row
     but not in another keeps its column."""
-    stored = poly_matrix_from_json(field, [
+    stored = _stored_polys(field, {"Q": [
         [[1, 0, "1"], [1000000, 0, "0"], [0, 3, "2"], [0, 3, "-2"],
          [0, 0, "3"]],
-        [[2, 2, "5"], [0, 3, "1"], [5, 5, "-1"], [5, 5, "1"]]])
+        [[2, 2, "5"], [0, 3, "1"], [5, 5, "-1"], [5, 5, "1"]]]}, "Q")
     assert stored.exps == [(1, 0), (0, 3), (0, 0), (2, 2)]
     assert stored.coeffs.astype(bool).any(axis=0).all()
     assert [poly_text(q, LEX) for q in stored.polys()] == [

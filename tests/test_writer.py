@@ -10,18 +10,17 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmpoints.bm import bm_run, gpbm_run, spbm_run
+from bmpoints.bench import RUNNERS
 from bmpoints.cli import result_to_json, run_cli
 from bmpoints.fields import make_field
-from bmpoints.orders import INLEX, LEX, TDINLEX, order_by_name
+from bmpoints.orders import order_by_name
 from bmpoints.points import PointSet
 from bmpoints.poly import Polynomial, poly_json_terms
 from bmpoints.randgen import gen_points
-from conftest import EX1_POINTS, EX2_POINTS, EX5_POINTS
+from conftest import EX1_POINTS, EX2_POINTS, EX5_POINTS, order_algos
 
 BIG = make_field("q:2147483647")
 F23 = make_field("q:23")
-RUNNERS = {"bm": bm_run, "spbm": spbm_run, "gpbm": gpbm_run}
 # SHA-256 of the default (text) compute output of every run of _runs,
 # keyed "case/order/algo"
 TEXT_DIGESTS = json.loads(
@@ -73,10 +72,8 @@ CASES = {
 
 def _runs():
     for case in CASES:
-        for order in (LEX, INLEX, TDINLEX):
-            for algo in RUNNERS:
-                if algo != "spbm" or order is not TDINLEX:
-                    yield case, order.name, algo
+        for order, algo in order_algos():
+            yield case, order.name, algo
 
 
 def _write_case(case, tmp_path):
