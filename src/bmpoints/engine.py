@@ -13,13 +13,13 @@ Over F_p the evaluation columns are kept pivot first: column c holds point
 colperm[c], and row r is one at column r and zero at the columns before it,
 so the pivot block A = mat[:r, :r] is unit upper triangular.  A stack of
 vectors, one per row of an int64 array, reduces by solving C A = V[:, :r]
-by forward substitution in diagonal blocks of BLOCK rows, each block
-and the rows above it slices of mat, then by one product V - C mat over the
-columns after the pivots: the blocked triangular solve of FFLAS-FFPACK
-(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks
-are inverted, so a seeded block costs no elimination beyond them, and a
-block is inverted again only after rows have joined it; a solve inverts
-all the blocks it needs in one stacked call.  A row appended from the
+by forward substitution in diagonal blocks, each block and the rows above
+it slices of mat, then by one product V - C mat over the columns after the
+pivots: the blocked triangular solve of FFLAS-FFPACK (Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008).  Only the diagonal blocks are inverted, each
+once, so a seeded block costs no elimination beyond them: a solve inverts
+the rows stored since the previous one, the seeded rows or one batch's, as
+blocks of at most BLOCK rows in one stacked call.  A row appended from the
 stack reduces the vectors after it by one rank-1 update over their live
 columns.  Two exact schemes serve every p < 2^31: the products, of the
 solve and of the block inverses, run in float64 on base-2^b limbs of the
@@ -59,9 +59,9 @@ from .points import coordinate_scale, scale_points
 
 # float64 holds every integer below this bound exactly
 _FLOAT_EXACT = 2**53
-# rows per diagonal block of the solve, and candidates per batch of the BM
-# loop: the trailing block is inverted again after rows join it, so a larger
-# block costs more per batch, and a smaller one more products per solve
+# most rows per diagonal block of the solve, and candidates per batch of the
+# BM loop, so the rows one batch stores make one block: a larger block costs
+# a deeper inverse, and a smaller one more products per solve
 BLOCK = 32
 
 
@@ -193,8 +193,8 @@ class PrimeEngine:
         # swap does; until then column r holds the lowest live point
         self.moved = False
         self.nrows = 0
-        # the inverse of each diagonal block of the pivot block, first one
-        # first; the last may cover fewer rows than its block holds now
+        # (start, end, inverse) of each diagonal block of the pivot block,
+        # rows start..end-1, first one first; later rows join the next solve
         self.blocks: list = []
         # point-order monomial vectors by exponent, each from a cached divisor
         self.cache = {(0, 0): np.ones(mu, dtype=np.int64)}
@@ -220,29 +220,33 @@ class PrimeEngine:
         coefficients, flattened vector by vector.
 
         The residual that is zero at every pivot is unique, so c equals the
-        coefficients of a sequential row-by-row reduction.  Block by block,
-        c_b = (v[:, s:e] - c_<b mat[:s, s:e]) D_b^-1, where block b holds
-        rows s..e-1 and D_b = mat[s:e, s:e], the inverses first brought up
-        to date by _invert_blocks.  The residual is then zero in the
-        r pivot columns, and no stored row has a coefficient beyond slot
-        r - 1, so only columns r..mu + r - 1 take the product.  Each c_b is
-        cut into limbs once, at the width depth r allows, for every product.
-        Each product's join is reduced once, together with the entries it
-        is subtracted from: block b's right side is (v - join) mod p, or v
-        itself for the first block, its entries already in [0, p).
+        coefficients of a sequential row-by-row reduction, whatever the
+        blocking.  Block by block, c_b = (v[:, s:e] - c_<b mat[:s, s:e])
+        D_b^-1, where block b holds rows s..e-1 and D_b = mat[s:e, s:e],
+        the rows stored since the last solve first cut into new blocks.
+        The residual is then zero in the r pivot columns, and no stored row
+        has a coefficient beyond slot r - 1, so only columns r..mu + r - 1
+        take the product.  Each c_b is cut into limbs once, at the width
+        depth r allows, for every product.  Each product's join is reduced
+        once, together with the entries it is subtracted from: block b's
+        right side is (v - join) mod p, or v itself for the first block,
+        its entries already in [0, p).
         """
         r, p, n, cols = self.nrows, self.p, len(v), self.mu + self.nrows
         c = np.empty((n, r), dtype=np.int64)
         if not r:
             return c.ravel()
-        self._invert_blocks()
-        for b, s in enumerate(range(0, r, BLOCK)):
-            e = min(s + BLOCK, r)
+        starts = range(self.blocks[-1][1] if self.blocks else 0, r, BLOCK)
+        ends = [*starts[1:], r]
+        if starts:
+            self.blocks += zip(starts, ends, _unitri_inverse(
+                [self.mat[s:e, s:e] for s, e in zip(starts, ends)], p))
+        for s, e, inverse in self.blocks:
             w = v[:, s:e]
             if s:
                 w = w - _join(limbs[:, :s] @ self.mat[:s, s:e], bits, p, n)
                 w %= p
-            c[:, s:e] = _mul_mod(w, self.blocks[b], p)
+            c[:, s:e] = _mul_mod(w, inverse, p)
             part, bits = _split(c[:, s:e], r, p)
             if not s:
                 limbs = np.empty((len(part), r))
@@ -251,19 +255,6 @@ class PrimeEngine:
         v[:, r:cols] %= p
         v[:, :r] = 0
         return c.ravel()
-
-    def _invert_blocks(self) -> None:
-        """Invert every diagonal block that lacks a current inverse, the
-        trailing one if rows joined it and every new one, in one call."""
-        r, size = self.nrows, BLOCK
-        first = len(self.blocks)
-        if first and len(self.blocks[-1]) < min(size, r - (first - 1) * size):
-            first -= 1
-        starts = range(first * size, r, size)
-        if starts:
-            self.blocks[first:] = _unitri_inverse(
-                [self.mat[s:e, s:e] for s, e in zip(starts, [*starts[1:], r])],
-                self.p)
 
     def pivot_of(self, v: np.ndarray):
         """The nonzero evaluation column of the lowest point, or None.

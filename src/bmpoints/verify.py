@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -95,7 +95,9 @@ def check_vanishing(G: PolyMatrix, ps: PointSet,
 
 def check_reduced_gb(G: PolyMatrix, N, order: TermOrder,
                      n_points=None) -> VerifyReport:
-    """Shape checks pinning the reduced basis and its escalier."""
+    """Shape checks pinning the reduced basis and its escalier.  Sorted by
+    (i, j), the leading monomials are distinct and pairwise non-divisible
+    exactly when their y-exponents fall strictly."""
     rep = VerifyReport()
 
     lead = G.leading(order)
@@ -104,8 +106,8 @@ def check_reduced_gb(G: PolyMatrix, N, order: TermOrder,
     one = G.field.one if G.dens is None else G.dens
     rep.add("monic", bool((G.coeffs[rows, lead] == one).all()))
 
-    clash = next(((a, b) for a in lms for b in lms
-                  if a != b and exp_divides(a, b)), None)
+    clash = next(((a, b) for a, b in pairwise(sorted(lms)) if b[1] >= a[1]),
+                 None)
     rep.add("leading monomials pairwise non-divisible", clash is None,
             f"{clash[0]} divides {clash[1]}" if clash else "")
 

@@ -350,6 +350,24 @@ def test_missed_guess_mid_batch_matches_one_by_one(monkeypatch):
     _matches_one_by_one(bm_run, ps, LEX)
 
 
+def test_batches_above_block_split_in_the_solve(monkeypatch):
+    """With LOOKAHEAD 40, above the engine's BLOCK of 32, bm under tdinlex
+    on 200 points of q:2^31-1 stores 40 rows in one batch, which the next
+    solve inverts as blocks of 32 and 8: the outputs still equal the
+    one-by-one loop's."""
+    import bmpoints.engine as engine
+    calls = []
+
+    def recording(blocks, q, _orig=engine._unitri_inverse):
+        calls.append([len(b) for b in blocks])
+        return _orig(blocks, q)
+    monkeypatch.setattr(engine, "_unitri_inverse", recording)
+    monkeypatch.setattr(bm_module, "LOOKAHEAD", 40)
+    assert engine.BLOCK < 40
+    _matches_one_by_one(bm_run, gen_points(BIG, 200, seed=11), TDINLEX)
+    assert [32, 8] in calls
+
+
 def test_held_guesses_take_each_walk_step_once(monkeypatch):
     """gpbm under tdinlex on 75 points of q:2^31-1 seeds one point and
     every guess holds: three batches, none wasted, and the loop adopts

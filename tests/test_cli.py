@@ -157,6 +157,25 @@ def test_verify_rejects_repeated_escalier_monomial(tmp_path, capsys):
     assert "FAIL N size equals point count: 7 vs 6" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_repeated_basis_element(tmp_path, capsys):
+    """G = [x + 20, x + 20, y + 19] for the point (3, 4) over q:23 holds
+    every other check: a repeated element is caught by the leading
+    monomials' pairwise non-divisibility."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(3, 4)])
+    res = tmp_path / "res.json"
+    x, y = [[1, 0, "1"], [0, 0, "20"]], [[0, 1, "1"], [0, 0, "19"]]
+    res.write_text(json.dumps({
+        "field": "q:23", "order": "lex", "G": [x, x, y], "N": [[0, 0]],
+        "Q": [[[0, 0, "1"]]], "pointPermutation": [0]}))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL leading monomials pairwise non-divisible: (1, 0) divides "
+        "(1, 0)", "FAIL overall"]
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "b.csv"
     code = run_cli(["bench", "--field", "q:17", "--order", "lex",

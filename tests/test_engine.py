@@ -399,11 +399,12 @@ def test_mul_mod_at_the_limb_bound(p, depth, limbs):
 
 
 @pytest.mark.parametrize("p", [23, 2**31 - 1], ids=["p=23", "p=2^31-1"])
-def test_reduce_into_inverts_stale_and_new_blocks(p, monkeypatch):
+def test_reduce_into_inverts_each_row_once(p, monkeypatch):
     """One seeded row, then batches of 33 vectors each stored in turn, as
-    the BM loop stores them: every later solve inverts the trailing block,
-    stale since rows joined it, and the new block after it in one call,
-    and every vector still reduces as row by row."""
+    the BM loop stores them: every row of the pivot block is inverted in
+    exactly one _unitri_inverse call, by the solve after it was stored, a
+    batch's 33 rows as blocks of 32 and 1, and every vector still reduces
+    as row by row."""
     import bmpoints.engine as engine
     calls = []
 
@@ -434,7 +435,7 @@ def test_reduce_into_inverts_stale_and_new_blocks(p, monkeypatch):
             rows.append(np.array(want) * s % p)
             rows[-1][mu + slot] = s
             pivots.append(point)
-    assert calls == [[1], [32, 2], [32, 3]]
+    assert calls == [[1], [32, 1], [32, 1]]
     assert eng.pivot_indices() == pivots
 
 

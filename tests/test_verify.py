@@ -74,6 +74,15 @@ def test_check_reduced_gb_failures():
 
     # divisible leading monomials
     assert not check([x2, x3], [(0, 0), (1, 0)]).passed
+    # one element twice: its leading monomial divides itself
+    x = Polynomial.from_pairs(F23, [((1, 0), 1), ((0, 0), 20)])
+    y = Polynomial.from_pairs(F23, [((0, 1), 1), ((0, 0), 19)])
+    rep = check_reduced_gb(PolyMatrix.from_polys(F23, [x, x, y]), [(0, 0)],
+                           LEX, n_points=1)
+    assert [(name, detail) for name, ok, detail in rep.checks if not ok] == [
+        ("leading monomials pairwise non-divisible", "(1, 0) divides (1, 0)")]
+    assert check_reduced_gb(PolyMatrix.from_polys(F23, [x, y]), [(0, 0)],
+                            LEX, n_points=1).passed
     # exponent gap: x^2 without x is not a lower set
     assert not check([y1], [(0, 0), (2, 0)]).passed
     # non-monic element
