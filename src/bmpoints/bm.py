@@ -151,7 +151,9 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
     walk; from a miss on, _advance walks for real.  Each residual is the
     unique one zero at every pivot, so a wrong guess wastes a reduction,
     never changes an output.  Every processed candidate joins N or G, so
-    processed counts the unseeded slots and the basis elements.
+    processed counts the unseeded slots and the basis elements.  L is kept
+    sorted and every shift ranks above its candidate, so candidates leave
+    L ascending: G is stacked as found, ascending by leading monomial.
     """
     field = ps.field
     run_points = (list(ps.points) if cover is None
@@ -196,20 +198,18 @@ def _run(ps: PointSet, order: TermOrder, algorithm: str,
             t = L.pop(0)
             _advance(t, take(at[t]), N, L, queued, order.key)
     N = list(N)
-    # G ascending by leading monomial: the tails over N, then a one at
-    # the element's own leading monomial, as its denominator over itself
-    rank = sorted(range(len(g_lts)), key=lambda k: order.key(g_lts[k]))
+    # each row of G: its tail over N, its denominator at its leading monomial
     mu, g = len(N), len(g_lts)
     G = np.zeros((g, mu + g), dtype=np.int64 if field.char else object)
     dens = np.ones(g, dtype=G.dtype)
-    for k, r in enumerate(rank):
-        G[k, :mu], dens[k] = g_tails[r]
+    for k, tail in enumerate(g_tails):
+        G[k, :mu], dens[k] = tail
     G[range(g), range(mu, mu + g)] = dens
     imap = ps.index_map()
     return BMResult(field=field, order=order, algorithm=algorithm,
                     points=ps, run_points=run_points, N=N,
-                    G_dense=PolyMatrix(field, N + [g_lts[r] for r in rank],
-                                       G, None if field.char else dens),
+                    G_dense=PolyMatrix(field, N + g_lts, G,
+                                       None if field.char else dens),
                     Q_dense=PolyMatrix(field, N, *eng.coeff_terms()),
                     point_permutation=[imap[run_points[p]]
                                        for p in eng.pivot_indices()],

@@ -7,9 +7,9 @@ against its point file).  Results are checked with one monomial table of
 G's and Q's exponents at the points (verify.verify_parts).  Both output
 formats render G and Q from their coefficient matrices through one term
 walk (poly.render_rows) in one sort of G's columns, and compute writes
-them after verify, poly.RENDER_ROWS rows at a time.  verify reads a JSON
-result back into the same dense form, checking and converting each stored
-term of G and Q once (_stored_polys).
+them after verify, poly.RENDER_ROWS rows at a time.  verify reads G and Q
+back in one walk over their stored terms (_stored_polys), a map per row,
+dropping each row's parsed terms; from_terms writes each map at once.
 Exit codes: 0 success, 1 failed verification, 2 usage error (arguments or
 input files), 3 internal error (an exception raised by the runner, the
 checks or the output code; a writer fault may leave truncated output on
@@ -265,13 +265,15 @@ def _is_pair(e) -> bool:
 
 
 def _stored_polys(field, doc: dict, key: str) -> PolyMatrix:
-    """doc[key], polynomials as lists of [i, j, "c"] terms, as a matrix.
-    One pass checks each term (int exponents >= 0, a string c) and converts
-    c; a malformed term, a bad literal or a zero polynomial is named."""
+    """doc[key], lists of [i, j, "c"] terms, taken out of doc as a matrix.
+    One walk checks each term (int exponents >= 0, a string c) and adds c,
+    converted, into its row's {(i, j): value} map, then drops the row's
+    terms.  A malformed term, a bad literal or a zero polynomial is named."""
     convert = field.convert
+    stored = _each(doc.pop(key), key)
     rows = []
-    for k, terms in enumerate(_each(doc[key], key)):
-        row = []
+    for k, terms in enumerate(stored):
+        row: dict = {}
         for t, term in enumerate(_each(terms, f"{key}[{k}]")):
             if type(term) is list and len(term) == 3:
                 i, j, c = term
@@ -279,11 +281,12 @@ def _stored_polys(field, doc: dict, key: str) -> PolyMatrix:
                     if i < 0 or j < 0:
                         raise ValueError(f"{key}[{k}][{t}] has a negative "
                                          f"exponent: {term!r}")
-                    row.append(((i, j), convert(c)))
+                    row[i, j] = row.get((i, j), 0) + convert(c)
                     continue
             raise ValueError(
                 f'{key}[{k}][{t}] is not an [i, j, "c"] triple: {term!r}')
         rows.append(row)
+        stored[k] = None
     polys = PolyMatrix.from_terms(field, rows)
     zero = np.flatnonzero(~polys.coeffs.astype(bool).any(axis=1))
     if zero.size:

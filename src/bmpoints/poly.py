@@ -14,6 +14,7 @@ over Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, count
 from math import gcd, lcm
 
 import numpy as np
@@ -41,8 +42,10 @@ class Polynomial:
     @classmethod
     def from_pairs(cls, field: Field, pairs) -> "Polynomial":
         """Sum of (exponent, raw coefficient) pairs, canonicalized."""
-        return PolyMatrix.from_terms(field, [[
-            (e, field.convert(raw)) for e, raw in pairs]]).polynomial(0)
+        terms: dict = {}
+        for e, raw in pairs:
+            terms[e] = terms.get(e, 0) + field.convert(raw)
+        return PolyMatrix.from_terms(field, [terms]).polynomial(0)
 
     def evaluate(self, point):
         """Exact value at point = (x, y): an int over F_p, a Fraction over Q."""
@@ -79,40 +82,30 @@ class PolyMatrix:
 
     @classmethod
     def from_terms(cls, field: Field, rows) -> "PolyMatrix":
-        """Rows of (exponent, coefficient) pairs, coefficients already in
-        the field; the terms of one exponent in one row add up, and an
-        exponent whose coefficients all come to zero keeps no column.  Over
-        Q each row is then scaled by the lcm of its denominators."""
-        col: dict = {}
-        ks, cs, vals = [], [], []
+        """Rows from {exponent: coefficient} maps, one assignment each, over
+        the exponents in first-seen order less those zero in every row.
+        Over F_p the coefficients may be sums of field elements, reduced
+        here; over Q each row is scaled by the lcm of its denominators."""
+        p = field.char
+        col = dict(zip(dict.fromkeys(chain.from_iterable(rows)), count()))
+        coeffs = np.zeros((len(rows), len(col)), np.int64 if p else object)
+        dens = None if p else np.ones(len(rows), dtype=object)
         for k, row in enumerate(rows):
-            for e, c in row:
-                ks.append(k)
-                cs.append(col.setdefault(e, len(col)))
-                vals.append(c)
-        coeffs = np.zeros((len(rows), len(col)),
-                          dtype=np.int64 if field.char else object)
-        np.add.at(coeffs, (np.array(ks, dtype=np.intp),
-                           np.array(cs, dtype=np.intp)),
-                  np.array(vals, dtype=coeffs.dtype))
-        if field.char:
-            coeffs %= field.char
+            values = [*row.values()]
+            if not p:
+                dens[k] = d = lcm(*(c.denominator for c in values))
+                values = [c.numerator * (d // c.denominator) for c in values]
+            coeffs[k, [*map(col.__getitem__, row)]] = values
+        if p:
+            coeffs %= p
         used = coeffs.astype(bool).any(axis=0)
-        exps = [e for e, u in zip(col, used.tolist()) if u]
-        coeffs = coeffs[:, used]
-        if field.char:
-            return cls(field, exps, coeffs)
-        rows = coeffs.tolist()
-        dens = [lcm(*(c.denominator for c in row)) for row in rows]
-        nums = np.array([[c.numerator * (d // c.denominator) for c in row]
-                         for row, d in zip(rows, dens)],
-                        dtype=object).reshape(coeffs.shape)
-        return cls(field, exps, nums, np.array(dens, dtype=object))
+        return cls(field, [e for e, u in zip(col, used.tolist()) if u],
+                   coeffs[:, used], dens)
 
     @classmethod
     def from_polys(cls, field: Field, polys) -> "PolyMatrix":
         """The Polynomials as rows, over the exponents they use."""
-        return cls.from_terms(field, [q.terms.items() for q in polys])
+        return cls.from_terms(field, [q.terms for q in polys])
 
     def __len__(self):
         return self.coeffs.shape[0]

@@ -97,7 +97,8 @@ def check_reduced_gb(G: PolyMatrix, N, order: TermOrder,
                      n_points=None) -> VerifyReport:
     """Shape checks pinning the reduced basis and its escalier.  Sorted by
     (i, j), the leading monomials are distinct and pairwise non-divisible
-    exactly when their y-exponents fall strictly."""
+    exactly when their y-exponents fall strictly.  N must list n_points
+    distinct monomials, when given; the detail names a repeat."""
     rep = VerifyReport()
 
     lead = G.leading(order)
@@ -122,8 +123,10 @@ def check_reduced_gb(G: PolyMatrix, N, order: TermOrder,
     rep.add("N is a lower set", is_lower(N))
 
     if n_points is not None:
-        rep.add("N size equals point count", len(N) == n_points,
-                f"{len(N)} vs {n_points}")
+        seen = set()
+        dup = next((n for n in N if n in seen or seen.add(n)), None)
+        rep.add("N size equals point count", len(N) == n_points and not dup,
+                f"{len(N)} vs {n_points}{f', {dup} repeated' if dup else ''}")
 
     divisible = _multiple_of_any(lms)
     hit = next((n for n in nset if divisible(n)), None)

@@ -157,6 +157,24 @@ def test_verify_rejects_repeated_escalier_monomial(tmp_path, capsys):
     assert "FAIL N size equals point count: 7 vs 6" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_repeated_monomial_at_the_point_count(tmp_path,
+                                                              capsys):
+    """N[2] replaced by N[1] keeps len(N) at the point count; the size
+    check counts distinct monomials and names the repeat."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(0, 0), (1, 0), (2, 3)])
+    res = tmp_path / "res.json"
+    assert run_cli(["compute", "--field", "q:23", "--order", "tdinlex",
+                    "--points", str(pts), "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["N"][2] = doc["N"][1]
+    res.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL N size equals point count: 3 vs 3, (1, 0) repeated" in out
+
+
 def test_verify_rejects_a_repeated_basis_element(tmp_path, capsys):
     """G = [x + 20, x + 20, y + 19] for the point (3, 4) over q:23 holds
     every other check: a repeated element is caught by the leading

@@ -67,7 +67,7 @@ def _polys(basis) -> list:
     """The basis elements as Polynomials, from the coefficient half of
     their rows."""
     return PolyMatrix.from_terms(basis.field, [
-        zip(basis.index_order, row)
+        dict(zip(basis.index_order, row))
         for row in _rows(basis)[:, len(basis):].tolist()]).polys()
 
 

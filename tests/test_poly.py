@@ -8,7 +8,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bmpoints.cli import _stored_polys
 from bmpoints.fields import make_field
@@ -74,7 +74,7 @@ def test_json_round_trip(p):
             continue
         with pytest.raises(ValueError, match=r"G\[0\] is the zero poly"):
             _stored_polys(F7, doc, "G")
-        assert PolyMatrix.from_terms(F7, [[]]).polys() == [p]
+        assert PolyMatrix.from_terms(F7, [{}]).polys() == [p]
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=["q:7", "rational"])
@@ -92,18 +92,54 @@ def test_from_json_keeps_only_nonzero_exponents(field):
         "x+3", "5x^2y^2+y^3"]
 
 
-@given(rows=q_term_rows)
-def test_rational_rows_over_least_common_denominator(rows):
-    """from_terms and from_polys over Q give integer rows over their
-    least common denominators that round-trip through polys(); both
-    renderers print each term as str() prints its Fraction."""
+def _by_exponent(m: PolyMatrix) -> tuple:
+    """m's columns by exponent, and its denominators."""
+    return ({e: m.coeffs[:, c].tolist() for c, e in enumerate(m.exps)},
+            None if m.dens is None else m.dens.tolist())
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=["q:7", "rational"])
+@given(data=st.data())
+def test_stored_terms_add_up_in_the_reader(field, data):
+    """The reader sums the split and repeated terms of one exponent into its
+    row's map: stored rows read as from_polys of the summed polynomials,
+    entry for entry, and an exponent whose terms cancel keeps no column."""
+    few = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    value = st.integers(-20, 20) if field.char else rationals
+    rows = data.draw(st.lists(st.lists(st.tuples(few, value), min_size=1,
+                                       max_size=8), min_size=1, max_size=4))
     want = []
     for row in rows:
         terms: dict = {}
         for e, c in row:
             terms[e] = terms.get(e, 0) + c
-        want.append(Polynomial(QQ, {e: c for e, c in terms.items() if c}))
-    for m in (PolyMatrix.from_terms(QQ, rows),
+        want.append(Polynomial(field, {e: v for e, c in terms.items()
+                                       if (v := field.convert(c))}))
+    assume(all(q.terms for q in want))
+    stored = [[[i, j, str(c)] for (i, j), c in row] for row in rows]
+    k = data.draw(st.integers(0, len(rows) - 1))
+    t = data.draw(st.integers(0, len(rows[k])))
+    stored[k][t:t] = [[3, 3, "2"], [3, 3, "-2"]]
+    got = _stored_polys(field, {"Q": stored}, "Q")
+    assert (3, 3) not in got.exps
+    assert _by_exponent(got) == _by_exponent(
+        PolyMatrix.from_polys(field, want))
+
+
+@given(rows=q_term_rows)
+def test_rational_rows_over_least_common_denominator(rows):
+    """from_terms of the summed row maps, zero sums kept, and from_polys
+    over Q give integer rows over their least common denominators that
+    round-trip through polys(); both renderers print each term as str()
+    prints its Fraction."""
+    sums = []
+    for row in rows:
+        terms: dict = {}
+        for e, c in row:
+            terms[e] = terms.get(e, 0) + c
+        sums.append(terms)
+    want = [Polynomial(QQ, {e: c for e, c in t.items() if c}) for t in sums]
+    for m in (PolyMatrix.from_terms(QQ, sums),
               PolyMatrix.from_polys(QQ, want)):
         assert m.coeffs.shape == (len(rows), len(m.exps))
         assert m.dens.shape == (len(rows),)

@@ -96,6 +96,18 @@ def test_check_reduced_gb_failures():
     assert check_reduced_gb(good.G_dense, good.N, LEX, n_points=2).passed
     assert not check_reduced_gb(good.G_dense, good.N, LEX,
                                 n_points=3).passed
+    # a repeated N entry fails the size check, which names it, even when
+    # the count matches
+    res = gpbm_run(PointSet(F23, [(0, 0), (1, 0), (2, 3)]), TDINLEX)
+    N = list(res.N)
+    N[2] = N[1]
+    size = [c for c in check_reduced_gb(res.G_dense, N, TDINLEX,
+                                        n_points=3).checks
+            if c[0] == "N size equals point count"]
+    assert size == [("N size equals point count", False,
+                     "3 vs 3, (1, 0) repeated")]
+    assert ("N size equals point count", True, "3 vs 3") in check_reduced_gb(
+        res.G_dense, res.N, TDINLEX, n_points=3).checks
 
 
 def test_check_newton():
