@@ -14,7 +14,7 @@ over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, pairwise
 from math import gcd, lcm
 
 import numpy as np
@@ -150,29 +150,14 @@ _BLOCK = 128
 def _power_rows(base: np.ndarray, exps, p: int = 0) -> np.ndarray:
     """rows[r] = base ** exps[r] for ascending exponents >= 0, in base's
     dtype: mod p when p is nonzero (int64), else exactly (object arrays of
-    Python integers).  One multiplication per exponent step of one,
-    square-and-multiply across a wider gap, so only the listed powers are
-    kept."""
-    def mul(a, b):
-        return a * b % p if p else a * b
-
+    Python integers).  One multiplication per exponent step up to the
+    last, and only the listed powers are kept."""
     rows = np.empty((len(exps), base.size), dtype=base.dtype)
     cur = np.ones_like(base)
-    prev = 0
-    for r, e in enumerate(exps):
-        if e == prev + 1:
-            cur = mul(cur, base)
-        elif e != prev:
-            step, n, sq = np.ones_like(base), e - prev, base
-            while n:
-                if n & 1:
-                    step = mul(step, sq)
-                n >>= 1
-                if n:
-                    sq = mul(sq, sq)
-            cur = mul(cur, step)
+    for r, (prev, e) in enumerate(pairwise([0, *exps])):
+        for _ in range(e - prev):
+            cur = cur * base % p if p else cur * base
         rows[r] = cur
-        prev = e
     return rows
 
 
@@ -243,14 +228,15 @@ class MonomialTable:
     """The values of the monomials exps at points, computed once for every
     PolyMatrix whose exponents are among exps.
 
-    Both fields build only the powers of each coordinate that exps list
-    (_power_rows).  Over F_p values[r, m] is exps[r] at points[m] mod p,
-    as an exact float64 of absolute value at most p // 2, which leaves the
-    limbs of _matmul_mod one bit more.  Over Q, with x = a/b, y = c/d and
-    I, J the largest exponents, values[r, m] is the integer a^i b^(I-i)
-    c^j d^(J-j) (_scaled_powers) and exps[r] at points[m] is values[r, m]
-    / dens[m], with dens[m] = b^I d^J.  A negative exponent is a
-    ValueError.
+    Both fields build only the powers of each coordinate that exps list,
+    one product per exponent step up to the largest (_power_rows).  Over
+    F_p values[r, m] is exps[r] at points[m] mod p, as an exact float64 of
+    absolute value at most p // 2, which leaves the limbs of _matmul_mod
+    one bit more.  Over Q, with x = a/b, y = c/d and I, J the largest
+    exponents, values[r, m] is the integer a^i b^(I-i) c^j d^(J-j)
+    (_scaled_powers) and exps[r] at points[m] is values[r, m] / dens[m],
+    with dens[m] = b^I d^J.  A negative exponent is a ValueError; the
+    certificate lists none above the point count (verify.verify_parts).
     """
 
     __slots__ = ("field", "exps", "points", "row", "values", "dens")
@@ -328,8 +314,8 @@ def values_at(polys: PolyMatrix, points) -> np.ndarray:
     an object array of Fractions over Q.
 
     The monomial table covers exactly the exponents of polys, whether or
-    not they lie in N, so corrupt input is evaluated as is; a negative
-    exponent is a ValueError.
+    not they lie in N, so corrupt input is evaluated as is, at one product
+    per exponent step; a negative exponent is a ValueError.
     """
     sums, dens = MonomialTable(polys.field, polys.exps, points).sums(polys)
     if polys.field.char:

@@ -2,21 +2,22 @@
 brute-force oracle.
 
 The checks take G and Q in dense form (poly.PolyMatrix: an exponent list
-and a coefficient matrix), as a run hands them over or as `bmpoints
-verify` reads them from JSON.  A leading monomial is the nonzero column
-that ranks highest under the order.  verify_parts builds one
-poly.MonomialTable over Q's exponents and G's others, at the points in
-pointPermutation order (input order when the permutation is invalid), and
-the vanishing and Newton checks both evaluate against it: G at every
-point, Q only on the triangle m <= k.  Over F_p these are exact modular
-matrix products in 128-row blocks, each read up to its last nonzero
-column in the input; over Q, integer matrix products of the rows'
-numerators, each row over its denominator, Q's row by row over its
-nonzero coefficients.  The checks compare integer sums with zero or their
-denominators, and "monic" compares each leading numerator with its row's
-denominator, so no value becomes a Fraction.  Every check reads only the
-points, G, N, Q and the permutation, and neither field's path uses the
-engine code.
+and a coefficient matrix), as a run hands them over or as `bmpoints verify`
+reads them from JSON.  A leading monomial is the nonzero column that ranks
+highest under the order.  verify_parts builds one poly.MonomialTable over
+Q's exponents and G's others, at the points in pointPermutation order
+(input order when the permutation is invalid), and the vanishing and Newton
+checks both evaluate against it: G at every point, Q only on the triangle
+m <= k.  The table leaves out every exponent above the point count μ in
+either variable, which no valid G or Q holds, and a G or Q that holds one
+fails its check unevaluated.  Over F_p these are exact modular matrix
+products in 128-row blocks, each read up to its last nonzero column in the
+input; over Q, integer matrix products of the rows' numerators, each row
+over its denominator, Q's row by row over its nonzero coefficients.  The
+checks compare integer sums with zero or their denominators, and "monic"
+compares each leading numerator with its row's denominator, so no value
+becomes a Fraction.  Every check reads only the points, G, N, Q and the
+permutation, and neither field's path uses the engine code.
 
 The oracle shares no elimination code with the main loop: it rebuilds rank
 facts from scratch with full Gaussian elimination per candidate monomial and
@@ -188,28 +189,40 @@ def verify_parts(ps: PointSet, order: TermOrder, G: PolyMatrix, N,
     One monomial table over Q's exponents, then G's others, serves both
     evaluating checks.  Its points are in pointPermutation order, then the
     points it leaves out, or in input order when the permutation is
-    invalid.
+    invalid.  It lists no exponent above μ = len(ps) in either variable; a
+    G or Q that holds one fails its evaluating check, which is not run.
     """
+    mu = len(ps)
     perm_ok = (len(set(perm)) == len(perm) == len(Q)
-               and all(0 <= k < len(ps) for k in perm))
+               and all(0 <= k < mu for k in perm))
     cols = list(perm) if perm_ok else []
     taken = set(cols)
-    cols += [k for k in range(len(ps)) if k not in taken]
-    q_exps = set(Q.exps)
-    table = MonomialTable(ps.field,
-                          Q.exps + [e for e in G.exps if e not in q_exps],
-                          [ps[k] for k in cols])
+    cols += [k for k in range(mu) if k not in taken]
+    exps = [e for e in dict.fromkeys(Q.exps + G.exps) if max(e) <= mu]
+    table = MonomialTable(ps.field, exps, [ps[k] for k in cols])
+    g_skip, q_skip = (next((f"skipped: exponent {e} exceeds the point count "
+                            f"{mu}" for e in P.exps if max(e) > mu), "")
+                      for P in (G, Q))
     rep = VerifyReport()
-    rep.extend(check_vanishing(G, ps, table))
-    rep.extend(check_reduced_gb(G, N, order, n_points=len(ps)))
-    rep.add("permutation indices valid", perm_ok)
-    if perm_ok:
-        rep.extend(check_newton(Q, [ps[k] for k in perm], table))
+    if g_skip:
+        rep.add("vanishing", False, g_skip)
     else:
-        rep.add("newton triangularity", False, "skipped: bad permutation")
+        rep.extend(check_vanishing(G, ps, table))
+    rep.extend(check_reduced_gb(G, N, order, n_points=mu))
+    rep.add("permutation indices valid", perm_ok)
+    q_skip = q_skip if perm_ok else "skipped: bad permutation"
+    if q_skip:
+        rep.add("newton triangularity", False, q_skip)
+    else:
+        rep.extend(check_newton(Q, [ps[k] for k in perm], table))
+    nset = set(N)
     q_lms = [Q.exps[c] for c in Q.leading(order).tolist()]
     rep.add("Q leading monomials enumerate N",
-            len(q_lms) == len(set(q_lms)) and set(q_lms) == set(N))
+            len(q_lms) == len(set(q_lms)) and set(q_lms) == nset)
+    used = Q.coeffs.astype(bool).any(axis=0).tolist()
+    stray = [e for e, u in zip(Q.exps, used) if u and e not in nset]
+    rep.add("Q supported in N", not stray,
+            f"monomial {stray[0]} outside N" if stray else "")
     return rep
 
 

@@ -175,6 +175,45 @@ def test_verify_rejects_a_repeated_monomial_at_the_point_count(tmp_path,
     assert "FAIL N size equals point count: 3 vs 3, (1, 0) repeated" in out
 
 
+def test_verify_rejects_q_outside_n(tmp_path, capsys):
+    """x - 5 vanishes on the points (5, j) and ranks below y^3 under
+    tdinlex, so adding it to Q[3] moves no value and no leading monomial;
+    the support check names the term."""
+    pts = tmp_path / "pts.txt"
+    _write_points(pts, [(5, j) for j in range(4)])
+    res = tmp_path / "res.json"
+    assert run_cli(["compute", "--field", "q:23", "--order", "tdinlex",
+                    "--points", str(pts), "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["Q"][3] += [[1, 0, "1"], [0, 0, "18"]]
+    res.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL Q supported in N: monomial (1, 0) outside N", "FAIL overall"]
+
+
+def test_verify_fails_a_term_above_the_point_count_unevaluated(tmp_path,
+                                                               capsys):
+    """x^100000 appended to G[0] of a 10-point rational result fails the
+    vanishing check by name, with no power above the point count built."""
+    pts = tmp_path / "pts.txt"
+    res = tmp_path / "res.json"
+    assert run_cli(["gen", "--field", "rational", "--n", "10", "--seed", "1",
+                    "-o", str(pts)]) == 0
+    assert run_cli(["compute", "--field", "rational", "--order", "lex",
+                    "--algo", "spbm", "--points", str(pts),
+                    "--out", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["G"][0].append([100000, 0, "1"])
+    res.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--result", str(res),
+                    "--points", str(pts)]) == 1
+    assert ("FAIL vanishing: skipped: exponent (100000, 0) exceeds the "
+            "point count 10" in capsys.readouterr().out.splitlines())
+
+
 def test_verify_rejects_a_repeated_basis_element(tmp_path, capsys):
     """G = [x + 20, x + 20, y + 19] for the point (3, 4) over q:23 holds
     every other check: a repeated element is caught by the leading

@@ -180,6 +180,73 @@ def test_verify_rational(ex1):
     assert rep.passed and res.field is QQ
 
 
+@pytest.mark.parametrize("field", [F23, QQ], ids=["p=23", "rational"])
+def test_q_outside_n_is_caught(field):
+    """x - 5 vanishes on the points (5, j), so adding it to Q[3] keeps
+    every evaluation and every leading monomial: only the support check
+    sees that Q[3] left the span of N."""
+    ps = PointSet(field, [(5, j) for j in range(4)])
+    res = gpbm_run(ps, TDINLEX)
+    Q = list(res.Q)
+    Q[3] = Polynomial.from_pairs(
+        field, [*Q[3].terms.items(), ((1, 0), 1), ((0, 0), -5)])
+    rep = verify_parts(ps, TDINLEX, res.G_dense, res.N,
+                       PolyMatrix.from_polys(field, Q),
+                       res.point_permutation)
+    assert [(name, detail) for name, ok, detail in rep.checks if not ok] == [
+        ("Q supported in N", "monomial (1, 0) outside N")]
+    assert ("Q supported in N", True, "") in verify_result(res).checks
+
+
+@pytest.mark.parametrize("field", [BIG, QQ], ids=["p=2^31-1", "rational"])
+def test_exponents_above_the_point_count_are_not_evaluated(field,
+                                                           monkeypatch):
+    """A G term and a Q term above the point count fail the vanishing and
+    Newton checks by name, unevaluated; the table never lists them, and
+    the checks that do not evaluate read as they do on their own."""
+    ps = gen_points(field, 8, seed=5)
+    res = spbm_run(ps, LEX)
+    mu = len(ps)
+    G, Q = list(res.G), list(res.Q)
+    G[0] = Polynomial.from_pairs(field, [*G[0].terms.items(),
+                                         ((mu + 1, 0), 1)])
+    Q[-1] = Polynomial.from_pairs(field, [*Q[-1].terms.items(),
+                                          ((0, 10**6), 3)])
+    G, Q = PolyMatrix.from_polys(field, G), PolyMatrix.from_polys(field, Q)
+    listed = []
+
+    def table(field, exps, points):
+        listed.extend(exps)
+        return MonomialTable(field, exps, points)
+
+    monkeypatch.setattr(bmpoints.verify, "MonomialTable", table)
+
+    def skip(e):
+        return f"skipped: exponent {e} exceeds the point count {mu}"
+
+    rep = verify_parts(ps, LEX, G, res.N, Q, res.point_permutation)
+    assert max(max(e) for e in listed) <= mu
+    checks = {name: (ok, detail) for name, ok, detail in rep.checks}
+    assert checks["vanishing"] == (False, skip((mu + 1, 0)))
+    assert checks["newton triangularity"] == (False, skip((0, 10**6)))
+    assert [c for c in rep.checks if c[0] not in (
+        "vanishing", "newton triangularity")] == check_reduced_gb(
+            G, res.N, LEX, n_points=mu).checks + [
+        ("permutation indices valid", True, ""),
+        ("Q leading monomials enumerate N", False, ""),
+        ("Q supported in N", False, "monomial (0, 1000000) outside N")]
+    # with G alone above the point count Q is still evaluated, and a bad
+    # permutation keeps its own detail
+    checks = {name: (ok, detail) for name, ok, detail in verify_parts(
+        ps, LEX, G, res.N, res.Q_dense, res.point_permutation).checks}
+    assert checks["newton triangularity"] == (True, "")
+    checks = {name: (ok, detail) for name, ok, detail in verify_parts(
+        ps, LEX, res.G_dense, res.N, Q, [0] * mu).checks}
+    assert checks["vanishing"] == (True, "")
+    assert checks["newton triangularity"] == (False,
+                                              "skipped: bad permutation")
+
+
 def _random_case(field, rng, n_polys, n_terms, n_points, max_exp):
     """Polynomials with exponents up to max_exp (not a lower set) and points
     that include zero coordinates."""
@@ -368,7 +435,7 @@ def test_corrupted_reports(field, n, rounds):
         G, Q, perm = list(res.G), list(res.Q), list(res.point_permutation)
         k = rng.randrange(len(G))
         G[k] = Polynomial.from_pairs(
-            field, [*G[k].terms.items(), ((rng.randrange(40), 1), 5)])
+            field, [*G[k].terms.items(), ((rng.randrange(n), 1), 5)])
         k = rng.randrange(len(Q))
         c = field.convert(rng.randrange(2, 10**9))
         Q[k] = Polynomial(field, {e: field.mul(c, v)
